@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .kernels import ShellKernel
 
@@ -33,6 +33,7 @@ __all__ = [
     "multiply",
     "divergence_defect",
     "lp_norm",
+    "lp_norms",
     "lp_norm_detailed",
     "sobolev_norm",
     "besov_norm",
@@ -77,10 +78,12 @@ class SpectralField:
 
     ``rank`` 0 is a scalar field (amplitudes are complex numbers), rank 1 a
     vector field (amplitudes are complex d-vectors).  Fields are treated as
-    immutable after construction; every operation returns a new field.
+    immutable after construction; every operation returns a new field.  That
+    is what lets ``_norms`` memoize grid quadrature results, keyed by
+    ``(p, N)`` with p = inf for the sup norm.
     """
 
-    __slots__ = ("dim", "rank", "coeffs", "reality", "_max_freq")
+    __slots__ = ("dim", "rank", "coeffs", "reality", "_max_freq", "_norms")
 
     def __init__(self, dim, rank, coeffs, reality=False):
         self.dim = int(dim)
@@ -88,6 +91,7 @@ class SpectralField:
         self.coeffs = coeffs
         self.reality = bool(reality)
         self._max_freq = None
+        self._norms = {}
 
     # -- construction -----------------------------------------------------
 
@@ -148,10 +152,7 @@ class SpectralField:
 
     def amp_array(self):
         """Amplitudes in the order of :meth:`freq_array`."""
-        keys = sorted(self.coeffs)
-        if self.rank == 0:
-            return np.array([self.coeffs[k] for k in keys], dtype=complex)
-        return np.array([self.coeffs[k] for k in keys], dtype=complex)
+        return np.array([self.coeffs[k] for k in sorted(self.coeffs)], dtype=complex)
 
     @property
     def max_freq(self):
@@ -213,10 +214,7 @@ class SpectralField:
         return SpectralField(self.dim, self.rank, coeffs, reality=self.reality)
 
     def scaled(self, c):
-        if self.rank == 0:
-            coeffs = {xi: c * a for xi, a in self.coeffs.items()}
-        else:
-            coeffs = {xi: c * a for xi, a in self.coeffs.items()}
+        coeffs = {xi: c * a for xi, a in self.coeffs.items()}
         reality = self.reality and (np.imag(c) == 0)
         return SpectralField(self.dim, self.rank, coeffs, reality=reality)
 
@@ -255,14 +253,24 @@ class SpectralField:
 # -- sampling and analysis ------------------------------------------------
 
 
-def _scatter(field: SpectralField, N: int) -> np.ndarray:
-    """Place coefficients into an FFT-layout array, wrapping frequencies mod N."""
+def _scatter(field: SpectralField, N: int, half: bool = False) -> np.ndarray:
+    """Place coefficients into an FFT-layout array, wrapping frequencies mod N.
+
+    ``half`` keeps only the last-axis indices 0..N/2 that ``irfftn`` reads;
+    for a Hermitian field the dropped entries are the conjugates of kept ones.
+    """
     if field.rank != 0:
         raise ValueError("scalar fields only")
-    arr = np.zeros((N,) * field.dim, dtype=complex)
+    shape = (N,) * field.dim
+    if half:
+        shape = shape[:-1] + (N // 2 + 1,)
+    arr = np.zeros(shape, dtype=complex)
     if field.coeffs:
         freqs = field.freq_array() % N
         amps = field.amp_array()
+        if half:
+            keep = freqs[:, -1] <= N // 2
+            freqs, amps = freqs[keep], amps[keep]
         np.add.at(arr, tuple(freqs.T), amps)
     return arr
 
@@ -270,14 +278,19 @@ def _scatter(field: SpectralField, N: int) -> np.ndarray:
 def sample(field: SpectralField, N: int) -> np.ndarray:
     """Exact samples of the field at the N^d grid points.
 
-    Wrapping frequencies mod N leaves grid-point values exact because
+    Hermitian (``reality``) fields give real samples through a real inverse
+    FFT over the half spectrum; other fields give complex samples.  Wrapping
+    frequencies mod N leaves grid-point values exact because
     e^{2 pi i xi j / N} only depends on xi mod N; only coefficient recovery
     requires an unaliased grid.
     """
     if field.rank == 1:
         return np.stack([sample(field.component(i), N) for i in range(field.dim)])
-    arr = _scatter(field, N)
-    return np.fft.ifftn(arr) * N**field.dim
+    scale = N**field.dim
+    if field.reality:
+        half = _scatter(field, N, half=True)
+        return np.fft.irfftn(half, s=(N,) * field.dim, axes=tuple(range(field.dim))) * scale
+    return np.fft.ifftn(_scatter(field, N)) * scale
 
 
 def synthesize(field: SpectralField, N: int) -> GridBuffer:
@@ -290,10 +303,7 @@ def synthesize(field: SpectralField, N: int) -> GridBuffer:
         raise SupportError(
             f"grid N={N} cannot resolve max frequency {field.max_freq:.1f}"
         )
-    values = sample(field, N)
-    if field.reality:
-        values = np.real(values)
-    return GridBuffer(field.dim, N, values)
+    return GridBuffer(field.dim, N, sample(field, N))
 
 
 def analyze(grid: GridBuffer, rel=PRUNE_REL) -> SpectralField:
@@ -388,7 +398,11 @@ def _box_convolve(fa, aa, fb, ab, out, dim):
     B = np.zeros(shape_b, dtype=complex)
     A[tuple((fa - lo_a).T)] = aa
     B[tuple((fb - lo_b).T)] = ab
-    C = fftconvolve(A, B)
+    # full linear convolution: zero-pad both boxes to a fast length >= a+b-1
+    shape = tuple(a + b - 1 for a, b in zip(shape_a, shape_b))
+    fshape = [sp_fft.next_fast_len(n) for n in shape]
+    C = sp_fft.ifftn(sp_fft.fftn(A, fshape) * sp_fft.fftn(B, fshape))
+    C = C[tuple(slice(0, n) for n in shape)]
     mags = np.abs(C)
     scale = mags.max()
     if scale == 0.0:
@@ -526,6 +540,8 @@ def shell_project(f: SpectralField, j: int, kernel: ShellKernel) -> SpectralFiel
         return f
     freqs = f.freq_array()
     w = kernel.shell_weight(freqs.astype(float), j)
+    if np.all(w == 1.0):
+        return f  # the whole support sits on the shell plateau
     keys = sorted(f.coeffs)
     coeffs = {}
     for key, wi in zip(keys, w):
@@ -537,35 +553,54 @@ def shell_project(f: SpectralField, j: int, kernel: ShellKernel) -> SpectralFiel
 # -- norms ----------------------------------------------------------------
 
 
-def lp_norm_detailed(f: SpectralField, p: float, grid_budget: int = DEFAULT_GRID_BUDGET):
-    """L^p norm by grid quadrature, with an estimated quadrature error.
+def _quadrature_N(band: int, p: float, grid_budget: int) -> int:
+    """Grid that dealiases |f|^p (|f| for the sup norm), capped by the budget."""
+    factor = 4 if p == math.inf else 2 * int(math.ceil(p))
+    return max(8, min(_next_pow2(factor * band + 1), grid_budget))
 
-    The grid obeys the dealias rule for |f|^ceil(p) when that fits in the
-    budget; otherwise the largest budget grid is used (the sampled values are
-    still exact) and the error estimate reflects the unresolved quadrature.
+
+def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> dict:
+    """L^p norms by grid quadrature, with estimated quadrature errors.
+
+    Returns ``{p: (norm, err)}``.  Each p gets the grid that obeys the dealias
+    rule for |f|^ceil(p) (|f| for p = inf) when that fits in the budget;
+    otherwise the largest budget grid is used (the sampled values are still
+    exact) and the error, the change from the half-resolution subgrid,
+    reflects the unresolved quadrature.  The field is sampled once per
+    distinct grid, and results are memoized on the field.
     """
     if not f.reality:
         raise ValueError("L^p norms are defined for real fields here")
     if f.is_zero():
-        return 0.0, 0.0
+        return {p: (0.0, 0.0) for p in ps}
     if f.rank == 1:
         raise ValueError("scalar fields only")
-    band = int(np.max(f.max_axis_freq()))
-    if p == math.inf:
-        N = min(_next_pow2(4 * band + 1), grid_budget)
-        N = max(N, 8)
-        vals = np.abs(np.real(sample(f, N)))
-        coarse = float(np.max(vals[(slice(None, None, 2),) * f.dim]))
-        fine = float(np.max(vals))
-        return fine, abs(fine - coarse)
-    if p < 1:
+    if any(p < 1 for p in ps):
         raise ValueError("p must be >= 1")
-    N_ideal = _next_pow2(2 * int(math.ceil(p)) * band + 1)
-    N = max(8, min(N_ideal, grid_budget))
-    vals = np.abs(np.real(sample(f, N))) ** p
-    fine = float(np.mean(vals)) ** (1.0 / p)
-    coarse = float(np.mean(vals[(slice(None, None, 2),) * f.dim])) ** (1.0 / p)
-    return fine, abs(fine - coarse)
+    band = int(np.max(f.max_axis_freq()))
+    grids = {p: _quadrature_N(band, p, grid_budget) for p in ps}
+    todo = {}  # N -> exponents not yet memoized at N
+    for p, N in grids.items():
+        if (p, N) not in f._norms:
+            todo.setdefault(N, []).append(p)
+    sub = (slice(None, None, 2),) * f.dim  # the half-resolution subgrid
+    for N, grid_ps in todo.items():
+        vals = np.abs(sample(f, N))
+        for p in grid_ps:
+            if p == math.inf:
+                fine = float(np.max(vals))
+                coarse = float(np.max(vals[sub]))
+            else:
+                pw = vals**p
+                fine = float(np.mean(pw)) ** (1.0 / p)
+                coarse = float(np.mean(pw[sub])) ** (1.0 / p)
+            f._norms[(p, N)] = (fine, abs(fine - coarse))
+    return {p: f._norms[(p, N)] for p, N in grids.items()}
+
+
+def lp_norm_detailed(f: SpectralField, p: float, grid_budget: int = DEFAULT_GRID_BUDGET):
+    """L^p norm and its estimated quadrature error; see :func:`lp_norms`."""
+    return lp_norms(f, (p,), grid_budget)[p]
 
 
 def lp_norm(f: SpectralField, p: float, grid_budget: int = DEFAULT_GRID_BUDGET) -> float:
@@ -616,7 +651,6 @@ def besov_norm(
         pj = shell_project(f, j, kernel)
         if pj.is_zero():
             continue
-        pj.reality = f.reality
         val = 2.0 ** (j * alpha) * lp_norm(pj, math.inf, grid_budget)
         best = max(best, val)
     return best

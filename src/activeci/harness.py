@@ -33,6 +33,7 @@ from .fields import (
     besov_norm,
 )
 from .iteration import (
+    ITEM4_PAIRS,
     IterationParams,
     IterationState,
     base_state,
@@ -66,8 +67,6 @@ __all__ = [
 ]
 
 REPORT_VERSION = 1
-
-ITEM4_PAIRS = ((-0.1, 1.0), (-0.5, 1.5), (-0.9, 1.9))
 
 
 class ConfigError(ValueError):

@@ -36,6 +36,7 @@ from .fields import (
     gradient,
     low_pass,
     lp_norm_detailed,
+    lp_norms,
     mean_part,
     multiply,
     nonzero_part,
@@ -63,6 +64,8 @@ __all__ = [
 
 LP_EXPONENTS = (1.0, 4.0 / 3.0, 3.0 / 2.0, 2.0)
 BESOV_ALPHAS = (-0.1, -0.5, -0.9)
+# (Besov alpha, L^p exponent) pairs of certification item 4
+ITEM4_PAIRS = ((-0.1, 1.0), (-0.5, 1.5), (-0.9, 1.9))
 
 
 class EmptyInterval(ValueError):
@@ -392,7 +395,7 @@ def amplitudes(
         N *= 2
     N = min(N, params.grid_budget)
 
-    grid = np.real(sample(R, N))  # shape (d,) + (N,)*d
+    grid = sample(R, N)  # shape (d,) + (N,)*d
     pts = grid.reshape(d, -1).T  # (N^d, d)
     rmax = float(np.max(np.linalg.norm(pts, axis=1)))
     if rmax == 0.0:
@@ -530,8 +533,13 @@ def build_increment(
 
     lp_report = {}
     if not w.is_zero():
+        # one quadrature pass for every norm of w used later: the report's
+        # exponents, item 4's exponents and the sup behind its Besov norms
+        # (w sits on one shell plateau, so P_j w = w)
+        ps = set(LP_EXPONENTS) | {p for _, p in ITEM4_PAIRS} | {math.inf}
+        norms = lp_norms(w, sorted(ps), params.grid_budget)
         for p in LP_EXPONENTS:
-            norm, err = lp_norm_detailed(w, p, params.grid_budget)
+            norm, err = norms[p]
             target = lam ** ((1.0 - eps) * (0.5 - 1.0 / p))
             lp_report[p] = {"norm": norm, "quad_err": err, "ratio": norm / target}
     Tw = apply_T(m, w)

@@ -1,12 +1,14 @@
 """Sparse spectral fields: algebra, transforms, calculus, norms, snapshots."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from activeci import fields
 from activeci.fields import (
     SpectralField,
     analyze,
@@ -21,6 +23,7 @@ from activeci.fields import (
     low_pass,
     lp_norm,
     lp_norm_detailed,
+    lp_norms,
     mean_part,
     multiply,
     nonzero_part,
@@ -132,6 +135,36 @@ def test_multiply_matches_grid_path(f, g):
     assert diff.is_zero() or diff.max_amp() < 1e-12 * scale
 
 
+def random_hermitian(rng, dim, n, radius, centre=None):
+    """Real field with n random modes |xi_i| <= radius around +-centre."""
+    centre = np.zeros(dim, dtype=int) if centre is None else np.asarray(centre)
+    coeffs = {}
+    for _ in range(n):
+        xi = tuple(int(c) for c in centre + rng.integers(-radius, radius + 1, size=dim))
+        amp = complex(rng.normal(), rng.normal())
+        neg = tuple(-c for c in xi)
+        coeffs[xi] = coeffs.get(xi, 0.0) + amp / 2.0
+        coeffs[neg] = coeffs.get(neg, 0.0) + np.conj(amp) / 2.0
+    return SpectralField.scalar(dim, coeffs, reality=True)
+
+
+def test_multiply_box_path_matches_pair_path(monkeypatch):
+    rng = np.random.default_rng(3)
+    cases = [
+        (random_hermitian(rng, 2, 12, 6), random_hermitian(rng, 2, 9, 5)),
+        # modes near +-(200, 70) form two clusters, so two cluster pairs
+        (random_hermitian(rng, 2, 10, 4, (200, 70)), random_hermitian(rng, 2, 6, 3)),
+        (random_hermitian(rng, 3, 8, 3), random_hermitian(rng, 3, 8, 2)),
+    ]
+    pair = [multiply(f, g) for f, g in cases]
+    monkeypatch.setattr(fields, "_DIRECT_PAIR_CAP", 0)
+    for (f, g), fg in zip(cases, pair):
+        box = multiply(f, g)
+        assert box.reality and set(box.coeffs) == set(fg.coeffs)
+        diff = (box - fg).pruned(rel=0.0)
+        assert diff.is_zero() or diff.max_amp() < 1e-13 * fg.max_amp()
+
+
 def test_multiply_scalar_vector():
     f = cos_field((1, 0))
     v = SpectralField.vector(
@@ -172,6 +205,76 @@ def test_sample_wraps_aliased_frequencies():
     x = np.arange(N) / N
     direct = np.cos(2 * np.pi * 9 * x)
     assert np.allclose(vals[:, 0], direct, atol=1e-13)
+
+
+def direct_samples(f, N):
+    """sum_xi f(xi) e^{2 pi i xi.x} on the N^d grid, term by term."""
+    axes = np.meshgrid(*([np.arange(N) / N] * f.dim), indexing="ij")
+    out = np.zeros((N,) * f.dim, dtype=complex)
+    for xi, a in f.coeffs.items():
+        out += a * np.exp(2j * np.pi * sum(c * x for c, x in zip(xi, axes)))
+    return out
+
+
+def test_sample_real_fft_wraps_last_axis():
+    # last-axis frequency 5 > N/2 = 4 wraps to 3; its partner -5 wraps to 3
+    f = cos_field((1, 5), amp=1.3) + cos_field((2, -7), amp=0.4)
+    vals = sample(f, 8)
+    assert vals.dtype == np.float64 and vals.shape == (8, 8)
+    assert np.allclose(vals, direct_samples(f, 8).real, atol=1e-13)
+
+
+def test_sample_real_fft_nyquist_column():
+    # last-axis index N/2 is its own conjugate partner: both modes land there
+    f = SpectralField.scalar(2, {(1, 4): 0.3 - 0.8j, (-1, -4): 0.3 + 0.8j}, reality=True)
+    f = f + cos_field((3, 4), amp=0.5) + cos_field((0, 4))
+    vals = sample(f, 8)
+    assert vals.dtype == np.float64
+    assert np.allclose(vals, direct_samples(f, 8).real, atol=1e-13)
+
+
+def test_sample_real_fft_3d():
+    f = random_hermitian(np.random.default_rng(5), 3, 10, 5)
+    vals = sample(f, 8)  # frequencies up to 5 wrap on every axis
+    assert vals.dtype == np.float64 and vals.shape == (8, 8, 8)
+    assert np.allclose(vals, direct_samples(f, 8).real, atol=1e-12)
+
+
+def test_sample_non_hermitian_is_complex():
+    f = SpectralField.scalar(2, {(1, 0): 1.0, (2, 3): 0.5j})
+    assert not f.reality
+    vals = sample(f, 8)
+    assert np.iscomplexobj(vals)
+    assert np.allclose(vals, direct_samples(f, 8), atol=1e-13)
+
+
+def test_norms_sample_each_grid_once(monkeypatch):
+    k = ShellKernel()
+    # every mode on the plateau 4 <= |xi| <= 6.86 of shell j = 2
+    f = cos_field((5, 0), 2.0) + cos_field((3, 4), 0.7) + cos_field((4, -4), -0.4)
+    grids = Counter()
+    original = fields.sample
+
+    def counting(field, N):
+        grids[N] += 1
+        return original(field, N)
+
+    monkeypatch.setattr(fields, "sample", counting)
+    ps = (1.0, 4.0 / 3.0, 1.5, 2.0, math.inf)
+    lp = lp_norms(f, ps, 256)
+    besov = [besov_norm(f, alpha, k, 256) for alpha in (-0.1, -0.5, -0.9)]
+    assert [lp_norm_detailed(f, p, 256) for p in ps] == [lp[p] for p in ps]
+    # band 5: 16 points dealias |f|, 32 dealias |f|^2 and the sup
+    assert grids == Counter({16: 1, 32: 1})
+    assert besov == [2.0 ** (2 * alpha) * lp[math.inf][0] for alpha in (-0.1, -0.5, -0.9)]
+    # one p at a time on a fresh field gives the same values
+    fresh = SpectralField.scalar(2, dict(f.coeffs), reality=True)
+    assert {p: lp_norm_detailed(fresh, p, 256) for p in ps} == lp
+
+
+def test_shell_project_plateau_returns_field():
+    f = cos_field((5, 0)) + cos_field((3, 4))
+    assert shell_project(f, 2, ShellKernel()) is f
 
 
 def test_parseval():
