@@ -4,13 +4,16 @@ bookkeeping.
 A field is a finite map from integer lattice frequencies to complex
 amplitudes.  All construction fields (slabs, increments, products of few
 modes) are supported on a handful of balls or lines in frequency space, so a
-hash-map representation is used throughout; dense grids are materialized only
-for products and L^p quadrature.
+field stores its coefficients in a hash map; dense grids are materialized
+only for large products and L^p quadrature.
 
-Products are exact convolutions of the coefficient maps.  The engine
+Products are exact convolutions of the coefficient maps, computed on arrays:
+the dict is storage only.  The engine packs frequencies into int64 keys,
 decomposes each operand's support into frequency clusters and, per cluster
 pair, either enumerates coefficient pairs directly or runs an FFT convolution
-on the cluster bounding boxes.  Both paths agree to roundoff.
+on the cluster bounding boxes.  Both paths agree to roundoff.  One
+accumulation per vector component then sums the cluster pairs' results in
+cluster-pair order.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -62,6 +66,11 @@ class SupportError(ValueError):
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n) - 1).bit_length()
+
+
+def _above(mags, rel=PRUNE_REL):
+    """Mask of magnitudes above ``rel`` times their maximum along axis 0."""
+    return mags > rel * mags.max(axis=0)
 
 
 @dataclass
@@ -150,9 +159,12 @@ class SpectralField:
         keys = sorted(self.coeffs)
         return np.array(keys, dtype=np.int64)
 
-    def amp_array(self):
-        """Amplitudes in the order of :meth:`freq_array`."""
-        return np.array([self.coeffs[k] for k in sorted(self.coeffs)], dtype=complex)
+    def arrays(self):
+        """Frequencies as in :meth:`freq_array` and the amplitudes in the same
+        order, shape (K,) for scalars and (K, d) for vectors."""
+        keys = sorted(self.coeffs)
+        freqs = np.array(keys, dtype=np.int64).reshape(len(keys), self.dim)
+        return freqs, np.array([self.coeffs[k] for k in keys], dtype=complex)
 
     @property
     def max_freq(self):
@@ -171,12 +183,22 @@ class SpectralField:
             return np.zeros(self.dim, dtype=np.int64)
         return np.max(np.abs(self.freq_array()), axis=0)
 
+    def _magnitudes(self):
+        """|a| per stored coefficient in dict order; max over components for
+        vectors.
+
+        Scalars use np.hypot: np.abs of a complex array may take a SIMD path
+        that differs from the scalar abs in the last bit.
+        """
+        amps = np.array(list(self.coeffs.values()), dtype=complex)
+        if self.rank == 0:
+            return np.hypot(amps.real, amps.imag)
+        return np.abs(amps).max(axis=1)
+
     def max_amp(self):
         if not self.coeffs:
             return 0.0
-        if self.rank == 0:
-            return max(abs(a) for a in self.coeffs.values())
-        return max(float(np.max(np.abs(a))) for a in self.coeffs.values())
+        return float(self._magnitudes().max())
 
     def is_hermitian(self, rtol=1e-13):
         """Check f(-xi) == conj(f(xi)) for every stored frequency."""
@@ -199,18 +221,9 @@ class SpectralField:
     # -- arithmetic -------------------------------------------------------
 
     def pruned(self, rel=PRUNE_REL):
-        scale = self.max_amp()
-        if scale == 0.0:
-            return SpectralField(self.dim, self.rank, {}, reality=self.reality)
-        thresh = rel * scale
-        if self.rank == 0:
-            coeffs = {xi: a for xi, a in self.coeffs.items() if abs(a) > thresh}
-        else:
-            coeffs = {
-                xi: a
-                for xi, a in self.coeffs.items()
-                if float(np.max(np.abs(a))) > thresh
-            }
+        coeffs = {}
+        if self.coeffs:
+            coeffs = dict(compress(self.coeffs.items(), _above(self._magnitudes(), rel)))
         return SpectralField(self.dim, self.rank, coeffs, reality=self.reality)
 
     def scaled(self, c):
@@ -266,8 +279,8 @@ def _scatter(field: SpectralField, N: int, half: bool = False) -> np.ndarray:
         shape = shape[:-1] + (N // 2 + 1,)
     arr = np.zeros(shape, dtype=complex)
     if field.coeffs:
-        freqs = field.freq_array() % N
-        amps = field.amp_array()
+        freqs, amps = field.arrays()
+        freqs = freqs % N
         if half:
             keep = freqs[:, -1] <= N // 2
             freqs, amps = freqs[keep], amps[keep]
@@ -337,9 +350,8 @@ def analyze(grid: GridBuffer, rel=PRUNE_REL) -> SpectralField:
 
 def _clusters(freqs: np.ndarray, cell: int = 64):
     """Partition frequencies into connected clusters of occupied coarse cells."""
-    cells = freqs // cell
-    cell_keys = [tuple(int(c) for c in row) for row in cells]
-    uniq = sorted(set(cell_keys))
+    cells, cell_of = np.unique(freqs // cell, axis=0, return_inverse=True)
+    uniq = [tuple(c) for c in cells.tolist()]  # sorted, so cluster order is stable
     comp = {}
     nxt = 0
     d = freqs.shape[1]
@@ -347,7 +359,7 @@ def _clusters(freqs: np.ndarray, cell: int = 64):
     uniq_set = set(uniq)
     offsets = np.array(
         np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")
-    ).reshape(d, -1).T
+    ).reshape(d, -1).T.tolist()
     for c in uniq:
         if c in comp:
             continue
@@ -356,40 +368,53 @@ def _clusters(freqs: np.ndarray, cell: int = 64):
         while stack:
             cur = stack.pop()
             for off in offsets:
-                nb = tuple(int(x + o) for x, o in zip(cur, off))
+                nb = tuple(x + o for x, o in zip(cur, off))
                 if nb in uniq_set and nb not in comp:
                     comp[nb] = nxt
                     stack.append(nb)
         nxt += 1
-    labels = np.array([comp[k] for k in cell_keys], dtype=np.int64)
+    labels = np.array([comp[c] for c in uniq], dtype=np.int64)[cell_of.reshape(-1)]
     return [np.nonzero(labels == i)[0] for i in range(nxt)]
 
 
-def _accumulate(out: dict, freqs: np.ndarray, amps: np.ndarray, dim: int):
-    for xi, a in zip(freqs, amps):
-        key = tuple(int(c) for c in xi)
-        if key in out:
-            out[key] = out[key] + a
-        else:
-            out[key] = a
+def _pair_convolve(ka, aa, kb, bb, keep):
+    """Direct convolution of two coefficient lists by pair enumeration.
 
-
-def _pair_convolve(fa, aa, fb, ab, out, dim):
-    """Direct convolution of two coefficient lists by pair enumeration."""
-    sums = (fa[:, None, :] + fb[None, :, :]).reshape(-1, dim)
-    prods = (aa[:, None] * ab[None, :]).reshape(-1)
-    # aggregate duplicates before touching the python dict
-    order = np.lexsort(sums.T[::-1])
+    ``ka``/``kb`` are packed product keys, ``bb`` holds one amplitude column
+    per component and ``keep`` marks the rows each column uses.  The pair
+    sums are enumerated and sorted once; each column then sums its own pairs
+    per key.  Returns one ``(keys, amps)`` per column, None where no row is
+    kept.
+    """
+    sums = (ka[:, None] + kb[None, :]).reshape(-1)
+    order = np.argsort(sums, kind="stable")
     sums = sums[order]
-    prods = prods[order]
-    change = np.any(np.diff(sums, axis=0) != 0, axis=1)
-    bounds = np.concatenate(([0], np.nonzero(change)[0] + 1, [len(prods)]))
-    agg = np.add.reduceat(prods, bounds[:-1])
-    _accumulate(out, sums[bounds[:-1]], agg, dim)
+
+    def column(col, rows):
+        if not rows.any():
+            return None
+        # leaving a dropped row's pairs out of the stable key order makes
+        # each key sum the same terms in the same order as if the row had
+        # never been there
+        used = slice(None) if rows.all() else rows[order % len(kb)]
+        p = (aa[:, None] * col[None, :]).reshape(-1)[order[used]]
+        s = sums[used]
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(s)) + 1))
+        return s[starts], np.add.reduceat(p, starts)
+
+    # one column at a time, so one column's products are alive at once
+    return [column(col, rows) for col, rows in zip(bb.T, keep.T)]
 
 
-def _box_convolve(fa, aa, fb, ab, out, dim):
-    """FFT convolution on the dense bounding boxes of two clusters."""
+def _box_convolve(fa, aa, fb, ab, lo, strides):
+    """FFT convolution on the dense bounding boxes of two clusters.
+
+    Returns the packed keys (over ``lo``/``strides``) and amplitudes of the
+    product entries above ``PRUNE_REL`` of the box maximum, or None when the
+    product vanishes.
+    """
+    if len(fb) == 0:
+        return None
     lo_a, hi_a = fa.min(axis=0), fa.max(axis=0)
     lo_b, hi_b = fb.min(axis=0), fb.max(axis=0)
     shape_a = tuple(int(h - l + 1) for l, h in zip(lo_a, hi_a))
@@ -406,48 +431,95 @@ def _box_convolve(fa, aa, fb, ab, out, dim):
     mags = np.abs(C)
     scale = mags.max()
     if scale == 0.0:
-        return
+        return None
     idx = np.argwhere(mags > PRUNE_REL * scale)
-    freqs = idx + (lo_a + lo_b)
-    _accumulate(out, freqs, C[tuple(idx.T)], dim)
+    return (idx + (lo_a + lo_b - lo)) @ strides, C[tuple(idx.T)]
 
 
-def _multiply_scalar(f: SpectralField, g: SpectralField) -> SpectralField:
-    if f.is_zero() or g.is_zero():
-        return SpectralField.zero(f.dim, 0)
-    dim = f.dim
-    ff, fg = f.freq_array(), g.freq_array()
-    af, ag = f.amp_array(), g.amp_array()
-    out: dict = {}
-    cl_f = _clusters(ff)
-    cl_g = _clusters(fg)
-    for ia in cl_f:
-        for ib in cl_g:
-            fa, aa = ff[ia], af[ia]
-            fb, ab = fg[ib], ag[ib]
-            if len(ia) * len(ib) <= _DIRECT_PAIR_CAP:
-                _pair_convolve(fa, aa, fb, ab, out, dim)
-            else:
-                _box_convolve(fa, aa, fb, ab, out, dim)
-    prod = SpectralField(dim, 0, out, reality=f.reality and g.reality)
-    return prod.pruned()
+def _sum_by_key(parts):
+    """Sum ``(keys, amps)`` parts per key, in the order the parts come, and
+    prune the sums at ``PRUNE_REL`` of the largest.
+
+    Each key's terms are added left to right starting from -0.0, the exact
+    additive identity, so every sum (signed zeros included) is bitwise the
+    sequential sum of its terms.  Returns sorted unique keys and their sums.
+    """
+    if not parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
+    keys = np.concatenate([k for k, _ in parts])
+    uniq, inv = np.unique(keys, return_inverse=True)
+    sums = np.full(len(uniq), complex(-0.0, -0.0))
+    np.add.at(sums, inv.reshape(-1), np.concatenate([a for _, a in parts]))
+    keep = _above(np.hypot(sums.real, sums.imag))
+    return uniq[keep], sums[keep]
 
 
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Exact product of two fields (convolution of coefficient maps).
 
     Supported ranks: scalar x scalar and scalar x vector (componentwise).
+    Each vector component of g is pruned at ``PRUNE_REL`` of its own
+    maximum before the product and each product component after it; a
+    vector product is then pruned as a whole.
+
+    Frequencies are packed into int64 keys over the product's bounding box.
+    Every cluster pair (see :func:`_clusters`, taken on the whole support of
+    each operand) yields ``(keys, amps)`` arrays for all components at once,
+    and one accumulation per component sums them in cluster-pair order.
     """
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
     if f.rank == 1 and g.rank == 0:
         f, g = g, f
-    if f.rank == 0 and g.rank == 0:
-        return _multiply_scalar(f, g)
-    if f.rank == 0 and g.rank == 1:
-        comps = [_multiply_scalar(f, g.component(i)) for i in range(g.dim)]
-        return SpectralField.from_components(comps)
-    raise ValueError("vector x vector products are not defined here")
+    if f.rank != 0:
+        raise ValueError("vector x vector products are not defined here")
+    if f.is_zero() or g.is_zero():
+        return SpectralField.zero(f.dim, g.rank)
+    ff, af = f.arrays()
+    fg, ag = g.arrays()
+    ag = ag.reshape(len(fg), -1)  # one amplitude column per component
+    if g.rank == 0:
+        keep = np.ones(ag.shape, dtype=bool)
+    else:
+        keep = _above(np.hypot(ag.real, ag.imag))
+    # mixed-radix keys: lexicographic order of frequencies is numeric order
+    # of keys, and the key of a + b is key_f(a) + key_g(b)
+    lo_f, lo_g = ff.min(axis=0), fg.min(axis=0)
+    span = (ff.max(axis=0) - lo_f) + (fg.max(axis=0) - lo_g) + 1
+    if math.prod(span.tolist()) >= 2**63:
+        raise SupportError("product support too wide for int64 frequency keys")
+    strides = np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
+    lo = lo_f + lo_g
+    kf, kg = (ff - lo_f) @ strides, (fg - lo_g) @ strides
+
+    parts = [[] for _ in range(ag.shape[1])]  # per component, in pair order
+    cl_g = _clusters(fg)
+    for ia in _clusters(ff):
+        for ib in cl_g:
+            if len(ia) * len(ib) <= _DIRECT_PAIR_CAP:
+                res = _pair_convolve(kf[ia], af[ia], kg[ib], ag[ib], keep[ib])
+            else:
+                res = [
+                    _box_convolve(ff[ia], af[ia], fg[ib][rows], col[rows], lo, strides)
+                    for col, rows in zip(ag[ib].T, keep[ib].T)
+                ]
+            for out, r in zip(parts, res):
+                if r is not None:
+                    out.append(r)
+
+    comps = [_sum_by_key(out) for out in parts]
+    keys = np.unique(np.concatenate([k for k, _ in comps]))
+    amps = np.zeros((len(keys), len(comps)), dtype=complex)
+    for i, (k, a) in enumerate(comps):
+        amps[np.searchsorted(keys, k), i] = a
+    if g.rank == 0:
+        amps = amps[:, 0]
+    elif len(keys):  # the prune of SpectralField.pruned
+        mask = _above(np.abs(amps).max(axis=1))
+        keys, amps = keys[mask], amps[mask]
+    freqs = lo + (keys[:, None] // strides) % span
+    coeffs = dict(zip(map(tuple, freqs.tolist()), amps))
+    return SpectralField(f.dim, g.rank, coeffs, reality=f.reality and g.reality)
 
 
 # -- calculus -------------------------------------------------------------
@@ -492,8 +564,9 @@ def divergence_defect(u: SpectralField) -> float:
         raise ValueError("divergence defect of vector fields only")
     if u.is_zero():
         return 0.0
-    freqs = u.freq_array().astype(float)
-    amps = np.max(np.abs(u.amp_array()), axis=1)
+    freqs, amps = u.arrays()
+    freqs = freqs.astype(float)
+    amps = np.max(np.abs(amps), axis=1)
     scale = 2.0 * np.pi * float(np.max(np.linalg.norm(freqs, axis=1) * amps))
     if scale == 0.0:
         return 0.0
@@ -615,8 +688,8 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     """
     if not f.coeffs:
         return 0.0
-    freqs = f.freq_array().astype(float)
-    amps = f.amp_array()
+    freqs, amps = f.arrays()
+    freqs = freqs.astype(float)
     mag2 = np.sum(freqs * freqs, axis=1)
     keep = mag2 > 0
     if f.rank == 0:

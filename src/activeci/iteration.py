@@ -256,7 +256,9 @@ def residual_defect(theta, u, R, gamma) -> float:
     return defect / scale
 
 
-def _check_state(state: IterationState, gamma: float, m: Multiplier):
+def _check_state(state: IterationState, gamma: float, m: Multiplier) -> float:
+    """Raise unless the state obeys the exact invariants; returns the
+    relaxed-equation residual defect."""
     if abs(mean_part(state.theta)) != 0.0:
         raise ValueError("theta must be mean-free")
     div_u = divergence_defect(state.u)
@@ -268,6 +270,7 @@ def _check_state(state: IterationState, gamma: float, m: Multiplier):
     defect = residual_defect(state.theta, state.u, state.R, gamma)
     if defect > 1e-10:
         raise ValueError(f"relaxed-equation residual {defect:.3g} exceeds 1e-10")
+    return defect
 
 
 # -- base case ------------------------------------------------------------
@@ -302,7 +305,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
     params.A = A
     params.delta = A / 4.0
     state = IterationState(q=0, theta=theta, u=u, R=R)
-    _check_state(state, params.gamma, m)
+    defect = _check_state(state, params.gamma, m)
     state.norm_history.append(
         {
             "q": 0,
@@ -313,7 +316,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
             "theta_L1": lp_norm_detailed(theta, 1.0, params.grid_budget)[0],
             "A": A,
             "delta": params.delta,
-            "residual_defect": residual_defect(theta, u, R, params.gamma),
+            "residual_defect": defect,
         }
     )
     return state
@@ -348,17 +351,20 @@ def amplitudes(
     R: SpectralField,
     basis: DirectionBasis,
     params: IterationParams,
-    k: tuple,
     spec: SlabSpec,
     kernel: ShellKernel,
     stress_cutoff: float | None = None,
-):
-    """Amplitude field a_{k,q} = (S eps_Omega / ||R||_inf)^{-1/2} Gamma_k(k*
-    - eps_Omega R(x)/||R||_inf), re-analyzed and truncated in frequency.
+) -> dict:
+    """Amplitude fields a_{k,q} = (S eps_Omega / ||R||_inf)^{-1/2} Gamma_k(k*
+    - eps_Omega R(x)/||R||_inf) for every direction k of the basis,
+    re-analyzed and truncated in frequency.
 
-    Returns (field, info).  ||R||_inf is taken as the grid maximum of |R| on
-    the evaluation grid itself, which guarantees the Gamma arguments stay in
-    the admissible ball pointwise.
+    Returns ``{k: (field, info)}``.  ``spec`` gives lam, eps and the profile,
+    which all directions share.  The stress is sampled and the Gamma
+    coefficients are solved once for all directions; only the re-analysis
+    and truncation run per direction.  ||R||_inf is taken as the grid
+    maximum of |R| on the evaluation grid itself, which guarantees the Gamma
+    arguments stay in the admissible ball pointwise.
 
     ``stress_cutoff``: when set, the amplitudes target only the stress below
     that frequency.  The squared amplitude is affine in the stress, so the
@@ -409,30 +415,25 @@ def amplitudes(
             f"amplitude coefficient {cmin:.3g} fell below the margin "
             f"{basis.gamma_margin}"
         )
-    col = basis.omega.index(tuple(k))
     pref = (S * basis.eps_omega / rmax) ** (-0.5)
-    a_grid = (pref * np.sqrt(coef[:, col])).reshape((N,) * d)
-
-    a_full = analyze(GridBuffer(d, N, a_grid))
-    kept, dropped = {}, 0.0
-    total = 0.0
-    for xi, amp in a_full.coeffs.items():
-        mass = abs(amp) ** 2
-        total += mass
-        if math.sqrt(sum(c * c for c in xi)) <= trunc:
-            kept[xi] = amp
-        else:
-            dropped += mass
-    a = SpectralField(d, 0, kept, reality=True).pruned()
-    info = {
-        "S": S,
-        "R_max": rmax,
-        "prefactor": pref,
-        "trunc_radius": trunc,
-        "grid_N": N,
-        "tail_fraction": math.sqrt(dropped / total) if total > 0 else 0.0,
-    }
-    return a, info
+    shared = {"S": S, "R_max": rmax, "prefactor": pref, "trunc_radius": trunc, "grid_N": N}
+    out = {}
+    for col, k in enumerate(basis.omega):
+        a_grid = (pref * np.sqrt(coef[:, col])).reshape((N,) * d)
+        a_full = analyze(GridBuffer(d, N, a_grid))
+        kept, dropped = {}, 0.0
+        total = 0.0
+        for xi, amp in a_full.coeffs.items():
+            mass = abs(amp) ** 2
+            total += mass
+            if math.sqrt(sum(c * c for c in xi)) <= trunc:
+                kept[xi] = amp
+            else:
+                dropped += mass
+        a = SpectralField(d, 0, kept, reality=True).pruned()
+        tail = math.sqrt(dropped / total) if total > 0 else 0.0
+        out[k] = (a, {**shared, "tail_fraction": tail})
+    return out
 
 
 # -- increment ------------------------------------------------------------
@@ -457,13 +458,14 @@ def build_increment(
     # amplitudes only target stress below half the slab-harmonic spacing
     spacing = round(lam**eps) * params.basis_norm
     cutoff = max(2.0, spacing / 2.0)
+    shared_spec = SlabSpec(k=basis.omega[0], lam=lam, eps=eps, profile=profile)
+    try:
+        amps = amplitudes(state.R, basis, params, shared_spec, kernel, stress_cutoff=cutoff)
+    except ZeroStress:
+        amps = {}
     for k in basis.omega:
         spec = SlabSpec(k=k, lam=lam, eps=eps, profile=profile)
-        try:
-            a, info = amplitudes(
-                state.R, basis, params, k, spec, kernel, stress_cutoff=cutoff
-            )
-        except ZeroStress:
+        if k not in amps:
             degenerate = True
             per_k[k] = {
                 "a": SpectralField.zero(params.d, 0),
@@ -475,6 +477,7 @@ def build_increment(
                 "mode_cap": 0,
             }
             continue
+        a, info = amps[k]
         # only slab harmonics that can reach the low-pass support after
         # convolution with the amplitude spectrum matter; dropping the rest
         # before the product is exact, not an approximation
@@ -588,7 +591,7 @@ def step(
         norm_history=list(state.norm_history),
         increments=list(state.increments),
     )
-    _check_state(new_state, params.gamma, m)
+    defect = _check_state(new_state, params.gamma, m)
 
     ms = -params.s
     prev = sobolev_norm(state.R, ms)
@@ -607,7 +610,7 @@ def step(
         "R_D_Hs": sobolev_norm(R_D, ms),
         "w_lp": {str(p): rep for p, rep in bundle.lp_report.items()},
         "w_besov": {},
-        "residual_defect": residual_defect(theta1, u1, R1, params.gamma),
+        "residual_defect": defect,
         "amp_info": {
             str(k): rec["amp_info"] for k, rec in bundle.per_k.items()
         },

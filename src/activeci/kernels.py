@@ -20,7 +20,9 @@ def glue(t):
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
     pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
+    # for subnormal t, -1/t overflows to -inf; exp(-inf) = 0 is the value
+    with np.errstate(over="ignore"):
+        out[pos] = np.exp(-1.0 / t[pos])
     return out
 
 

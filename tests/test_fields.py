@@ -148,19 +148,73 @@ def random_hermitian(rng, dim, n, radius, centre=None):
     return SpectralField.scalar(dim, coeffs, reality=True)
 
 
-def test_multiply_box_path_matches_pair_path(monkeypatch):
-    rng = np.random.default_rng(3)
-    cases = [
+def product_cases(rng):
+    """scalar x scalar and scalar x vector products in 2-D and 3-D."""
+    return [
         (random_hermitian(rng, 2, 12, 6), random_hermitian(rng, 2, 9, 5)),
         # modes near +-(200, 70) form two clusters, so two cluster pairs
         (random_hermitian(rng, 2, 10, 4, (200, 70)), random_hermitian(rng, 2, 6, 3)),
         (random_hermitian(rng, 3, 8, 3), random_hermitian(rng, 3, 8, 2)),
+        (
+            random_hermitian(rng, 2, 10, 4, (200, 70)),
+            SpectralField.from_components(
+                [random_hermitian(rng, 2, 7, 4), random_hermitian(rng, 2, 5, 6)]
+            ),
+        ),
+        (
+            random_hermitian(rng, 3, 6, 3),
+            SpectralField.from_components([random_hermitian(rng, 3, 5, 2) for _ in range(3)]),
+        ),
     ]
+
+
+def brute_product(f, g):
+    """sum over all coefficient pairs f(a) g(b) at a + b, term by term."""
+    out = {}
+    for xa, a in f.coeffs.items():
+        for xb, b in g.coeffs.items():
+            key = tuple(x + y for x, y in zip(xa, xb))
+            out[key] = out.get(key, 0.0) + a * np.asarray(b)
+    return out
+
+
+def test_multiply_matches_brute_force():
+    for f, g in product_cases(np.random.default_rng(11)):
+        fg = multiply(f, g)
+        assert fg.rank == g.rank and fg.reality
+        oracle = brute_product(f, g)
+        scale = max(float(np.max(np.abs(v))) for v in oracle.values())
+        assert set(fg.coeffs) <= set(oracle)
+        for key, want in oracle.items():
+            got = fg.coeffs.get(key, np.zeros_like(want))
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_multiply_prunes_each_vector_component():
+    # component 1 of g at (3, 3) sits below PRUNE_REL of that component's max,
+    # while component 0 there is of full size
+    f = cos_field((1, 0))
+    g = SpectralField(
+        2,
+        1,
+        {
+            (0, 5): np.array([1.0, 1.0], dtype=complex),
+            (3, 3): np.array([1.0, 1e-17], dtype=complex),
+        },
+    )
+    fg = multiply(f, g)
+    assert fg.coefficient((4, 3))[0] == 0.5  # kept in component 0
+    assert fg.coefficient((4, 3))[1] == 0.0  # dropped from component 1 only
+    assert fg.coefficient((1, 5))[1] == 0.5
+
+
+def test_multiply_box_path_matches_pair_path(monkeypatch):
+    cases = product_cases(np.random.default_rng(3))
     pair = [multiply(f, g) for f, g in cases]
     monkeypatch.setattr(fields, "_DIRECT_PAIR_CAP", 0)
     for (f, g), fg in zip(cases, pair):
         box = multiply(f, g)
-        assert box.reality and set(box.coeffs) == set(fg.coeffs)
+        assert box.reality and box.rank == g.rank and set(box.coeffs) == set(fg.coeffs)
         diff = (box - fg).pruned(rel=0.0)
         assert diff.is_zero() or diff.max_amp() < 1e-13 * fg.max_amp()
 

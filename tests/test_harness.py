@@ -171,5 +171,19 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--lambda1", "100"],  # not a power of two
+        ["--multiplier", "ipm3d", "--dim", "3"],  # 3-D needs a supplied basis
+    ],
+)
+def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cli_rejects_odd_multiplier(tmp_path):
     assert main(["--multiplier", "sqg", "--out", str(tmp_path / "o")]) == 2
