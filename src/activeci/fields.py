@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .kernels import ShellKernel
 
@@ -66,6 +65,18 @@ class SupportError(ValueError):
 
 def _next_pow2(n: int) -> int:
     return 1 << max(0, int(n) - 1).bit_length()
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c 7^d 11^e >= n: a length the FFT factors fast."""
+    while True:
+        r = n
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return n
+        n += 1
 
 
 def _above(mags, rel=PRUNE_REL):
@@ -406,34 +417,47 @@ def _pair_convolve(ka, aa, kb, bb, keep):
     return [column(col, rows) for col, rows in zip(bb.T, keep.T)]
 
 
-def _box_convolve(fa, aa, fb, ab, lo, strides):
+def _box_convolve(fa, aa, fb, bb, keep, lo, strides):
     """FFT convolution on the dense bounding boxes of two clusters.
 
-    Returns the packed keys (over ``lo``/``strides``) and amplitudes of the
-    product entries above ``PRUNE_REL`` of the box maximum, or None when the
-    product vanishes.
+    ``bb`` holds one amplitude column per component and ``keep`` marks the
+    rows each column uses; every column is placed on the box of all of
+    ``fb`` (dropped rows zero), so one transform of the ``fa`` box serves
+    them all.  Returns, per column, the packed keys (over ``lo``/``strides``)
+    and amplitudes of the product entries above ``PRUNE_REL`` of that
+    column's box maximum, or None when the column's product vanishes.
     """
-    if len(fb) == 0:
-        return None
     lo_a, hi_a = fa.min(axis=0), fa.max(axis=0)
     lo_b, hi_b = fb.min(axis=0), fb.max(axis=0)
     shape_a = tuple(int(h - l + 1) for l, h in zip(lo_a, hi_a))
     shape_b = tuple(int(h - l + 1) for l, h in zip(lo_b, hi_b))
     A = np.zeros(shape_a, dtype=complex)
-    B = np.zeros(shape_b, dtype=complex)
     A[tuple((fa - lo_a).T)] = aa
-    B[tuple((fb - lo_b).T)] = ab
+    pos_b = tuple((fb - lo_b).T)
     # full linear convolution: zero-pad both boxes to a fast length >= a+b-1
     shape = tuple(a + b - 1 for a, b in zip(shape_a, shape_b))
-    fshape = [sp_fft.next_fast_len(n) for n in shape]
-    C = sp_fft.ifftn(sp_fft.fftn(A, fshape) * sp_fft.fftn(B, fshape))
-    C = C[tuple(slice(0, n) for n in shape)]
-    mags = np.abs(C)
-    scale = mags.max()
-    if scale == 0.0:
-        return None
-    idx = np.argwhere(mags > PRUNE_REL * scale)
-    return (idx + (lo_a + lo_b - lo)) @ strides, C[tuple(idx.T)]
+    # numpy transforms the last listed axis first; listing the axes in
+    # reverse runs the strided passes before the padding has grown the box
+    axes = tuple(range(len(shape)))[::-1]
+    fshape = [_fast_len(shape[ax]) for ax in axes]
+    FA = np.fft.fftn(A, fshape, axes=axes)
+
+    def column(col, rows):
+        if not rows.any():
+            return None
+        B = np.zeros(shape_b, dtype=complex)
+        B[pos_b] = np.where(rows, col, 0.0)
+        C = np.fft.ifftn(FA * np.fft.fftn(B, fshape, axes=axes), axes=axes)
+        C = C[tuple(slice(0, n) for n in shape)]
+        mags = np.abs(C)
+        scale = mags.max()
+        if scale == 0.0:
+            return None
+        idx = np.argwhere(mags > PRUNE_REL * scale)
+        return (idx + (lo_a + lo_b - lo)) @ strides, C[tuple(idx.T)]
+
+    # one column at a time, so one column's grids are alive at once
+    return [column(col, rows) for col, rows in zip(bb.T, keep.T)]
 
 
 def _sum_by_key(parts):
@@ -499,10 +523,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
             if len(ia) * len(ib) <= _DIRECT_PAIR_CAP:
                 res = _pair_convolve(kf[ia], af[ia], kg[ib], ag[ib], keep[ib])
             else:
-                res = [
-                    _box_convolve(ff[ia], af[ia], fg[ib][rows], col[rows], lo, strides)
-                    for col, rows in zip(ag[ib].T, keep[ib].T)
-                ]
+                res = _box_convolve(ff[ia], af[ia], fg[ib], ag[ib], keep[ib], lo, strides)
             for out, r in zip(parts, res):
                 if r is not None:
                     out.append(r)
@@ -549,10 +570,11 @@ def divergence(u: SpectralField) -> SpectralField:
     """Contraction of 2 pi i xi with the components of a vector field."""
     if u.rank != 1:
         raise ValueError("divergence of vector fields only")
-    coeffs = {
-        xi: 2j * np.pi * complex(np.dot(np.asarray(xi, dtype=float), a))
-        for xi, a in u.coeffs.items()
-    }
+    coeffs = {}
+    if u.coeffs:
+        freqs, amps = u.arrays()
+        vals = 2j * np.pi * (freqs * amps).sum(axis=1)
+        coeffs = dict(zip(map(tuple, freqs.tolist()), vals))
     return SpectralField(u.dim, 0, coeffs, reality=u.reality).pruned()
 
 

@@ -219,6 +219,15 @@ def test_multiply_box_path_matches_pair_path(monkeypatch):
         assert diff.is_zero() or diff.max_amp() < 1e-13 * fg.max_amp()
 
 
+def test_fast_len_matches_scipy():
+    # the box path pads to the lengths scipy.fft would pick for complex input
+    from scipy.fft import next_fast_len
+
+    assert [fields._fast_len(n) for n in range(1, 4097)] == [
+        next_fast_len(n) for n in range(1, 4097)
+    ]
+
+
 def test_multiply_scalar_vector():
     f = cos_field((1, 0))
     v = SpectralField.vector(

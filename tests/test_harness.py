@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import activeci
 from activeci.cli import config_from_args, main
 from activeci.directions import build_basis
 from activeci.fields import SpectralField, gradient
@@ -187,3 +190,38 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
 
 def test_cli_rejects_odd_multiplier(tmp_path):
     assert main(["--multiplier", "sqg", "--out", str(tmp_path / "o")]) == 2
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the package and its CLI must not load it
+    src = os.path.dirname(os.path.dirname(activeci.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import activeci, activeci.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_cli_ipm3d_end_to_end(tmp_path):
+    # the 3-D pipeline at a small scale: 128^3 grids, 3-component products
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {
+                "multiplier": "ipm3d",
+                "d": 3,
+                "supplied_basis": [[2, 2, 1], [2, 1, 2], [1, 2, 2]],
+                "qmax": 1,
+                "lambda1": 128,
+                "grid_budget": 128,
+            }
+        )
+    )
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["exact_pass"] is True

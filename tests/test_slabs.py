@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from activeci.slabs import (
+    TRAP_N,
     Profile,
     SlabSpec,
     build_profile,
@@ -47,6 +48,27 @@ def test_fhat_oracle_against_direct_quadrature(profile):
         im, _ = quad(lambda x: -profile(np.array([x]))[0] * math.sin(2 * np.pi * t * x), -1, 1, limit=200)
         got = profile.fhat(t)
         assert abs(got - complex(re, im)) < 1e-10
+    # the trapezoid transform is exact up to roundoff over the whole range
+    # slab series use (mode caps stop near t = 80) and beyond: compare with
+    # quad's oscillatory-weight rule on [0, 1]
+    for t in [*np.linspace(1.6, 80.0, 50), 200.0]:
+        integral, _ = quad(
+            lambda x: profile(np.array([x]))[0],
+            0.0,
+            1.0,
+            weight="sin",
+            wvar=2.0 * np.pi * t,
+            limit=400,
+            epsabs=1e-14,
+            epsrel=1e-12,
+        )
+        assert abs(profile.fhat(t) - (-2.0j * integral)) < 1e-14
+    # beyond |t| = TRAP_N/2 the alias bound no longer holds: refuse
+    with pytest.raises(ValueError):
+        profile.fhat(TRAP_N / 2 + 1)
+    # a negative t computed first is the conjugate of the positive one
+    fresh = build_profile("odd-bump")
+    assert abs(fresh.fhat(-0.9) - np.conj(profile.fhat(0.9))) < 1e-15
     # oddness: fhat(0) = 0, fhat(-t) = conj(fhat(t)) = -fhat(t) (imaginary)
     assert abs(profile.fhat(0.0)) < 1e-12
     assert abs(profile.fhat(0.7) + profile.fhat(-0.7)) < 1e-14
