@@ -4,8 +4,14 @@ bookkeeping.
 A field is a finite map from integer lattice frequencies to complex
 amplitudes.  All construction fields (slabs, increments, products of few
 modes) are supported on a handful of balls or lines in frequency space, so a
-field stores its coefficients in a hash map; dense grids are materialized
-only for large products and L^p quadrature.
+field stores its coefficients in a hash map.  Dense arrays appear only in
+large products (cluster boxes) and in ``sample``, for callers that need a
+whole grid (``synthesize``, the stress in ``amplitudes``).
+
+L^p and Besov quadrature streams the grid instead: ``_sample_rows`` runs the
+inverse DFT along axis 0 only on the lines that hold a coefficient, then
+finishes a few rows at a time, and ``lp_norms`` reduces each row block as it
+comes.  The N^d grid is never held in memory.
 
 Products are exact convolutions of the coefficient maps, computed on arrays:
 the dict is storage only.  The engine packs frequencies into int64 keys,
@@ -38,6 +44,7 @@ __all__ = [
     "lp_norm",
     "lp_norms",
     "lp_norm_detailed",
+    "quadrature_grid",
     "sobolev_norm",
     "besov_norm",
     "shell_project",
@@ -57,6 +64,8 @@ PRUNE_REL = 1e-15
 DEFAULT_GRID_BUDGET = 8192
 # direct pair enumeration is used for cluster pairs below this many pairs
 _DIRECT_PAIR_CAP = 1 << 21
+# grid points per row block of the streamed inverse DFT (_sample_rows)
+_BLOCK_POINTS = 1 << 16
 
 
 class SupportError(ValueError):
@@ -277,30 +286,57 @@ class SpectralField:
 # -- sampling and analysis ------------------------------------------------
 
 
-def _scatter(field: SpectralField, N: int, half: bool = False) -> np.ndarray:
-    """Place coefficients into an FFT-layout array, wrapping frequencies mod N.
+def _sample_rows(field: SpectralField, N: int):
+    """Yield ``(i, block)``: the samples of grid rows i, i+1, ... (axis 0),
+    a few rows at a time: about ``_BLOCK_POINTS`` points, at least two rows,
+    and an even row count, so that every block starts at an even row.
 
-    ``half`` keeps only the last-axis indices 0..N/2 that ``irfftn`` reads;
-    for a Hermitian field the dropped entries are the conjugates of kept ones.
+    The inverse DFT runs in numpy's ``irfftn`` order: axis 0 first, then the
+    later axes, the last one by ``irfft`` over the half spectrum for
+    Hermitian (``reality``) fields.  Axis 0 is transformed only along the
+    lines whose later-axis indices hold a coefficient, gathered in an
+    (N, #occupied) array; each block then scatters its rows of those lines
+    into a zero block and finishes the later axes.  Every line goes through
+    the same 1-D transform as in ``irfftn``, so real samples are bitwise
+    ``irfftn(half) * N^d`` for power-of-two N.  Every block is a view of
+    one buffer, overwritten by the next block.
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
-    shape = (N,) * field.dim
-    if half:
-        shape = shape[:-1] + (N // 2 + 1,)
-    arr = np.zeros(shape, dtype=complex)
-    if field.coeffs:
-        freqs, amps = field.arrays()
-        freqs = freqs % N
-        if half:
-            keep = freqs[:, -1] <= N // 2
-            freqs, amps = freqs[keep], amps[keep]
-        np.add.at(arr, tuple(freqs.T), amps)
-    return arr
+    d = field.dim
+    last = N // 2 + 1 if field.reality else N
+    tail = (N,) * (d - 2) + (last,)  # the later axes, as the transform reads them
+    freqs, amps = field.arrays()
+    freqs = freqs % N
+    if field.reality:  # the dropped half holds the conjugates of the kept one
+        keep = freqs[:, -1] < last
+        freqs, amps = freqs[keep], amps[keep]
+    occupied, col = np.unique(
+        np.ravel_multi_index(tuple(freqs[:, 1:].T), tail), return_inverse=True
+    )
+    lines = np.zeros((N, len(occupied)), dtype=complex)
+    np.add.at(lines, (freqs[:, 0], col.reshape(-1)), amps)
+    lines = np.fft.ifft(lines, axis=0, norm="forward")
+    rows = min(N, max(2, _BLOCK_POINTS // N ** (d - 1) // 2 * 2))
+    spec = np.zeros((rows, math.prod(tail)), dtype=complex)
+    out = np.empty((rows,) + (N,) * (d - 1), dtype=float if field.reality else complex)
+    for i in range(0, N, rows):
+        n = min(rows, N - i)
+        spec[:n, occupied] = lines[i : i + n]  # the other columns stay zero
+        block = spec[:n].reshape((n,) + tail)
+        for ax in range(1, d - 1):
+            block = np.fft.ifft(block, axis=ax, norm="forward")
+        if field.reality:
+            np.fft.irfft(block, N, axis=-1, norm="forward", out=out[:n])
+        else:
+            np.fft.ifft(block, axis=-1, norm="forward", out=out[:n])
+        yield i, out[:n]
 
 
 def sample(field: SpectralField, N: int) -> np.ndarray:
-    """Exact samples of the field at the N^d grid points.
+    """Exact samples of the field at the N^d grid points, for callers that
+    need the whole grid (``synthesize``, the stress in ``amplitudes``); the
+    norms stream :func:`_sample_rows` instead.
 
     Hermitian (``reality``) fields give real samples through a real inverse
     FFT over the half spectrum; other fields give complex samples.  Wrapping
@@ -308,13 +344,12 @@ def sample(field: SpectralField, N: int) -> np.ndarray:
     e^{2 pi i xi j / N} only depends on xi mod N; only coefficient recovery
     requires an unaliased grid.
     """
-    if field.rank == 1:
-        return np.stack([sample(field.component(i), N) for i in range(field.dim)])
-    scale = N**field.dim
-    if field.reality:
-        half = _scatter(field, N, half=True)
-        return np.fft.irfftn(half, s=(N,) * field.dim, axes=tuple(range(field.dim))) * scale
-    return np.fft.ifftn(_scatter(field, N)) * scale
+    comps = [field.component(c) for c in range(field.dim)] if field.rank else [field]
+    out = np.empty((len(comps),) + (N,) * field.dim, dtype=float if field.reality else complex)
+    for grid, comp in zip(out, comps):
+        for i, block in _sample_rows(comp, N):
+            grid[i : i + len(block)] = block
+    return out if field.rank else out[0]
 
 
 def synthesize(field: SpectralField, N: int) -> GridBuffer:
@@ -648,10 +683,47 @@ def shell_project(f: SpectralField, j: int, kernel: ShellKernel) -> SpectralFiel
 # -- norms ----------------------------------------------------------------
 
 
-def _quadrature_N(band: int, p: float, grid_budget: int) -> int:
-    """Grid that dealiases |f|^p (|f| for the sup norm), capped by the budget."""
+def _quadrature_N(band: int, p: float, grid_budget: int):
+    """``(N, resolved)``: the grid that dealiases |f|^p (|f| for the sup
+    norm), capped by the budget, and whether it fit in the budget."""
     factor = 4 if p == math.inf else 2 * int(math.ceil(p))
-    return max(8, min(_next_pow2(factor * band + 1), grid_budget))
+    want = max(8, _next_pow2(factor * band + 1))
+    return min(want, grid_budget), want <= grid_budget
+
+
+def quadrature_grid(f: SpectralField, p: float, grid_budget: int = DEFAULT_GRID_BUDGET):
+    """``(N, resolved)``: the grid :func:`lp_norms` uses for ``||f||_p`` and
+    whether it is the dealias grid, i.e. that grid fit in the budget."""
+    return _quadrature_N(int(np.max(f.max_axis_freq())), p, grid_budget)
+
+
+def _grid_sums(f: SpectralField, N: int, ps) -> dict:
+    """``{p: (fine, coarse)}``: sum |f|^p (max |f| for p = inf) over the N^d
+    grid and over its even subgrid, streamed through :func:`_sample_rows`.
+
+    Each block is made |f| in place and raised to each p in one reused
+    buffer (p = 1 needs none).  Blocks start at even rows, so a block's even
+    rows are even rows of the grid.  The block sums are combined by
+    ``math.fsum``, which does not depend on their order.
+    """
+    even = (slice(None, None, 2),) * f.dim
+    parts = {p: ([], []) for p in ps}
+    power = None
+    for _, block in _sample_rows(f, N):
+        vals = np.abs(block, out=block)
+        for p, (fine, coarse) in parts.items():
+            pw = vals
+            if p not in (1, math.inf):
+                if power is None:
+                    power = np.empty_like(vals)
+                pw = np.power(vals, p, out=power[: len(vals)])
+            reduce = np.max if p == math.inf else np.sum
+            fine.append(reduce(pw))
+            coarse.append(reduce(pw[even]))
+    return {
+        p: tuple(max(s) if p == math.inf else math.fsum(s) for s in sums)
+        for p, sums in parts.items()
+    }
 
 
 def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> dict:
@@ -661,8 +733,10 @@ def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> di
     rule for |f|^ceil(p) (|f| for p = inf) when that fits in the budget;
     otherwise the largest budget grid is used (the sampled values are still
     exact) and the error, the change from the half-resolution subgrid,
-    reflects the unresolved quadrature.  The field is sampled once per
-    distinct grid, and results are memoized on the field.
+    reflects the unresolved quadrature; :func:`quadrature_grid` tells which.
+    The quadrature streams row blocks of the samples and never holds the
+    N^d grid: one pass per distinct grid serves all its exponents, and the
+    results are memoized on the field.
     """
     if not f.reality:
         raise ValueError("L^p norms are defined for real fields here")
@@ -673,22 +747,18 @@ def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> di
     if any(p < 1 for p in ps):
         raise ValueError("p must be >= 1")
     band = int(np.max(f.max_axis_freq()))
-    grids = {p: _quadrature_N(band, p, grid_budget) for p in ps}
+    grids = {p: _quadrature_N(band, p, grid_budget)[0] for p in ps}
     todo = {}  # N -> exponents not yet memoized at N
     for p, N in grids.items():
         if (p, N) not in f._norms:
             todo.setdefault(N, []).append(p)
-    sub = (slice(None, None, 2),) * f.dim  # the half-resolution subgrid
     for N, grid_ps in todo.items():
-        vals = np.abs(sample(f, N))
-        for p in grid_ps:
+        counts = (N**f.dim, ((N + 1) // 2) ** f.dim)  # points of the grid, subgrid
+        for p, sums in _grid_sums(f, N, grid_ps).items():
             if p == math.inf:
-                fine = float(np.max(vals))
-                coarse = float(np.max(vals[sub]))
+                fine, coarse = (float(s) for s in sums)
             else:
-                pw = vals**p
-                fine = float(np.mean(pw)) ** (1.0 / p)
-                coarse = float(np.mean(pw[sub])) ** (1.0 / p)
+                fine, coarse = ((s / n) ** (1.0 / p) for s, n in zip(sums, counts))
             f._norms[(p, N)] = (fine, abs(fine - coarse))
     return {p: f._norms[(p, N)] for p, N in grids.items()}
 
@@ -757,16 +827,12 @@ SNAPSHOT_VERSION = 1
 
 
 def field_to_snapshot(f: SpectralField) -> dict:
-    entries = []
-    for xi in sorted(f.coeffs):
-        a = f.coeffs[xi]
-        if f.rank == 0:
-            entries.append(list(xi) + [float(np.real(a)), float(np.imag(a))])
-        else:
-            row = list(xi)
-            for c in np.asarray(a):
-                row += [float(np.real(c)), float(np.imag(c))]
-            entries.append(row)
+    """JSON-ready dict of a field: one row per frequency in sorted order, the
+    frequency followed by the real and imaginary part of each component."""
+    freqs, amps = f.arrays()
+    width = 2 * (f.dim if f.rank else 1)
+    parts = amps.view(np.float64).reshape(len(freqs), width).tolist()  # -0.0 kept
+    entries = [xi + a for xi, a in zip(freqs.tolist(), parts)]
     return {
         "version": SNAPSHOT_VERSION,
         "d": f.dim,
@@ -797,7 +863,8 @@ def field_from_snapshot(data: dict) -> SpectralField:
 
 def save_snapshot(f: SpectralField, path) -> None:
     with open(path, "w") as fh:
-        json.dump(field_to_snapshot(f), fh, sort_keys=True)
+        # json.dumps takes the C encoder; json.dump never does
+        fh.write(json.dumps(field_to_snapshot(f), sort_keys=True))
 
 
 def load_snapshot(path) -> SpectralField:

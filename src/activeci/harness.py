@@ -28,6 +28,7 @@ from .fields import (
     multiply,
     nonzero_part,
     divergence_defect,
+    quadrature_grid,
     save_snapshot,
     sobolev_norm,
     besov_norm,
@@ -270,10 +271,13 @@ def certify_items(
 
     # item 5: L^1 mass floor with the implemented delta
     l1, l1_err = lp_norm_detailed(state.theta, 1.0, grid_budget)
+    l1_N, l1_resolved = quadrature_grid(state.theta, 1.0, grid_budget)
     floor = (1.0 + 2.0**-q) * params.delta
     report["item5"] = {
         "theta_L1": l1,
         "quad_err": l1_err,
+        "grid_N": l1_N,
+        "resolved": l1_resolved,
         "floor": floor,
         "delta": params.delta,
         "delta_max_here": l1 / (1.0 + 2.0**-q),

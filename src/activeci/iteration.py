@@ -40,6 +40,7 @@ from .fields import (
     mean_part,
     multiply,
     nonzero_part,
+    quadrature_grid,
     sample,
     sobolev_norm,
 )
@@ -544,7 +545,14 @@ def build_increment(
         for p in LP_EXPONENTS:
             norm, err = norms[p]
             target = lam ** ((1.0 - eps) * (0.5 - 1.0 / p))
-            lp_report[p] = {"norm": norm, "quad_err": err, "ratio": norm / target}
+            N, resolved = quadrature_grid(w, p, params.grid_budget)
+            lp_report[p] = {
+                "norm": norm,
+                "quad_err": err,
+                "ratio": norm / target,
+                "grid_N": N,
+                "resolved": resolved,
+            }
     Tw = apply_T(m, w)
     return PerturbationBundle(
         stage=stage,

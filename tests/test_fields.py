@@ -1,5 +1,6 @@
 """Sparse spectral fields: algebra, transforms, calculus, norms, snapshots."""
 
+import json
 import math
 from collections import Counter
 
@@ -311,18 +312,136 @@ def test_sample_non_hermitian_is_complex():
     assert np.allclose(vals, direct_samples(f, 8), atol=1e-13)
 
 
+def dense_samples(f, N):
+    """The whole-grid transform: the spectrum scattered mod N, then numpy's
+    n-D inverse FFT (``irfftn`` over the half spectrum for real fields)."""
+    freqs, amps = f.arrays()
+    freqs = freqs % N
+    if f.reality:
+        keep = freqs[:, -1] <= N // 2
+        spec = np.zeros((N,) * (f.dim - 1) + (N // 2 + 1,), dtype=complex)
+        np.add.at(spec, tuple(freqs[keep].T), amps[keep])
+        return np.fft.irfftn(spec, s=(N,) * f.dim, axes=tuple(range(f.dim))) * N**f.dim
+    spec = np.zeros((N,) * f.dim, dtype=complex)
+    np.add.at(spec, tuple(freqs.T), amps)
+    return np.fft.ifftn(spec) * N**f.dim
+
+
+@pytest.mark.parametrize(
+    "dim,N,radius",
+    [
+        (2, 8, 7),  # every axis wraps
+        (2, 16, 8),  # last-axis frequencies +-8 meet in the Nyquist column
+        (2, 512, 300),  # several row blocks
+        (3, 8, 5),
+        (3, 16, 8),
+        (3, 64, 40),  # several row blocks
+    ],
+)
+def test_sample_real_bitwise_dense_irfftn(dim, N, radius):
+    f = random_hermitian(np.random.default_rng(N + dim), dim, 30, radius)
+    assert np.array_equal(sample(f, N), dense_samples(f, N))
+
+
+@pytest.mark.parametrize("dim,N,radius", [(2, 8, 7), (2, 512, 300), (3, 16, 9), (3, 64, 40)])
+def test_sample_complex_matches_dense(dim, N, radius):
+    rng = np.random.default_rng(dim * N)
+    entries = {
+        tuple(int(c) for c in rng.integers(-radius, radius + 1, size=dim)): complex(*rng.normal(size=2))
+        for _ in range(20)
+    }
+    f = SpectralField.scalar(dim, entries, reality=False)
+    vals = sample(f, N)
+    assert vals.dtype == complex
+    assert np.allclose(vals, dense_samples(f, N), atol=1e-13)
+
+
+def test_sample_vector_field():
+    f = random_hermitian(np.random.default_rng(2), 2, 10, 6)
+    g = random_hermitian(np.random.default_rng(3), 2, 10, 6)
+    v = SpectralField.from_components([f, g])
+    vals = sample(v, 16)
+    assert vals.shape == (2, 16, 16) and vals.dtype == np.float64
+    assert np.array_equal(vals[0], sample(v.component(0), 16))
+    assert np.array_equal(vals[1], sample(v.component(1), 16))
+
+
+STREAM_PS = (1.0, 4.0 / 3.0, 1.5, 2.0, math.inf)
+
+
+def dense_norms(f, N):
+    """``{p: (norm, err)}`` of :func:`lp_norms` from the whole sampled grid."""
+    vals = np.abs(sample(f, N))
+    sub = vals[(slice(None, None, 2),) * f.dim]
+    out = {}
+    for p in STREAM_PS:
+        if p == math.inf:
+            fine, coarse = vals.max(), sub.max()
+        else:
+            fine, coarse = np.mean(vals**p) ** (1 / p), np.mean(sub**p) ** (1 / p)
+        out[p] = (fine, abs(fine - coarse))
+    return out
+
+
+@pytest.mark.parametrize(
+    "dim,N",
+    [
+        (2, 16),  # one block
+        (2, 384),  # blocks of 170 rows: the last one is short
+        (2, 999),  # odd N: the subgrid has 500 points per axis
+        (3, 48),  # blocks of 28 rows
+        (3, 33),
+    ],
+)
+def test_lp_norms_stream_equals_dense(dim, N):
+    f = random_hermitian(np.random.default_rng(N), dim, 25, N)  # every p capped at N
+    assert {fields.quadrature_grid(f, p, N) for p in STREAM_PS} == {(N, False)}
+    got = lp_norms(f, STREAM_PS, N)
+    for p, (norm, err) in dense_norms(f, N).items():
+        assert abs(got[p][0] - norm) <= 1e-13 * norm
+        assert abs(got[p][1] - err) <= 1e-13 * norm
+
+
+def test_lp_norms_zero_field():
+    z = SpectralField.zero(2)
+    assert lp_norms(z, STREAM_PS, 64) == {p: (0.0, 0.0) for p in STREAM_PS}
+    assert np.array_equal(sample(z, 8), np.zeros((8, 8)))
+
+
+def test_quadrature_grid_flags_budget_cap():
+    f = cos_field((5, 0))
+    # band 5: 4 * 5 + 1 points dealias the sup norm, 2 * 2 * 5 + 1 |f|^1.5
+    assert fields.quadrature_grid(f, math.inf, 32) == (32, True)
+    assert fields.quadrature_grid(f, 1.5, 16) == (16, False)
+    assert fields.quadrature_grid(SpectralField.zero(2), 2.0, 64) == (8, True)
+
+
+def test_lp_norms_never_hold_the_grid():
+    import tracemalloc
+
+    f = random_hermitian(np.random.default_rng(7), 2, 10, 300)  # every p capped at 1024
+    grid_bytes = 1024**2 * 8  # one N^2 float64 grid
+    tracemalloc.start()
+    try:
+        lp_norms(f, STREAM_PS, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < grid_bytes / 4
+
+
 def test_norms_sample_each_grid_once(monkeypatch):
     k = ShellKernel()
     # every mode on the plateau 4 <= |xi| <= 6.86 of shell j = 2
     f = cos_field((5, 0), 2.0) + cos_field((3, 4), 0.7) + cos_field((4, -4), -0.4)
     grids = Counter()
-    original = fields.sample
+    original = fields._sample_rows
 
-    def counting(field, N):
+    def counting(field, N):  # one call is one pass over the grid
         grids[N] += 1
         return original(field, N)
 
-    monkeypatch.setattr(fields, "sample", counting)
+    monkeypatch.setattr(fields, "_sample_rows", counting)
     ps = (1.0, 4.0 / 3.0, 1.5, 2.0, math.inf)
     lp = lp_norms(f, ps, 256)
     besov = [besov_norm(f, alpha, k, 256) for alpha in (-0.1, -0.5, -0.9)]
@@ -466,6 +585,27 @@ def test_snapshot_roundtrip(tmp_path):
     assert g.dim == f.dim and g.rank == f.rank and g.reality == f.reality
     diff = (f - g).pruned(rel=1e-15)
     assert diff.is_zero() or diff.max_amp() < 1e-15
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        SpectralField.scalar(2, {(1, 0): complex(-0.0, 1.5), (-2, 3): 0.25 - 0.0j}),
+        SpectralField.vector(3, {(1, -2, 3): [1 + 2j, complex(-0.0, -0.5), 3.0], (0, 0, 1): [0, 1j, -1]}),
+        SpectralField.zero(2, 1),
+    ],
+)
+def test_snapshot_bytes_per_entry_rows(tmp_path, f):
+    # each row: the frequency, then re and im of every component, -0.0 kept
+    rows = [
+        list(xi) + [v for c in np.atleast_1d(f.coeffs[xi]) for v in (float(c.real), float(c.imag))]
+        for xi in sorted(f.coeffs)
+    ]
+    expect = {"version": 1, "d": f.dim, "rank": f.rank, "reality": f.reality, "entries": rows}
+    save_snapshot(f, tmp_path / "f.json")
+    text = (tmp_path / "f.json").read_text()
+    assert text == json.dumps(expect, sort_keys=True)
+    assert "-0.0" in text or f.is_zero()
 
 
 def test_snapshot_dict_stable():

@@ -146,6 +146,22 @@ def test_report_snapshot_roundtrip(fast_run):
     assert divergence_defect(u) <= 1e-13
 
 
+def test_report_quadrature_grids(fast_run):
+    from activeci.fields import load_snapshot, quadrature_grid
+
+    _, out = fast_run
+    with open(os.path.join(out, "report.json")) as fh:
+        stage = json.load(fh)["stages"][1]
+    w = load_snapshot(os.path.join(out, "stage-1", "w.json"))
+    theta = load_snapshot(os.path.join(out, "stage-1", "theta.json"))
+    w_lp = stage["history"]["w_lp"]
+    assert set(w_lp) == {"1.0", "1.3333333333333333", "1.5", "2.0"}
+    for p, rec in w_lp.items():
+        assert [rec["grid_N"], rec["resolved"]] == list(quadrature_grid(w, float(p), 8192))
+    item5 = stage["items"]["item5"]
+    assert [item5["grid_N"], item5["resolved"]] == list(quadrature_grid(theta, 1.0, 8192))
+
+
 def test_cancellation_csv_rows(fast_run):
     _, out = fast_run
     lines = open(os.path.join(out, "cancellation.csv")).read().splitlines()
