@@ -4,22 +4,25 @@ bookkeeping.
 A field is a finite map from integer lattice frequencies to complex
 amplitudes.  All construction fields (slabs, increments, products of few
 modes) are supported on a handful of balls or lines in frequency space, so a
-field stores its coefficients in a hash map.  Dense arrays appear only in
-large products (cluster boxes) and in ``sample``, for callers that need a
-whole grid (``synthesize``, the stress in ``amplitudes``).
+field stores only its nonzero coefficients: an (K, d) int64 array of
+frequencies in lexicographic order and the amplitudes in the same order, both
+read-only.  Every operation works on these arrays and returns a new field;
+filters and multipliers go through one coefficientwise weighting,
+:meth:`SpectralField.weighted`.  Dense arrays appear only in large products
+(cluster boxes) and in ``sample``, for callers that need a whole grid
+(``synthesize``, the stress in ``amplitudes``).
 
 L^p and Besov quadrature streams the grid instead: ``_sample_rows`` runs the
 inverse DFT along axis 0 only on the lines that hold a coefficient, then
 finishes a few rows at a time, and ``lp_norms`` reduces each row block as it
 comes.  The N^d grid is never held in memory.
 
-Products are exact convolutions of the coefficient maps, computed on arrays:
-the dict is storage only.  The engine packs frequencies into int64 keys,
-decomposes each operand's support into frequency clusters and, per cluster
-pair, either enumerates coefficient pairs directly or runs an FFT convolution
-on the cluster bounding boxes.  Both paths agree to roundoff.  One
-accumulation per vector component then sums the cluster pairs' results in
-cluster-pair order.
+Products are exact convolutions of the coefficient arrays.  The engine packs
+frequencies into int64 keys, decomposes each operand's support into
+frequency clusters and, per cluster pair, either enumerates coefficient pairs
+directly or runs an FFT convolution on the cluster bounding boxes.  Both
+paths agree to roundoff.  One accumulation per vector component then sums
+the cluster pairs' results in cluster-pair order.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from itertools import compress
+from types import MappingProxyType
 
 import numpy as np
 
@@ -102,22 +105,55 @@ class GridBuffer:
     values: np.ndarray  # shape (N,)*dim, complex or real; vector: (d,) + (N,)*dim
 
 
+def _strides(span):
+    """Mixed-radix strides over a box of the given per-axis ``span``: the
+    key (xi - lo) @ strides orders frequencies lexicographically."""
+    if math.prod(span.tolist()) >= 2**63:
+        raise SupportError("frequency box too wide for int64 keys")
+    return np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
+
+
+def _unique_rows(freqs):
+    """Distinct rows of ``freqs`` in lexicographic order, and the index of
+    each input row among them."""
+    order = np.lexsort(freqs.T[::-1])
+    rows = freqs[order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    inv = np.empty(len(rows), dtype=np.intp)
+    inv[order] = np.cumsum(new) - 1
+    return rows[new], inv
+
+
 class SpectralField:
     """Finite map from lattice frequencies to complex amplitudes.
 
-    ``rank`` 0 is a scalar field (amplitudes are complex numbers), rank 1 a
-    vector field (amplitudes are complex d-vectors).  Fields are treated as
-    immutable after construction; every operation returns a new field.  That
-    is what lets ``_norms`` memoize grid quadrature results, keyed by
-    ``(p, N)`` with p = inf for the sup norm.
+    ``freqs`` holds the frequencies, an (K, d) int64 array in lexicographic
+    order without repeats; ``amps`` the amplitudes in the same order, shape
+    (K,) for a scalar field (``rank`` 0) and (K, d) for a vector field
+    (``rank`` 1).  Both are read-only, so a field never changes after
+    construction and every operation returns a new one.  That is what lets
+    ``_norms`` memoize grid quadrature results, keyed by ``(p, N)`` with
+    p = inf for the sup norm.
+
+    ``reality`` marks a real-valued field (Hermitian spectrum).  Operations
+    carry it from their operands; only the builders from raw entries
+    (:meth:`from_entries` and the ones over it, ``analyze``,
+    ``field_from_snapshot``) test it: they derive it when not told and check
+    it when told True.
     """
 
-    __slots__ = ("dim", "rank", "coeffs", "reality", "_max_freq", "_norms")
+    __slots__ = ("dim", "rank", "freqs", "amps", "reality", "_max_freq", "_norms")
 
-    def __init__(self, dim, rank, coeffs, reality=False):
+    def __init__(self, dim, rank, freqs, amps, reality):
+        """Wrap sorted, repeat-free arrays as given; :meth:`from_entries`
+        takes raw entries."""
         self.dim = int(dim)
         self.rank = int(rank)
-        self.coeffs = coeffs
+        self.freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, self.dim)
+        self.amps = np.asarray(amps, dtype=complex).reshape((-1,) + (self.dim,) * self.rank)
+        self.freqs.flags.writeable = False
+        self.amps.flags.writeable = False
         self.reality = bool(reality)
         self._max_freq = None
         self._norms = {}
@@ -125,162 +161,180 @@ class SpectralField:
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def _summed(cls, dim, rank, freqs, amps, reality):
+        """Field of raw entries in any order, repeated frequencies summed in
+        entry order, pruned; ``reality`` as given."""
+        freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, dim)
+        amps = np.asarray(amps, dtype=complex).reshape((len(freqs),) + (dim,) * rank)
+        uniq, inv = _unique_rows(freqs)
+        # -0.0 is the exact additive identity: a lone entry is kept bitwise
+        sums = np.full((len(uniq),) + amps.shape[1:], complex(-0.0, -0.0))
+        np.add.at(sums, inv, amps)
+        return cls(dim, rank, uniq, sums, reality).pruned()
+
+    @classmethod
+    def from_entries(cls, dim, rank, freqs, amps, reality=None):
+        """Field of raw entries as in :meth:`_summed`.  ``reality`` None
+        derives the flag from :meth:`is_hermitian`, True is checked by it
+        (ValueError), False is taken as given."""
+        f = cls._summed(dim, rank, freqs, amps, False)
+        if reality is None:
+            reality = f.is_hermitian()
+        elif reality and not f.is_hermitian():
+            raise ValueError("entries marked real do not form a Hermitian spectrum")
+        return cls(dim, rank, f.freqs, f.amps, True) if reality else f
+
+    @classmethod
     def scalar(cls, dim, entries, reality=None):
-        coeffs = {tuple(int(c) for c in xi): complex(a) for xi, a in entries.items()}
-        f = cls(dim, 0, coeffs)
-        f = f.pruned()
-        f.reality = f.is_hermitian() if reality is None else bool(reality)
-        return f
+        return cls.from_entries(dim, 0, list(entries), list(entries.values()), reality)
 
     @classmethod
     def vector(cls, dim, entries, reality=None):
-        coeffs = {
-            tuple(int(c) for c in xi): np.asarray(a, dtype=complex)
-            for xi, a in entries.items()
-        }
-        f = cls(dim, 1, coeffs)
-        f = f.pruned()
-        f.reality = f.is_hermitian() if reality is None else bool(reality)
-        return f
+        return cls.from_entries(dim, 1, list(entries), list(entries.values()), reality)
 
     @classmethod
     def zero(cls, dim, rank=0):
-        return cls(dim, rank, {}, reality=True)
+        return cls(dim, rank, (), (), reality=True)
 
     @classmethod
     def from_components(cls, comps):
-        dim = comps[0].dim
-        keys = set()
-        for c in comps:
-            keys.update(c.coeffs)
-        coeffs = {
-            xi: np.array([c.coeffs.get(xi, 0.0) for c in comps], dtype=complex)
-            for xi in keys
-        }
-        f = cls(dim, 1, coeffs, reality=all(c.reality for c in comps))
-        return f.pruned()
+        """Vector field whose i-th component is the scalar field comps[i]."""
+        freqs, inv = _unique_rows(np.concatenate([c.freqs for c in comps]))
+        amps = np.zeros((len(freqs), len(comps)), dtype=complex)
+        ends = np.cumsum([len(c) for c in comps])
+        for i, (c, end) in enumerate(zip(comps, ends)):
+            amps[inv[end - len(c) : end], i] = c.amps
+        return cls(comps[0].dim, 1, freqs, amps, all(c.reality for c in comps)).pruned()
 
     # -- basic queries ----------------------------------------------------
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self.freqs)
 
     def is_zero(self):
-        return not self.coeffs
+        return not len(self.freqs)
+
+    @property
+    def coeffs(self):
+        """Read-only ``{frequency tuple: amplitude}`` view of the arrays,
+        built on each access."""
+        return MappingProxyType(dict(zip(map(tuple, self.freqs.tolist()), self.amps)))
 
     def component(self, i):
-        coeffs = {xi: a[i] for xi, a in self.coeffs.items()}
-        return SpectralField(self.dim, 0, coeffs, reality=self.reality).pruned()
-
-    def freq_array(self):
-        """Frequencies as an (K, d) int array, sorted lexicographically."""
-        if not self.coeffs:
-            return np.zeros((0, self.dim), dtype=np.int64)
-        keys = sorted(self.coeffs)
-        return np.array(keys, dtype=np.int64)
+        return SpectralField(self.dim, 0, self.freqs, self.amps[:, i], self.reality).pruned()
 
     def arrays(self):
-        """Frequencies as in :meth:`freq_array` and the amplitudes in the same
-        order, shape (K,) for scalars and (K, d) for vectors."""
-        keys = sorted(self.coeffs)
-        freqs = np.array(keys, dtype=np.int64).reshape(len(keys), self.dim)
-        return freqs, np.array([self.coeffs[k] for k in keys], dtype=complex)
+        """The stored ``(freqs, amps)``."""
+        return self.freqs, self.amps
+
+    def radii(self):
+        """Euclidean |xi| of each stored frequency."""
+        return np.sqrt((self.freqs * self.freqs).sum(axis=1))
 
     @property
     def max_freq(self):
         """Largest Euclidean frequency magnitude in the support."""
         if self._max_freq is None:
-            if not self.coeffs:
-                self._max_freq = 0.0
-            else:
-                fa = self.freq_array().astype(float)
-                self._max_freq = float(np.max(np.linalg.norm(fa, axis=1)))
+            self._max_freq = float(self.radii().max(initial=0.0))
         return self._max_freq
 
     def max_axis_freq(self):
         """Per-axis maximum |xi_i|; zero vector for the empty field."""
-        if not self.coeffs:
-            return np.zeros(self.dim, dtype=np.int64)
-        return np.max(np.abs(self.freq_array()), axis=0)
+        return np.abs(self.freqs).max(axis=0, initial=0)
 
     def _magnitudes(self):
-        """|a| per stored coefficient in dict order; max over components for
-        vectors.
+        """|a| per stored coefficient; max over components for vectors.
 
         Scalars use np.hypot: np.abs of a complex array may take a SIMD path
         that differs from the scalar abs in the last bit.
         """
-        amps = np.array(list(self.coeffs.values()), dtype=complex)
         if self.rank == 0:
-            return np.hypot(amps.real, amps.imag)
-        return np.abs(amps).max(axis=1)
+            return np.hypot(self.amps.real, self.amps.imag)
+        return np.abs(self.amps).max(axis=1)
 
     def max_amp(self):
-        if not self.coeffs:
-            return 0.0
-        return float(self._magnitudes().max())
+        return float(self._magnitudes().max(initial=0.0))
 
     def is_hermitian(self, rtol=1e-13):
-        """Check f(-xi) == conj(f(xi)) for every stored frequency."""
-        scale = self.max_amp()
-        if scale == 0.0:
-            return True
-        for xi, a in self.coeffs.items():
-            neg = tuple(-c for c in xi)
-            b = self.coeffs.get(neg)
-            if b is None:
-                return False
-            if self.rank == 0:
-                if abs(a - np.conj(b)) > rtol * scale:
-                    return False
-            else:
-                if np.max(np.abs(a - np.conj(b))) > rtol * scale:
-                    return False
-        return True
+        """Check f(-xi) == conj(f(xi)) to ``rtol`` times the largest
+        amplitude; an absent partner counts as amplitude 0."""
+        partner = np.zeros_like(self.amps)
+        at = self.find(-self.freqs)
+        partner[at >= 0] = self.amps[at[at >= 0]]
+        gap = np.abs(self.amps - partner.conj())
+        if self.rank:
+            gap = gap.max(axis=1)
+        return bool(np.all(gap <= rtol * self.max_amp()))
 
     # -- arithmetic -------------------------------------------------------
 
     def pruned(self, rel=PRUNE_REL):
-        coeffs = {}
-        if self.coeffs:
-            coeffs = dict(compress(self.coeffs.items(), _above(self._magnitudes(), rel)))
-        return SpectralField(self.dim, self.rank, coeffs, reality=self.reality)
+        if self.is_zero():
+            return self
+        keep = _above(self._magnitudes(), rel)
+        return SpectralField(self.dim, self.rank, self.freqs[keep], self.amps[keep], self.reality)
+
+    def weighted(self, w):
+        """Coefficientwise product with real weights ``w``, one per stored
+        coefficient in storage order: weight-0 coefficients are dropped and
+        the rest pruned.  A boolean ``w`` restricts instead: it keeps the
+        coefficients where it is True, exactly as stored."""
+        keep = w != 0
+        freqs, amps = self.freqs[keep], self.amps[keep]
+        if w.dtype == bool:
+            return SpectralField(self.dim, self.rank, freqs, amps, self.reality)
+        w = w[keep].reshape((-1,) + (1,) * self.rank)
+        return SpectralField(self.dim, self.rank, freqs, w * amps, self.reality).pruned()
 
     def scaled(self, c):
-        coeffs = {xi: c * a for xi, a in self.coeffs.items()}
         reality = self.reality and (np.imag(c) == 0)
-        return SpectralField(self.dim, self.rank, coeffs, reality=reality)
+        return SpectralField(self.dim, self.rank, self.freqs, c * self.amps, reality)
 
     def __add__(self, other):
         if not isinstance(other, SpectralField):
             return NotImplemented
         if other.dim != self.dim or other.rank != self.rank:
             raise ValueError("incompatible fields")
-        coeffs = dict(self.coeffs)
-        for xi, a in other.coeffs.items():
-            if xi in coeffs:
-                coeffs[xi] = coeffs[xi] + a
-            else:
-                coeffs[xi] = a
-        f = SpectralField(self.dim, self.rank, coeffs, reality=self.reality and other.reality)
-        return f.pruned()
+        return SpectralField._summed(
+            self.dim,
+            self.rank,
+            np.concatenate((self.freqs, other.freqs)),
+            np.concatenate((self.amps, other.amps)),
+            self.reality and other.reality,
+        )
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def shifted(self, shift):
         """Modulation: multiply by e^{2 pi i shift . x}, i.e. translate spectrum."""
-        shift = tuple(int(s) for s in shift)
-        coeffs = {
-            tuple(x + s for x, s in zip(xi, shift)): a for xi, a in self.coeffs.items()
-        }
-        return SpectralField(self.dim, self.rank, coeffs, reality=False)
+        freqs = self.freqs + np.asarray(shift, dtype=np.int64)
+        return SpectralField(self.dim, self.rank, freqs, self.amps, reality=False)
+
+    def modulated(self, shift):
+        """Product with 2 cos(2 pi shift . x): the spectrum translated by
+        +shift plus by -shift.  Real when the field is."""
+        both = self.shifted(shift) + self.shifted(np.negative(shift))
+        return SpectralField(self.dim, self.rank, both.freqs, both.amps, self.reality)
+
+    def find(self, queries):
+        """Index of each frequency row of ``queries`` in the storage, -1
+        where the field holds no coefficient."""
+        queries = np.asarray(queries, dtype=np.int64).reshape(-1, self.dim)
+        if self.is_zero() or not len(queries):
+            return np.full(len(queries), -1)
+        lo = np.minimum(self.freqs.min(axis=0), queries.min(axis=0))
+        hi = np.maximum(self.freqs.max(axis=0), queries.max(axis=0))
+        strides = _strides(hi - lo + 1)
+        keys, want = (self.freqs - lo) @ strides, (queries - lo) @ strides
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[at] == want, at, -1)
 
     def coefficient(self, xi):
-        xi = tuple(int(c) for c in xi)
-        if self.rank == 0:
-            return self.coeffs.get(xi, 0.0 + 0.0j)
-        return self.coeffs.get(xi, np.zeros(self.dim, dtype=complex))
+        at = self.find(xi)[0]
+        if at >= 0:
+            return self.amps[at]
+        return 0.0 + 0.0j if self.rank == 0 else np.zeros(self.dim, dtype=complex)
 
 
 # -- sampling and analysis ------------------------------------------------
@@ -382,13 +436,8 @@ def analyze(grid: GridBuffer, rel=PRUNE_REL) -> SpectralField:
         return SpectralField.zero(grid.dim, 0)
     idx = np.argwhere(mags > rel * scale)
     centered = ((idx + N // 2) % N) - N // 2
-    coeffs = {
-        tuple(int(c) for c in xi): complex(arr[tuple(i)])
-        for xi, i in zip(centered, idx)
-    }
-    f = SpectralField(grid.dim, 0, coeffs)
-    f.reality = bool(np.isrealobj(values)) or f.is_hermitian()
-    return f
+    reality = True if np.isrealobj(values) else None
+    return SpectralField.from_entries(grid.dim, 0, centered, arr[tuple(idx.T)], reality)
 
 
 # -- products -------------------------------------------------------------
@@ -545,9 +594,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     # of keys, and the key of a + b is key_f(a) + key_g(b)
     lo_f, lo_g = ff.min(axis=0), fg.min(axis=0)
     span = (ff.max(axis=0) - lo_f) + (fg.max(axis=0) - lo_g) + 1
-    if math.prod(span.tolist()) >= 2**63:
-        raise SupportError("product support too wide for int64 frequency keys")
-    strides = np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
+    strides = _strides(span)
     lo = lo_f + lo_g
     kf, kg = (ff - lo_f) @ strides, (fg - lo_g) @ strides
 
@@ -574,8 +621,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
         mask = _above(np.abs(amps).max(axis=1))
         keys, amps = keys[mask], amps[mask]
     freqs = lo + (keys[:, None] // strides) % span
-    coeffs = dict(zip(map(tuple, freqs.tolist()), amps))
-    return SpectralField(f.dim, g.rank, coeffs, reality=f.reality and g.reality)
+    return SpectralField(f.dim, g.rank, freqs, amps, f.reality and g.reality)
 
 
 # -- calculus -------------------------------------------------------------
@@ -587,30 +633,23 @@ def mean_part(f: SpectralField):
 
 
 def nonzero_part(f: SpectralField) -> SpectralField:
-    coeffs = {xi: a for xi, a in f.coeffs.items() if any(c != 0 for c in xi)}
-    return SpectralField(f.dim, f.rank, coeffs, reality=f.reality)
+    return f.weighted(f.freqs.any(axis=1))
 
 
 def gradient(f: SpectralField) -> SpectralField:
     """Componentwise multiplication by 2 pi i xi."""
     if f.rank != 0:
         raise ValueError("gradient of scalar fields only")
-    coeffs = {
-        xi: 2j * np.pi * np.asarray(xi, dtype=float) * a for xi, a in f.coeffs.items()
-    }
-    return SpectralField(f.dim, 1, coeffs, reality=f.reality).pruned()
+    amps = 2j * np.pi * f.freqs * f.amps[:, None]
+    return SpectralField(f.dim, 1, f.freqs, amps, f.reality).pruned()
 
 
 def divergence(u: SpectralField) -> SpectralField:
     """Contraction of 2 pi i xi with the components of a vector field."""
     if u.rank != 1:
         raise ValueError("divergence of vector fields only")
-    coeffs = {}
-    if u.coeffs:
-        freqs, amps = u.arrays()
-        vals = 2j * np.pi * (freqs * amps).sum(axis=1)
-        coeffs = dict(zip(map(tuple, freqs.tolist()), vals))
-    return SpectralField(u.dim, 0, coeffs, reality=u.reality).pruned()
+    amps = 2j * np.pi * (u.freqs * u.amps).sum(axis=1)
+    return SpectralField(u.dim, 0, u.freqs, amps, u.reality).pruned()
 
 
 def divergence_defect(u: SpectralField) -> float:
@@ -635,49 +674,24 @@ def fractional_laplacian(f: SpectralField, s: float) -> SpectralField:
 
     The zero mode is untouched for s >= 0 and removed for s < 0.
     """
-    zero = (0,) * f.dim
-    coeffs = {}
-    for xi, a in f.coeffs.items():
-        if xi == zero:
-            # |2 pi 0|^s: kept for s = 0, annihilated for s > 0, dropped for s < 0
-            if s == 0:
-                coeffs[xi] = a
-            continue
-        mag = 2.0 * np.pi * math.sqrt(sum(c * c for c in xi))
-        coeffs[xi] = mag**s * a
-    return SpectralField(f.dim, f.rank, coeffs, reality=f.reality).pruned()
+    mag = 2.0 * np.pi * f.radii()
+    w = np.full(len(mag), 1.0 if s == 0 else 0.0)  # |2 pi 0|^s
+    # Python's pow: numpy's power differs from it in the last bit
+    w[mag > 0] = [m**s for m in mag[mag > 0].tolist()]
+    return f.weighted(w)
 
 
 def low_pass(f: SpectralField, lam: float, kernel: ShellKernel) -> SpectralField:
     """Multiply coefficients by the low-pass bump evaluated at xi / lam."""
     if lam <= 0:
         raise ValueError("low-pass scale must be positive")
-    if not f.coeffs:
-        return f
-    freqs = f.freq_array()
-    w = kernel.lowpass_weight(freqs.astype(float), lam)
-    keys = sorted(f.coeffs)
-    coeffs = {}
-    for key, wi in zip(keys, w):
-        if wi > 0.0:
-            coeffs[key] = wi * f.coeffs[key]
-    return SpectralField(f.dim, f.rank, coeffs, reality=f.reality).pruned()
+    return f.weighted(kernel.lowpass_weight(f.freqs, lam))
 
 
 def shell_project(f: SpectralField, j: int, kernel: ShellKernel) -> SpectralField:
     """Restrict to the j-th dyadic shell via the smooth shell profile."""
-    if not f.coeffs:
-        return f
-    freqs = f.freq_array()
-    w = kernel.shell_weight(freqs.astype(float), j)
-    if np.all(w == 1.0):
-        return f  # the whole support sits on the shell plateau
-    keys = sorted(f.coeffs)
-    coeffs = {}
-    for key, wi in zip(keys, w):
-        if wi > 0.0:
-            coeffs[key] = wi * f.coeffs[key]
-    return SpectralField(f.dim, f.rank, coeffs, reality=f.reality).pruned()
+    w = kernel.shell_weight(f.freqs, j)
+    return f if np.all(w == 1.0) else f.weighted(w)  # f: all on the plateau
 
 
 # -- norms ----------------------------------------------------------------
@@ -740,12 +754,12 @@ def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> di
     """
     if not f.reality:
         raise ValueError("L^p norms are defined for real fields here")
-    if f.is_zero():
-        return {p: (0.0, 0.0) for p in ps}
     if f.rank == 1:
         raise ValueError("scalar fields only")
     if any(p < 1 for p in ps):
         raise ValueError("p must be >= 1")
+    if f.is_zero():
+        return {p: (0.0, 0.0) for p in ps}
     band = int(np.max(f.max_axis_freq()))
     grids = {p: _quadrature_N(band, p, grid_budget)[0] for p in ps}
     todo = {}  # N -> exponents not yet memoized at N
@@ -778,8 +792,6 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     Uses the bare Euclidean |xi| without 2 pi factors, matching the space's
     definition (the fractional Laplacian, by contrast, uses |2 pi xi|).
     """
-    if not f.coeffs:
-        return 0.0
     freqs, amps = f.arrays()
     freqs = freqs.astype(float)
     mag2 = np.sum(freqs * freqs, axis=1)
@@ -802,10 +814,7 @@ def besov_norm(
 
     Only shells intersecting the support are evaluated.
     """
-    if f.is_zero():
-        return 0.0
-    freqs = f.freq_array().astype(float)
-    mags = np.linalg.norm(freqs, axis=1)
+    mags = f.radii()
     mags = mags[mags > 0]
     if len(mags) == 0:
         return 0.0
@@ -847,18 +856,10 @@ def field_from_snapshot(data: dict) -> SpectralField:
         raise ValueError(f"unsupported snapshot version {data.get('version')!r}")
     d = int(data["d"])
     rank = int(data["rank"])
-    coeffs = {}
-    for row in data["entries"]:
-        xi = tuple(int(c) for c in row[:d])
-        rest = row[d:]
-        if rank == 0:
-            coeffs[xi] = complex(rest[0], rest[1])
-        else:
-            coeffs[xi] = np.array(
-                [complex(rest[2 * i], rest[2 * i + 1]) for i in range(d)],
-                dtype=complex,
-            )
-    return SpectralField(d, rank, coeffs, reality=bool(data["reality"]))
+    width = 2 * (d if rank else 1)
+    rows = np.array(data["entries"], dtype=float).reshape(-1, d + width)
+    amps = np.ascontiguousarray(rows[:, d:]).view(complex)
+    return SpectralField.from_entries(d, rank, rows[:, :d], amps, bool(data["reality"]))
 
 
 def save_snapshot(f: SpectralField, path) -> None:

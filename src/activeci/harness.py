@@ -107,18 +107,15 @@ class TestFunctionSet:
     members: list  # (label, field, support_radius)
 
 
+_MULTIPLIERS = {"ipm2d": ipm2d, "ipm3d": ipm3d, "sqg": sqg, "mg": mg}
+
+
 def resolve_multiplier(config: RunConfig) -> Multiplier:
     name = config.multiplier
-    if name == "ipm2d":
-        m = ipm2d()
-    elif name == "ipm3d":
-        m = ipm3d()
-    elif name == "sqg":
-        m = sqg()
-    elif name == "mg":
-        m = mg()
-    elif name.startswith("file:"):
+    if name.startswith("file:"):
         m = load_multiplier(name[len("file:") :])
+    elif name in _MULTIPLIERS:
+        m = _MULTIPLIERS[name]()
     else:
         raise ConfigError(f"unknown multiplier {name!r}")
     if m.dim != config.d:
@@ -156,52 +153,33 @@ def build_test_functions(d: int, seed: int) -> TestFunctionSet:
         members.append((f"mode{xi}", f, math.sqrt(sum(c * c for c in xi))))
     rng = np.random.default_rng(seed)
     for idx in range(2):
-        coeffs = {}
+        freqs, amps = [], []
         for _ in range(4):
-            xi = tuple(int(c) for c in rng.integers(-6, 7, size=d))
-            if all(c == 0 for c in xi):
+            xi = rng.integers(-6, 7, size=d)
+            if not xi.any():
                 continue
-            amp = complex(rng.normal(), rng.normal())
-            coeffs[xi] = coeffs.get(xi, 0.0) + amp / 2.0
-            neg = tuple(-c for c in xi)
-            coeffs[neg] = coeffs.get(neg, 0.0) + np.conj(amp) / 2.0
-        f = SpectralField.scalar(d, coeffs, reality=True)
+            amp = complex(rng.normal(), rng.normal()) / 2.0
+            freqs += [xi, -xi]
+            amps += [amp, amp.conjugate()]
+        f = SpectralField.from_entries(d, 0, freqs, amps, reality=True)
         members.append((f"band{idx}", f, f.max_freq))
     return TestFunctionSet(members)
 
 
-def pairing(f: SpectralField, g: SpectralField) -> complex:
-    """Exact integral of f.g over the torus: sum_xi fhat(xi) ghat(-xi),
-    contracted over components for vector fields."""
+def pairing(f: SpectralField, g: SpectralField) -> tuple:
+    """``(signed, gross)``: the exact integral of f.g over the torus,
+    sum_xi fhat(xi) ghat(-xi) contracted over components for vector fields,
+    and sum_xi |fhat(xi)| |ghat(-xi)|, the magnitude scale of the pairing
+    (the roundoff noise floor when the signed sum cancels)."""
     if f.dim != g.dim or f.rank != g.rank:
         raise ValueError("pairing needs fields of equal dimension and rank")
-    small, big = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
-    total = 0.0 + 0.0j
-    for xi, a in small.coeffs.items():
-        b = big.coeffs.get(tuple(-c for c in xi))
-        if b is None:
-            continue
-        if f.rank == 0:
-            total += a * b
-        else:
-            total += complex(np.dot(np.asarray(a), np.asarray(b)))
-    return total
-
-
-def pairing_gross(f: SpectralField, g: SpectralField) -> float:
-    """Sum of |fhat(xi)| |ghat(-xi)| — the magnitude scale of the pairing,
-    used as the roundoff noise floor when the signed sum cancels."""
-    small, big = (f, g) if len(f.coeffs) <= len(g.coeffs) else (g, f)
-    total = 0.0
-    for xi, a in small.coeffs.items():
-        b = big.coeffs.get(tuple(-c for c in xi))
-        if b is None:
-            continue
-        if f.rank == 0:
-            total += abs(a) * abs(b)
-        else:
-            total += float(np.linalg.norm(a) * np.linalg.norm(b))
-    return total
+    at = g.find(-f.freqs)
+    a, b = f.amps[at >= 0], g.amps[at[at >= 0]]
+    if f.rank == 0:
+        gross = np.abs(a) * np.abs(b)
+    else:
+        gross = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    return complex(np.sum(a * b)), float(np.sum(gross))
 
 
 # -- inductive items ------------------------------------------------------
@@ -295,9 +273,9 @@ def certify_items(
         lam = params.stage_lam(inc["stage"])
         j = lam.bit_length() - 1
         lo, hi = 2.0**j, (12.0 / 7.0) * 2.0**j
-        mags = np.linalg.norm(w.freq_array().astype(float), axis=1)
+        mags = w.radii()
         inside = bool(np.all((mags >= lo - 1e-9) & (mags <= hi + 1e-9)))
-        plateau = bool(np.all(kernel.shell_weight(w.freq_array().astype(float), j) == 1.0))
+        plateau = bool(np.all(kernel.shell_weight(w.freqs, j) == 1.0))
         shells.append(
             {
                 "stage": inc["stage"],
@@ -350,27 +328,22 @@ def weak_form_test(state: IterationState, psis: TestFunctionSet, params: Iterati
     results = {}
     for label, psi, radius in psis.members:
         gpsi = gradient(psi)
-        diss = pairing(state.theta, fractional_laplacian(psi, params.gamma))
-        transport = -pairing(theta_u, gpsi)
-        lhs = transport + diss
-        rhs = -pairing(state.R, gpsi)
+        diss, diss_gross = pairing(state.theta, fractional_laplacian(psi, params.gamma))
+        transport, transport_gross = pairing(theta_u, gpsi)
+        r_pair, r_gross = pairing(state.R, gpsi)
+        lhs = diss - transport
+        rhs = -r_pair
         # normalize by the gross term size: the pairings themselves can
         # cancel to roundoff, where a self-relative defect is meaningless
-        scale = max(
-            pairing_gross(theta_u, gpsi),
-            pairing_gross(state.theta, fractional_laplacian(psi, params.gamma)),
-            pairing_gross(state.R, gpsi),
-            abs(lhs),
-            abs(rhs),
-        )
+        scale = max(transport_gross, diss_gross, r_gross, abs(lhs), abs(rhs))
         defect = abs(lhs - rhs) / scale if scale > 0 else 0.0
         results[label] = {
             "support_radius": float(radius),
             "lhs": float(np.real(lhs)),
             "rhs": float(np.real(rhs)),
             "defect_rel": float(defect),
-            "R_pairing": float(np.real(pairing(state.R, gpsi))),
-            "R_pairing_gross": float(pairing_gross(state.R, gpsi)),
+            "R_pairing": float(np.real(r_pair)),
+            "R_pairing_gross": r_gross,
             "pass": bool(defect <= 1e-10),
         }
     results["all_pass"] = bool(all(v["pass"] for k, v in results.items() if k != "all_pass"))

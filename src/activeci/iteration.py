@@ -124,7 +124,7 @@ class PerturbationBundle:
     lam: int
     eps: float
     sigma: int
-    per_k: dict  # k -> {a, w_plus, w_minus, w_k, S, amp_info, mode_cap}
+    per_k: dict  # k -> {a, w_k, S, amp_info, mode_cap}
     w: SpectralField
     Tw: SpectralField
     degenerate: bool
@@ -376,16 +376,7 @@ def amplitudes(
     if R.is_zero():
         raise ZeroStress("stress field is identically zero")
     if stress_cutoff is not None and R.max_freq > stress_cutoff:
-        R = SpectralField(
-            R.dim,
-            R.rank,
-            {
-                xi: amp
-                for xi, amp in R.coeffs.items()
-                if math.sqrt(sum(c * c for c in xi)) <= stress_cutoff
-            },
-            reality=R.reality,
-        )
+        R = R.weighted(R.radii() <= stress_cutoff)
         if R.is_zero():
             raise ZeroStress("stress has no content below the cutoff")
     S = harmonic_weight_sum(spec, basis.common_norm, spec.lam, kernel)
@@ -422,17 +413,11 @@ def amplitudes(
     for col, k in enumerate(basis.omega):
         a_grid = (pref * np.sqrt(coef[:, col])).reshape((N,) * d)
         a_full = analyze(GridBuffer(d, N, a_grid))
-        kept, dropped = {}, 0.0
-        total = 0.0
-        for xi, amp in a_full.coeffs.items():
-            mass = abs(amp) ** 2
-            total += mass
-            if math.sqrt(sum(c * c for c in xi)) <= trunc:
-                kept[xi] = amp
-            else:
-                dropped += mass
-        a = SpectralField(d, 0, kept, reality=True).pruned()
-        tail = math.sqrt(dropped / total) if total > 0 else 0.0
+        inside = a_full.radii() <= trunc
+        a = a_full.weighted(inside)
+        mass = np.abs(a_full.amps) ** 2
+        total = mass.sum()
+        tail = math.sqrt(mass[~inside].sum() / total) if total > 0 else 0.0
         out[k] = (a, {**shared, "tail_fraction": tail})
     return out
 
@@ -470,8 +455,6 @@ def build_increment(
             degenerate = True
             per_k[k] = {
                 "a": SpectralField.zero(params.d, 0),
-                "w_plus": SpectralField.zero(params.d, 0),
-                "w_minus": SpectralField.zero(params.d, 0),
                 "w_k": SpectralField.zero(params.d, 0),
                 "S": 0.0,
                 "amp_info": None,
@@ -486,52 +469,31 @@ def build_increment(
         sig_step = round(lam**eps)
         cap_needed = int(reach // (sig_step * params.basis_norm)) + 1
         rho = slab_fourier(spec, cap_needed)
-        rho_t = SpectralField(
-            params.d,
-            0,
-            {
-                xi: c
-                for xi, c in rho.coeffs.items()
-                if math.sqrt(sum(x * x for x in xi)) < reach
-            },
-            reality=True,
-        )
+        rho_t = rho.weighted(rho.radii() < reach)
         g = low_pass(multiply(a, rho_t), lam, kernel)
-        shift = tuple(sigma * c for c in k)
-        w_plus = g.shifted(shift)
-        w_minus = g.shifted(tuple(-c for c in shift))
-        w_k = w_plus + w_minus
-        w_k.reality = w_k.is_hermitian()
+        w_k = g.modulated([sigma * c for c in k])
         # highest slab harmonic actually kept; sets the diagnostics split scale
-        kept_cap = max(
-            (
-                round(math.sqrt(sum(x * x for x in xi)) / (sig_step * params.basis_norm))
-                for xi in rho_t.coeffs
-            ),
-            default=0,
-        )
+        kept_cap = int(np.round(rho_t.radii() / (sig_step * params.basis_norm)).max(initial=0))
         per_k[k] = {
             "a": a,
-            "w_plus": w_plus,
-            "w_minus": w_minus,
             "w_k": w_k,
             "S": info["S"],
             "amp_info": info,
             "mode_cap": kept_cap,
         }
         w = w + w_k
-    w.reality = True
 
     if w.is_zero():
         degenerate = True
     else:
-        for xi in w.coeffs:
-            mag = math.sqrt(sum(c * c for c in xi))
-            if not (lam * (1 - 1e-12) <= mag <= (12.0 / 7.0) * lam * (1 + 1e-12)):
-                raise SupportError(
-                    f"increment mode {xi} (|xi| = {mag:.1f}) outside the "
-                    f"annulus [{lam}, {12 * lam / 7:.1f}]"
-                )
+        mag = w.radii()
+        out = (mag < lam * (1 - 1e-12)) | (mag > (12.0 / 7.0) * lam * (1 + 1e-12))
+        if out.any():
+            i = int(np.argmax(out))
+            raise SupportError(
+                f"increment mode {tuple(w.freqs[i].tolist())} (|xi| = {mag[i]:.1f}) "
+                f"outside the annulus [{lam}, {12 * lam / 7:.1f}]"
+            )
         if abs(mean_part(w)) != 0.0:
             raise SupportError("increment acquired a mean")
 
@@ -636,11 +598,6 @@ def step(
 # -- diagnostics ----------------------------------------------------------
 
 
-def _restrict(f: SpectralField, predicate) -> SpectralField:
-    coeffs = {xi: a for xi, a in f.coeffs.items() if predicate(xi)}
-    return SpectralField(f.dim, f.rank, coeffs, reality=f.reality)
-
-
 def oscillation_diagnostics(
     bundle: PerturbationBundle,
     state: IterationState,
@@ -673,8 +630,8 @@ def oscillation_diagnostics(
         if wk.is_zero():
             continue
         diag = diag + multiply(wk, apply_T(m, wk))
-    low = _restrict(diag, lambda xi: sum(c * c for c in xi) <= mu * mu)
-    high = _restrict(diag, lambda xi: sum(c * c for c in xi) > mu * mu)
+    mag2 = (diag.freqs * diag.freqs).sum(axis=1)
+    low, high = diag.weighted(mag2 <= mu * mu), diag.weighted(mag2 > mu * mu)
 
     offdiag = SpectralField.zero(params.d, 1)
     ks = list(bundle.per_k)
@@ -722,7 +679,7 @@ def oscillation_diagnostics(
 
     # off-diagonal frequency-separation certificate
     if not offdiag.is_zero():
-        mags = np.linalg.norm(offdiag.freq_array().astype(float), axis=1)
+        mags = offdiag.radii()
         ksum = np.linalg.norm(
             np.asarray(ks[0], dtype=float) + np.asarray(ks[1], dtype=float)
         )

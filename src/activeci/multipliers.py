@@ -125,14 +125,11 @@ def apply_T(m: Multiplier, theta: SpectralField) -> SpectralField:
         raise ValueError("drift operator acts on scalar fields")
     if theta.dim != m.dim:
         raise ValueError("dimension mismatch")
-    zero = (0,) * m.dim
-    coeffs = {}
-    for xi, a in theta.coeffs.items():
-        if xi == zero:
-            continue
-        coeffs[xi] = m(xi) * a
+    keep = theta.freqs.any(axis=1)
+    freqs = theta.freqs[keep]
+    sym = np.array([m(xi) for xi in freqs.tolist()], dtype=complex).reshape(-1, m.dim)
     reality = theta.reality and m.claims["real_output"]
-    return SpectralField(m.dim, 1, coeffs, reality=reality).pruned()
+    return SpectralField(m.dim, 1, freqs, sym * theta.amps[keep, None], reality).pruned()
 
 
 def even_part(m: Multiplier, xi) -> np.ndarray:

@@ -166,17 +166,11 @@ def slab_fourier(spec: SlabSpec, mode_cap: int | None = None) -> SpectralField:
         mode_cap = _choose_cap(spec)
     step = spec.lam ** (spec.eps - 1.0)
     amp = spec.lam ** ((spec.eps - 1.0) / 2.0)
-    sigma = spec.harmonic_step
-    d = len(spec.k)
-    coeffs = {}
-    for n in range(1, mode_cap + 1):
-        c = amp * spec.profile.fhat(step * n)
-        if c == 0:
-            continue
-        xi = tuple(sigma * n * ki for ki in spec.k)
-        coeffs[xi] = complex(c)
-        coeffs[tuple(-x for x in xi)] = complex(np.conj(c))
-    return SpectralField(d, 0, coeffs, reality=True).pruned()
+    c = amp * np.array([spec.profile.fhat(step * n) for n in range(1, mode_cap + 1)], dtype=complex)
+    xi = np.outer(spec.harmonic_step * np.arange(1, mode_cap + 1), spec.k)
+    return SpectralField.from_entries(
+        len(spec.k), 0, np.concatenate((xi, -xi)), np.concatenate((c, c.conj())), reality=True
+    )
 
 
 def slab_physical(spec: SlabSpec, x) -> float:

@@ -99,6 +99,78 @@ def test_hermitian_detection(f):
     assert f.is_hermitian()
 
 
+def test_hermitian_missing_partner_counts_as_zero():
+    # an unpaired coefficient below rtol times the largest is roundoff
+    tiny = SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (2, 0): 1e-14})
+    assert len(tiny) == 3 and tiny.is_hermitian() and tiny.reality
+    big = SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (2, 0): 1e-12})
+    assert not big.is_hermitian() and not big.reality
+    v = SpectralField.vector(2, {(1, 0): [1, 2j], (-1, 0): [1, -2j], (0, 3): [1e-14, 0]})
+    assert v.is_hermitian()
+    assert not SpectralField.vector(2, {(1, 0): [1, 2j], (-1, 0): [1, 2j]}).is_hermitian()
+
+
+def test_raw_builders_check_a_reality_claim():
+    with pytest.raises(ValueError, match="Hermitian"):
+        SpectralField.scalar(2, {(1, 0): 1.0}, reality=True)
+    with pytest.raises(ValueError, match="Hermitian"):
+        SpectralField.vector(2, {(1, 0): [1, 1j], (-1, 0): [1, 1j]}, reality=True)
+    assert not SpectralField.scalar(2, {(1, 0): 0.5, (-1, 0): 0.5}, reality=False).reality
+    data = field_to_snapshot(SpectralField.scalar(2, {(1, 0): 1.0}))
+    data["reality"] = True
+    with pytest.raises(ValueError, match="Hermitian"):
+        field_from_snapshot(data)
+
+
+def test_storage_is_sorted_read_only_arrays():
+    f = SpectralField.scalar(2, {(1, 0): 2.0, (-1, 3): 1j, (-1, -2): 0.5})
+    freqs, amps = f.arrays()
+    assert freqs is f.freqs and amps is f.amps
+    assert freqs.tolist() == [[-1, -2], [-1, 3], [1, 0]]
+    assert amps.tolist() == [0.5, 1j, 2.0]
+    v = SpectralField.vector(3, {(0, 0, 1): [1, 2, 3]})
+    for arr, value in ((f.freqs, 7), (f.amps, 7.0), (v.freqs, 7), (v.amps, 7.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = value
+    with pytest.raises(TypeError):
+        f.coeffs[(1, 0)] = 3.0
+    assert f.coeffs == {(-1, -2): 0.5, (-1, 3): 1j, (1, 0): 2.0}
+
+
+def test_from_entries_sums_repeats_in_entry_order():
+    f = SpectralField.from_entries(1, 0, [[2], [-1], [2], [2]], [1e16, 3.0, 1.0, -1e16])
+    # (1e16 + 1) rounds back to 1e16, so entry order decides the sum at 2
+    assert f.coefficient((2,)) == 0.0 and f.coefficient((-1,)) == 3.0
+    g = SpectralField.from_entries(1, 0, [[2], [2], [2]], [1e16, -1e16, 1.0])
+    assert g.coefficient((2,)) == 1.0
+    # a lone entry keeps its signed zeros
+    h = SpectralField.from_entries(1, 0, [[1], [3]], [complex(-0.0, 1.0), 2.0])
+    assert math.copysign(1.0, h.coefficient((1,)).real) == -1.0
+
+
+def test_modulated_is_real_cosine_product():
+    g = cos_field((1, 2), amp=0.8) + SpectralField.scalar(2, {(0, 0): 0.3})
+    m = g.modulated((5, -1))
+    assert m.reality and m.is_hermitian()
+    both = g.shifted((5, -1)) + g.shifted((-5, 1))
+    assert not both.reality
+    assert m.freqs.tolist() == both.freqs.tolist() and np.array_equal(m.amps, both.amps)
+    x = np.arange(8) / 8
+    X1, X2 = np.meshgrid(x, x, indexing="ij")
+    cosine = 2 * np.cos(2 * np.pi * (5 * X1 - X2))
+    assert np.allclose(sample(m, 8), sample(g, 8) * cosine, atol=1e-13)
+
+
+def test_weighted_restricts_or_weights():
+    f = cos_field((1, 0)) + cos_field((3, 4), amp=2.0)
+    inner = f.weighted(f.radii() < 2)
+    assert inner.freqs.tolist() == [[-1, 0], [1, 0]] and inner.reality
+    w = np.where(f.radii() < 2, 0.0, 0.5)
+    outer = f.weighted(w)
+    assert outer.freqs.tolist() == [[-3, -4], [3, 4]]
+    assert outer.coefficient((3, 4)) == 0.5
+
+
 @given(hermitian_scalars(), hermitian_scalars())
 @settings(max_examples=25, deadline=None)
 def test_multiply_commutes(f, g):
@@ -195,9 +267,8 @@ def test_multiply_prunes_each_vector_component():
     # component 1 of g at (3, 3) sits below PRUNE_REL of that component's max,
     # while component 0 there is of full size
     f = cos_field((1, 0))
-    g = SpectralField(
+    g = SpectralField.vector(
         2,
-        1,
         {
             (0, 5): np.array([1.0, 1.0], dtype=complex),
             (3, 3): np.array([1.0, 1e-17], dtype=complex),
@@ -541,6 +612,14 @@ def test_shell_projectors_partition():
 
 
 # -- norms -----------------------------------------------------------------
+
+
+def test_lp_norms_check_input_of_zero_fields():
+    with pytest.raises(ValueError, match="scalar fields only"):
+        lp_norms(SpectralField.zero(2, 1), (1.0,))
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        lp_norms(SpectralField.zero(2), (0.5,))
+    assert lp_norms(SpectralField.zero(2), (1.0, math.inf)) == {1.0: (0.0, 0.0), math.inf: (0.0, 0.0)}
 
 
 def test_lp_norm_oracles():
