@@ -137,10 +137,10 @@ class SpectralField:
     p = inf for the sup norm.
 
     ``reality`` marks a real-valued field (Hermitian spectrum).  Operations
-    carry it from their operands; only the builders from raw entries
-    (:meth:`from_entries` and the ones over it, ``analyze``,
-    ``field_from_snapshot``) test it: they derive it when not told and check
-    it when told True.
+    carry it from their operands; only :meth:`from_entries` and the builders
+    over it test it: they derive it when not told and check it when told
+    True.  ``analyze`` takes it from real samples and ``field_from_snapshot``
+    from the saved flag, both unchecked.
     """
 
     __slots__ = ("dim", "rank", "freqs", "amps", "reality", "_max_freq", "_norms")
@@ -436,8 +436,12 @@ def analyze(grid: GridBuffer, rel=PRUNE_REL) -> SpectralField:
         return SpectralField.zero(grid.dim, 0)
     idx = np.argwhere(mags > rel * scale)
     centered = ((idx + N // 2) % N) - N // 2
-    reality = True if np.isrealobj(values) else None
-    return SpectralField.from_entries(grid.dim, 0, centered, arr[tuple(idx.T)], reality)
+    amps = arr[tuple(idx.T)]
+    if np.isrealobj(values):
+        # real samples have a Hermitian spectrum, although for even N a
+        # Nyquist-line frequency is stored as -N/2 only, without its partner
+        return SpectralField._summed(grid.dim, 0, centered, amps, True)
+    return SpectralField.from_entries(grid.dim, 0, centered, amps)
 
 
 # -- products -------------------------------------------------------------
@@ -859,7 +863,9 @@ def field_from_snapshot(data: dict) -> SpectralField:
     width = 2 * (d if rank else 1)
     rows = np.array(data["entries"], dtype=float).reshape(-1, d + width)
     amps = np.ascontiguousarray(rows[:, d:]).view(complex)
-    return SpectralField.from_entries(d, rank, rows[:, :d], amps, bool(data["reality"]))
+    # the flag is the saved field's own, carried through the operations that
+    # built it; its +-xi amplitudes may differ by roundoff, so it is not rechecked
+    return SpectralField._summed(d, rank, rows[:, :d], amps, bool(data["reality"]))
 
 
 def save_snapshot(f: SpectralField, path) -> None:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from activeci import fields
 from activeci.fields import (
+    GridBuffer,
     SpectralField,
     analyze,
     besov_norm,
@@ -116,10 +117,17 @@ def test_raw_builders_check_a_reality_claim():
     with pytest.raises(ValueError, match="Hermitian"):
         SpectralField.vector(2, {(1, 0): [1, 1j], (-1, 0): [1, 1j]}, reality=True)
     assert not SpectralField.scalar(2, {(1, 0): 0.5, (-1, 0): 0.5}, reality=False).reality
-    data = field_to_snapshot(SpectralField.scalar(2, {(1, 0): 1.0}))
-    data["reality"] = True
-    with pytest.raises(ValueError, match="Hermitian"):
-        field_from_snapshot(data)
+
+
+def test_snapshot_keeps_its_saved_reality_flag():
+    # a real field's +-xi amplitudes may differ by roundoff far above 1e-13
+    # of its largest one, after a cancellation; the saved flag is kept as is
+    f = SpectralField.scalar(2, {(1, 0): 1e-11, (-1, 0): 1.2e-11, (3, 0): 1.0, (-3, 0): 1.0})
+    data = field_to_snapshot(f)
+    for flag in (True, False):
+        data["reality"] = flag
+        g = field_from_snapshot(data)
+        assert g.reality is flag and field_to_snapshot(g) == data
 
 
 def test_storage_is_sorted_read_only_arrays():
@@ -320,6 +328,21 @@ def test_synthesize_analyze_roundtrip():
     g = analyze(synthesize(f, 16))
     diff = (f - g).pruned(rel=1e-13)
     assert diff.is_zero() or diff.max_amp() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([1.0, -1.0, 1.0, -1.0]),
+        np.cos(np.pi * np.arange(4))[:, None] * np.ones(4) + np.sin(np.pi / 2 * np.arange(4)),
+    ],
+)
+def test_analyze_real_grid_with_nyquist_content(values):
+    # for even N the Nyquist-line frequency is stored as -N/2 only, unpaired
+    g = analyze(GridBuffer(values.ndim, 4, values))
+    assert g.reality and not g.is_hermitian()
+    nyq = (-2,) + (0,) * (values.ndim - 1)
+    assert abs(g.coefficient(nyq) - 1.0) < 1e-15
 
 
 def test_sample_matches_direct_evaluation():

@@ -139,11 +139,18 @@ def test_report_structure(fast_run):
 
 def test_report_snapshot_roundtrip(fast_run):
     from activeci.fields import load_snapshot
-    from activeci.fields import divergence_defect
+    from activeci.fields import divergence_defect, field_to_snapshot
 
     _, out = fast_run
     u = load_snapshot(os.path.join(out, "stage-1", "u.json"))
     assert divergence_defect(u) <= 1e-13
+    for stage in ("stage-0", "stage-1"):
+        for name in ("theta", "u", "R", "w"):
+            path = os.path.join(out, stage, name + ".json")
+            if os.path.exists(path):
+                with open(path) as fh:
+                    saved = json.load(fh)
+                assert field_to_snapshot(load_snapshot(path)) == saved
 
 
 def test_report_quadrature_grids(fast_run):
