@@ -5,11 +5,7 @@ import argparse
 import csv
 import sys
 
-from activeci.directions import build_basis
-from activeci.iteration import base_state, make_params, oscillation_diagnostics, step
-from activeci.kernels import ShellKernel
-from activeci.multipliers import ipm2d
-from activeci.slabs import build_profile
+from activeci.harness import sweep
 
 
 def main() -> int:
@@ -25,37 +21,25 @@ def main() -> int:
     parser.add_argument("--out", default="sweep.csv", help="output CSV path")
     args = parser.parse_args()
 
-    m = ipm2d()
-    basis = build_basis(m, supplied=((4, 3), (4, -3)))
-    kernel = ShellKernel()
-    profile = build_profile("odd-bump")
-
+    records = sweep(args.lams, args.grid_budget)
     rows = []
     for lam in args.lams:
-        params = make_params(
-            basis, lambda1=lam, qmax=1, grid_budget=args.grid_budget
-        )
-        st0 = base_state(params, m, basis)
-        st1, bundle = step(st0, params, basis, m, kernel, profile)
-        diag = oscillation_diagnostics(bundle, st0, params, basis, m)
-        h = st1.norm_history[-1]
+        rec = records[lam]
+        h, eps = rec["history"], rec["params"].stage_eps(1)
         rows.append(
             {
                 "lam": lam,
-                "eps": params.stage_eps(1),
-                "degenerate": bundle.degenerate,
+                "eps": eps,
+                "degenerate": rec["bundle"].degenerate,
                 "ratio": h["ratio"],
                 "R_Hs": h["R_Hs"],
                 "R_N_Hs": h["R_N_Hs"],
                 "R_D_Hs": h["R_D_Hs"],
-                "cancellation_ratio": diag["ratio"],
-                "mean_cancellation_rel": diag["mean_cancellation_rel"],
+                "cancellation_ratio": rec["diag"]["ratio"],
+                "mean_cancellation_rel": rec["diag"]["mean_cancellation_rel"],
             }
         )
-        print(
-            f"lam={lam}: eps={params.stage_eps(1):.4g} ratio={h['ratio']:.4g} "
-            f"degenerate={bundle.degenerate}"
-        )
+        print(f"lam={lam}: eps={eps:.4g} ratio={h['ratio']:.4g} degenerate={rec['bundle'].degenerate}")
 
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))

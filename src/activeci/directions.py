@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .multipliers import Multiplier, even_part
+from .multipliers import REAL_TOL, Multiplier, even_part
 
 __all__ = [
     "DirectionBasis",
@@ -80,15 +80,12 @@ def find_arc(m: Multiplier, resolution: int = 720):
     angles = np.linspace(0.0, np.pi, resolution, endpoint=False)
     # rational proxies: scale each direction to a nearby integer vector
     denom = 10**6
-    mags = np.zeros(resolution)
-    for i, ang in enumerate(angles):
-        xi = (int(round(denom * math.cos(ang))), int(round(denom * math.sin(ang))))
-        if xi == (0, 0):
-            continue
-        try:
-            mags[i] = float(np.linalg.norm(even_part(m, xi)))
-        except ValueError:
-            mags[i] = 0.0
+    probes = np.rint(denom * np.stack([np.cos(angles), np.sin(angles)], axis=1)).astype(np.int64)
+    val = m(probes) + m(-probes)
+    if m.claims["real_output"]:
+        # a probe whose claimed-real even part is not real counts as zero
+        val = np.where(np.max(np.abs(val.imag), axis=1, keepdims=True) > REAL_TOL, 0.0, val.real)
+    mags = np.linalg.norm(val, axis=1)
     peak = float(mags.max())
     if peak <= 1e-10:
         raise NoArcFound(f"{m.name}: even part vanishes on the sampled circle")
@@ -197,7 +194,7 @@ def build_basis(m: Multiplier, supplied=None, margin: float = DEFAULT_GAMMA_MARG
     if any(abs(n - common) > 1e-12 for n in norms) or abs(common - round(common)) > 1e-12:
         raise DegenerateBasis(f"directions must share one integer norm, got {norms}")
 
-    ep = np.array([even_part(m, k) for k in omega], dtype=float)
+    ep = np.array(even_part(m, omega), dtype=float)
     # normalized determinant test for linear independence
     row_norms = np.linalg.norm(ep, axis=1)
     if np.any(row_norms < 1e-12):

@@ -438,8 +438,17 @@ def analyze(grid: GridBuffer, rel=PRUNE_REL) -> SpectralField:
     centered = ((idx + N // 2) % N) - N // 2
     amps = arr[tuple(idx.T)]
     if np.isrealobj(values):
-        # real samples have a Hermitian spectrum, although for even N a
-        # Nyquist-line frequency is stored as -N/2 only, without its partner
+        # real samples have a Hermitian spectrum once each coefficient on a
+        # Nyquist line (-N/2 on some axis, even N) is split evenly over -N/2
+        # and +N/2 on that axis; the N-grid samples stay the same
+        for ax in range(grid.dim if N % 2 == 0 else 0):
+            on = centered[:, ax] == -N // 2
+            if on.any():
+                half = amps[on] / 2
+                amps = np.concatenate((np.where(on, amps / 2, amps), half))
+                mirror = centered[on]
+                mirror[:, ax] = N // 2
+                centered = np.concatenate((centered, mirror))
         return SpectralField._summed(grid.dim, 0, centered, amps, True)
     return SpectralField.from_entries(grid.dim, 0, centered, amps)
 

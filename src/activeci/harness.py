@@ -63,6 +63,7 @@ __all__ = [
     "pairing",
     "certify_items",
     "weak_form_test",
+    "sweep",
     "run",
 ]
 
@@ -110,7 +111,8 @@ class TestFunctionSet:
 _MULTIPLIERS = {"ipm2d": ipm2d, "ipm3d": ipm3d, "sqg": sqg, "mg": mg}
 
 
-def resolve_multiplier(config: RunConfig) -> Multiplier:
+def _checked_multiplier(config: RunConfig) -> tuple:
+    """``(m, claims)``: the configured symbol and the claims report it passed."""
     name = config.multiplier
     if name.startswith("file:"):
         m = load_multiplier(name[len("file:") :])
@@ -120,16 +122,21 @@ def resolve_multiplier(config: RunConfig) -> Multiplier:
         raise ConfigError(f"unknown multiplier {name!r}")
     if m.dim != config.d:
         raise ConfigError(f"multiplier {m.name} is {m.dim}-dimensional, config d = {config.d}")
-    report = check_claims(m)
+    claims = check_claims(m)
     for required in ("homogeneous_deg0", "divergence_free", "real_output", "not_odd", "bounded"):
         claimed = bool(m.claims[required])
-        observed = bool(report[required]["pass"])
+        observed = bool(claims[required]["pass"])
         if not (claimed and observed):
             raise ConfigError(
                 f"multiplier {m.name} rejected: the iteration requires "
                 f"{required} (claimed={claimed}, observed={observed})"
             )
-    return m
+    return m, claims
+
+
+def resolve_multiplier(config: RunConfig) -> Multiplier:
+    """The configured symbol, once it has passed every claim check."""
+    return _checked_multiplier(config)[0]
 
 
 def build_test_functions(d: int, seed: int) -> TestFunctionSet:
@@ -298,8 +305,8 @@ def certify_items(
             wn, twm = inc_n["w"], inc_m["Tw"]
             if wn.is_zero() or twm.is_zero():
                 val = 0.0
-            else:
-                val = sobolev_norm(multiply(wn, twm), -params.s)
+            else:  # the diagonal is the product the step formed
+                val = sobolev_norm(inc_n["wTw"] if n == mth else multiply(wn, twm), -params.s)
             mat[f"{n},{mth}"] = val
         running = sum(v for v in mat.values())
         partial.append(running)
@@ -322,9 +329,10 @@ def weak_form_test(state: IterationState, psis: TestFunctionSet, params: Iterati
     Identity: -<P_{!=0}(theta u), grad psi> + <theta, Lambda^gamma psi>
             = -<R, grad psi>, an algebraic consequence of the residual
     invariant.  The mean-free product is used; constants pair to zero
-    against grad psi anyway.
+    against grad psi anyway.  The product theta u is the one the state's
+    residual check formed.
     """
-    theta_u = nonzero_part(multiply(state.theta, state.u))
+    theta_u = nonzero_part(state.theta_u)
     results = {}
     for label, psi, radius in psis.members:
         gpsi = gradient(psi)
@@ -353,6 +361,36 @@ def weak_form_test(state: IterationState, psis: TestFunctionSet, params: Iterati
 # -- orchestration --------------------------------------------------------
 
 
+def sweep(lams, grid_budget: int) -> dict:
+    """Single-stage ipm2d runs on the basis (4, 3), (4, -3), one per
+    first-stage frequency in ``lams``.
+
+    Returns ``{lam: record}`` with the keys ``params``, ``state0``,
+    ``state1``, ``bundle``, ``diag`` and ``history`` in each record, plus
+    ``"elapsed"``: the seconds the stages took.
+    """
+    m = ipm2d()
+    basis = build_basis(m, supplied=((4, 3), (4, -3)))
+    kernel = ShellKernel()
+    profile = build_profile("odd-bump")
+    t0 = time.monotonic()
+    out = {}
+    for lam in lams:
+        params = make_params(basis, lambda1=lam, qmax=1, grid_budget=grid_budget)
+        st0 = base_state(params, m, basis)
+        st1, bundle = step(st0, params, basis, m, kernel, profile)
+        out[lam] = {
+            "params": params,
+            "state0": st0,
+            "state1": st1,
+            "bundle": bundle,
+            "diag": oscillation_diagnostics(bundle, st0, params, basis, m),
+            "history": st1.norm_history[-1],
+        }
+    out["elapsed"] = time.monotonic() - t0
+    return out
+
+
 def _json_default(obj):
     if isinstance(obj, (np.floating,)):
         return float(obj)
@@ -377,7 +415,7 @@ def run(config: RunConfig) -> int:
     """
     t0 = time.time()
     os.makedirs(config.out, exist_ok=True)
-    m = resolve_multiplier(config)
+    m, claims = _checked_multiplier(config)
     try:
         basis = build_basis(m, supplied=config.supplied_basis, margin=config.gamma_margin)
         params = make_params(
@@ -519,7 +557,7 @@ def run(config: RunConfig) -> int:
             "weak_form_product": "mean-free",
             "dual_exponent_choice": "s' = s",
         },
-        "claims": check_claims(m),
+        "claims": claims,
         "stages": stages,
         "pairing_decay": decay,
         "exact_pass": exact_ok,

@@ -115,7 +115,8 @@ class IterationState:
     u: SpectralField
     R: SpectralField
     norm_history: list = dc_field(default_factory=list)
-    increments: list = dc_field(default_factory=list)  # per stage: {w, Tw}
+    increments: list = dc_field(default_factory=list)  # per stage: {w, Tw, wTw}
+    theta_u: SpectralField | None = None  # formed by the residual check
 
 
 @dataclass
@@ -127,6 +128,7 @@ class PerturbationBundle:
     per_k: dict  # k -> {a, w_k, S, amp_info, mode_cap}
     w: SpectralField
     Tw: SpectralField
+    wTw: SpectralField
     degenerate: bool
     lp_report: dict
 
@@ -245,21 +247,21 @@ def make_params(
 # -- residual -------------------------------------------------------------
 
 
-def residual_defect(theta, u, R, gamma) -> float:
-    """Relative sup-coefficient defect of div(theta u) + Lambda^gamma theta -
-    div R."""
-    lhs = divergence(multiply(theta, u)) + fractional_laplacian(theta, gamma)
+def residual_defect(theta, u, R, gamma) -> tuple:
+    """``(defect, theta_u)``: the relative sup-coefficient defect of
+    div(theta u) + Lambda^gamma theta - div R, and the product theta u it
+    formed."""
+    theta_u = multiply(theta, u)
+    lhs = divergence(theta_u) + fractional_laplacian(theta, gamma)
     rhs = divergence(R)
-    defect = (lhs - rhs).max_amp()
     scale = max(lhs.max_amp(), rhs.max_amp())
-    if scale == 0.0:
-        return 0.0
-    return defect / scale
+    return ((lhs - rhs).max_amp() / scale if scale else 0.0), theta_u
 
 
 def _check_state(state: IterationState, gamma: float, m: Multiplier) -> float:
     """Raise unless the state obeys the exact invariants; returns the
-    relaxed-equation residual defect."""
+    relaxed-equation residual defect and keeps the product theta u it formed
+    on the state."""
     if abs(mean_part(state.theta)) != 0.0:
         raise ValueError("theta must be mean-free")
     div_u = divergence_defect(state.u)
@@ -268,7 +270,7 @@ def _check_state(state: IterationState, gamma: float, m: Multiplier) -> float:
     diff = (state.u - apply_T(m, state.theta)).max_amp()
     if diff > 1e-12 * max(state.u.max_amp(), 1e-300):
         raise ValueError(f"u != T theta: {diff:.3g}")
-    defect = residual_defect(state.theta, state.u, state.R, gamma)
+    defect, state.theta_u = residual_defect(state.theta, state.u, state.R, gamma)
     if defect > 1e-10:
         raise ValueError(f"relaxed-equation residual {defect:.3g} exceeds 1e-10")
     return defect
@@ -524,6 +526,7 @@ def build_increment(
         per_k=per_k,
         w=w,
         Tw=Tw,
+        wTw=multiply(w, Tw),
         degenerate=degenerate,
         lp_report=lp_report,
     )
@@ -544,10 +547,9 @@ def step(
     """Advance one stage; returns (new_state, bundle)."""
     if bundle is None:
         bundle = build_increment(state, params, basis, m, kernel, profile)
-    w, Tw = bundle.w, bundle.Tw
+    w, Tw, wTw = bundle.w, bundle.Tw, bundle.wTw
     theta1 = state.theta + w
     u1 = state.u + Tw
-    wTw = multiply(w, Tw)
     R_O = state.R + wTw
     R_N = multiply(w, state.u) + multiply(state.theta, Tw)
     R_D = fractional_laplacian(gradient(w), params.gamma - 2.0).scaled(-1.0)
@@ -591,7 +593,7 @@ def step(
                 w, alpha, kernel, params.grid_budget
             )
     new_state.norm_history.append(entry)
-    new_state.increments.append({"w": w, "Tw": Tw, "stage": new_state.q})
+    new_state.increments.append({"w": w, "Tw": Tw, "wTw": wTw, "stage": new_state.q})
     return new_state, bundle
 
 
@@ -624,26 +626,19 @@ def oscillation_diagnostics(
     sig_step = round(bundle.lam**bundle.eps)
     mu = sig_step * max(cap, 1) * knorm * 2
 
+    w_k = {k: rec["w_k"] for k, rec in bundle.per_k.items() if not rec["w_k"].is_zero()}
+    Tw_k = {k: apply_T(m, wk) for k, wk in w_k.items()}
     diag = SpectralField.zero(params.d, 1)
-    for rec in bundle.per_k.values():
-        wk = rec["w_k"]
-        if wk.is_zero():
-            continue
-        diag = diag + multiply(wk, apply_T(m, wk))
+    for k, wk in w_k.items():
+        diag = diag + multiply(wk, Tw_k[k])
     mag2 = (diag.freqs * diag.freqs).sum(axis=1)
     low, high = diag.weighted(mag2 <= mu * mu), diag.weighted(mag2 > mu * mu)
 
     offdiag = SpectralField.zero(params.d, 1)
-    ks = list(bundle.per_k)
-    for i, ka in enumerate(ks):
-        for kb in ks:
-            if ka == kb:
-                continue
-            wa = bundle.per_k[ka]["w_k"]
-            wb = bundle.per_k[kb]["w_k"]
-            if wa.is_zero() or wb.is_zero():
-                continue
-            offdiag = offdiag + multiply(wa, apply_T(m, wb))
+    for ka, wa in w_k.items():
+        for kb, twb in Tw_k.items():
+            if ka != kb:
+                offdiag = offdiag + multiply(wa, twb)
 
     prev_norm = sobolev_norm(state.R, ms)
     resid = state.R + low
@@ -667,9 +662,7 @@ def oscillation_diagnostics(
             break
     if rmax is not None:
         target = (rmax / basis.eps_omega) * basis.k_star
-        achieved = np.asarray(
-            mean_part(state.R + multiply(bundle.w, bundle.Tw)), dtype=complex
-        )
+        achieved = np.asarray(mean_part(state.R + bundle.wTw), dtype=complex)
         scale = float(np.linalg.norm(target))
         report["mean_cancellation_rel"] = (
             float(np.linalg.norm(achieved - target)) / scale if scale > 0 else None
@@ -680,6 +673,7 @@ def oscillation_diagnostics(
     # off-diagonal frequency-separation certificate
     if not offdiag.is_zero():
         mags = offdiag.radii()
+        ks = list(bundle.per_k)
         ksum = np.linalg.norm(
             np.asarray(ks[0], dtype=float) + np.asarray(ks[1], dtype=float)
         )

@@ -44,7 +44,12 @@ class ClaimViolation(ValueError):
 
 @dataclass
 class Multiplier:
-    """Symbol m: Z^d \\ {0} -> C^d with declared structural claims."""
+    """Symbol m: Z^d \\ {0} -> C^d with declared structural claims.
+
+    ``symbol`` maps an integer frequency array of shape (..., d) to complex
+    values of shape (..., d), written as array arithmetic on ``xi[..., i]``;
+    one point is the shape-(d,) case.
+    """
 
     dim: int
     symbol: "callable"
@@ -57,8 +62,8 @@ class Multiplier:
         self.claims = base
 
     def __call__(self, xi):
-        xi = tuple(int(c) for c in xi)
-        if all(c == 0 for c in xi):
+        xi = np.asarray(xi, dtype=np.int64)
+        if not xi.any(axis=-1).all():
             raise ValueError("symbol undefined at xi = 0")
         return np.asarray(self.symbol(xi), dtype=complex)
 
@@ -67,9 +72,9 @@ def ipm2d() -> Multiplier:
     """2D incompressible porous media: <xi1 xi2, -xi1^2> / |xi|^2."""
 
     def sym(xi):
-        x1, x2 = xi
+        x1, x2 = xi[..., 0], xi[..., 1]
         n2 = x1 * x1 + x2 * x2
-        return np.array([x1 * x2 / n2, -x1 * x1 / n2], dtype=complex)
+        return np.stack([x1 * x2 / n2, -x1 * x1 / n2], axis=-1)
 
     return Multiplier(2, sym, "ipm2d")
 
@@ -78,11 +83,9 @@ def ipm3d() -> Multiplier:
     """3D incompressible porous media: <xi1 xi3, xi2 xi3, -xi1^2 - xi2^2> / |xi|^2."""
 
     def sym(xi):
-        x1, x2, x3 = xi
+        x1, x2, x3 = xi[..., 0], xi[..., 1], xi[..., 2]
         n2 = x1 * x1 + x2 * x2 + x3 * x3
-        return np.array(
-            [x1 * x3 / n2, x2 * x3 / n2, -(x1 * x1 + x2 * x2) / n2], dtype=complex
-        )
+        return np.stack([x1 * x3 / n2, x2 * x3 / n2, -(x1 * x1 + x2 * x2) / n2], axis=-1)
 
     return Multiplier(3, sym, "ipm3d")
 
@@ -91,9 +94,9 @@ def sqg() -> Multiplier:
     """Surface quasi-geostrophic: i <xi2, -xi1> / |xi|.  Odd symbol."""
 
     def sym(xi):
-        x1, x2 = xi
+        x1, x2 = xi[..., 0], xi[..., 1]
         n = np.sqrt(x1 * x1 + x2 * x2)
-        return np.array([1j * x2 / n, -1j * x1 / n], dtype=complex)
+        return 1j * np.stack([x2 / n, -x1 / n], axis=-1)
 
     return Multiplier(2, sym, "sqg", claims={"not_odd": False})
 
@@ -102,19 +105,21 @@ def mg() -> Multiplier:
     """Magneto-geostrophic symbol; unbounded (|m(l^2, l, 1)| ~ l^2), zero at xi3 = 0."""
 
     def sym(xi):
-        x1, x2, x3 = xi
-        if x3 == 0:
-            return np.zeros(3, dtype=complex)
+        # degree-5 numerators overflow int64 beyond |xi| ~ 6000
+        x1, x2, x3 = np.moveaxis(xi.astype(float), -1, 0)
+        live = x3 != 0
         n2 = x1 * x1 + x2 * x2 + x3 * x3
-        den = x3 * x3 * n2 + x2**4
-        return np.array(
+        # rows with xi3 = 0 divide by 1 and are zeroed: x2 = 0 there makes den 0
+        den = np.where(live, x3 * x3 * n2 + x2**4, 1)
+        val = np.stack(
             [
                 (x2 * x3 * n2 + x1 * x2 * x2 * x3) / den,
                 (-x1 * x3 * n2 + x2**3 * x3) / den,
                 (-x2 * x2 * (x1 * x1 + x2 * x2)) / den,
             ],
-            dtype=complex,
+            axis=-1,
         )
+        return np.where(live[..., None], val, 0.0)
 
     return Multiplier(3, sym, "mg", claims={"bounded": False})
 
@@ -127,22 +132,28 @@ def apply_T(m: Multiplier, theta: SpectralField) -> SpectralField:
         raise ValueError("dimension mismatch")
     keep = theta.freqs.any(axis=1)
     freqs = theta.freqs[keep]
-    sym = np.array([m(xi) for xi in freqs.tolist()], dtype=complex).reshape(-1, m.dim)
     reality = theta.reality and m.claims["real_output"]
-    return SpectralField(m.dim, 1, freqs, sym * theta.amps[keep, None], reality).pruned()
+    return SpectralField(m.dim, 1, freqs, m(freqs) * theta.amps[keep, None], reality).pruned()
+
+
+# largest imaginary part a claimed-real even part may carry
+REAL_TOL = 1e-13
 
 
 def even_part(m: Multiplier, xi) -> np.ndarray:
-    """m(xi) + m(-xi), asserted real when the symbol claims real output."""
-    xi = tuple(int(c) for c in xi)
-    val = m(xi) + m(tuple(-c for c in xi))
-    if m.claims["real_output"]:
-        if np.max(np.abs(np.imag(val))) > 1e-13:
-            raise ClaimViolation(
-                f"{m.name}: non-real even part {val} at xi = {xi}"
-            )
-        return np.real(val)
-    return val
+    """m(xi) + m(-xi) for one point (d,) or an array (..., d), asserted real
+    when the symbol claims real output."""
+    xi = np.asarray(xi, dtype=np.int64)
+    val = m(xi) + m(-xi)
+    if not m.claims["real_output"]:
+        return val
+    bad = np.argwhere(np.max(np.abs(val.imag), axis=-1) > REAL_TOL)
+    if len(bad):
+        at = tuple(bad[0])
+        raise ClaimViolation(
+            f"{m.name}: non-real even part {val[at]} at xi = {tuple(xi[at].tolist())}"
+        )
+    return val.real
 
 
 def claim_sample(m: Multiplier, extra=(), n_random: int = 100):
@@ -168,52 +179,40 @@ def claim_sample(m: Multiplier, extra=(), n_random: int = 100):
 
 def check_claims(m: Multiplier, sample=None) -> dict:
     """Evaluate every declared claim on a point sample; failures are entries,
-    not exceptions."""
+    not exceptions.  A witness is the first failing point in sample order."""
     if sample is None:
         sample = claim_sample(m)
-    sample = [tuple(int(c) for c in xi) for xi in sample]
-    if not sample or any(all(c == 0 for c in xi) for xi in sample):
+    pts = np.asarray(sample, dtype=np.int64).reshape(-1, m.dim)
+    if not len(pts) or not pts.any(axis=1).all():
         raise ValueError("sample must be nonempty and exclude the origin")
+
+    def first(bad):
+        i = int(np.argmax(bad))
+        return tuple(pts[i].tolist()) if bad[i] else None
+
+    val, neg = m(pts), m(-pts)
     report = {}
 
-    # homogeneity of degree 0 under integer dilation
-    ok, witness = True, None
-    for xi in sample:
-        base = m(xi)
-        for lam in (2, 3, 5):
-            scaled = m(tuple(lam * c for c in xi))
-            if np.max(np.abs(scaled - base)) > 1e-12:
-                ok, witness = False, (xi, lam)
-                break
-        if not ok:
-            break
-    report["homogeneous_deg0"] = {"pass": ok, "witness": witness}
+    # homogeneity of degree 0 under integer dilation; the witness pairs the
+    # first failing point with its first failing factor
+    lams = (2, 3, 5)
+    bad = np.stack([np.max(np.abs(m(lam * pts) - val), axis=1) > 1e-12 for lam in lams], axis=1)
+    hit = bad.any(axis=1)
+    witness = first(hit)
+    if witness is not None:
+        witness = (witness, lams[int(np.argmax(bad[np.argmax(hit)]))])
+    report["homogeneous_deg0"] = {"pass": witness is None, "witness": witness}
 
-    ok, witness = True, None
-    for xi in sample:
-        if abs(np.dot(np.asarray(xi, dtype=complex), m(xi))) > 1e-12:
-            ok, witness = False, xi
-            break
-    report["divergence_free"] = {"pass": ok, "witness": witness}
+    witness = first(np.abs(np.sum(pts * val, axis=1)) > 1e-12)
+    report["divergence_free"] = {"pass": witness is None, "witness": witness}
 
-    ok, witness = True, None
-    for xi in sample:
-        neg = m(tuple(-c for c in xi))
-        if np.max(np.abs(m(xi) - np.conj(neg))) > 1e-12:
-            ok, witness = False, xi
-            break
-    report["real_output"] = {"pass": ok, "witness": witness}
+    witness = first(np.max(np.abs(val - np.conj(neg)), axis=1) > 1e-12)
+    report["real_output"] = {"pass": witness is None, "witness": witness}
 
-    ok, witness = False, None
-    for xi in sample:
-        val = m(xi) + m(tuple(-c for c in xi))
-        if np.max(np.abs(val)) > 1e-10:
-            ok, witness = True, xi
-            break
-    report["not_odd"] = {"pass": ok, "witness": witness}
+    witness = first(np.max(np.abs(val + neg), axis=1) > 1e-10)
+    report["not_odd"] = {"pass": witness is not None, "witness": witness}
 
-    mags = [float(np.linalg.norm(m(xi))) for xi in sample]
-    bound = max(mags)
+    bound = float(np.max(np.linalg.norm(val, axis=1)))
     report["bounded"] = {"pass": bound <= 10.0, "witness": None, "max": bound}
 
     for name in CLAIM_NAMES:
@@ -240,15 +239,15 @@ def check_claims(m: Multiplier, sample=None) -> dict:
 
 
 def _poly_eval(monomials, xi):
-    total = 0.0 + 0.0j
-    d = len(xi)
+    """Sum of the monomials at every point of the (..., d) array ``xi``."""
+    x = xi.astype(float)
+    total = np.zeros(xi.shape[:-1], dtype=complex)
+    d = xi.shape[-1]
     for mono in monomials:
-        exps = mono[:d]
-        coeff = complex(mono[d], mono[d + 1])
-        term = coeff
-        for e, x in zip(exps, xi):
-            term *= float(x) ** e
-        total += term
+        term = complex(mono[d], mono[d + 1])
+        for i, e in enumerate(mono[:d]):
+            term = term * x[..., i] ** e
+        total = total + term
     return total
 
 
@@ -262,11 +261,10 @@ def load_multiplier(path) -> Multiplier:
         raise ValueError("component count must equal the dimension")
 
     def sym(xi, comps=comps):
-        out = []
-        for comp in comps:
-            num = _poly_eval(comp["num"], xi)
-            den = _poly_eval(comp.get("den", [[0] * dim + [1.0, 0.0]]), xi)
-            out.append(num / den)
-        return np.array(out, dtype=complex)
+        one = [[0] * dim + [1.0, 0.0]]
+        return np.stack(
+            [_poly_eval(c["num"], xi) / _poly_eval(c.get("den", one), xi) for c in comps],
+            axis=-1,
+        )
 
     return Multiplier(dim, sym, data.get("name", "user"), claims=data.get("claims", {}))

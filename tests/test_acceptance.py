@@ -15,15 +15,11 @@ import time
 import numpy as np
 import pytest
 
+from activeci import harness
 from activeci.directions import build_basis, gamma_coefficients
 from activeci.fields import sobolev_norm
 from activeci.harness import RunConfig, run
-from activeci.iteration import (
-    base_state,
-    make_params,
-    oscillation_diagnostics,
-    step,
-)
+from activeci.iteration import make_params
 from activeci.kernels import ShellKernel
 from activeci.multipliers import ipm2d
 from activeci.slabs import SlabSpec, build_profile, certify_scaling, slab_fourier, slab_physical
@@ -45,28 +41,9 @@ def basis():
 
 
 @pytest.fixture(scope="session")
-def sweep(basis):
+def sweep():
     """Single-stage runs across the first-stage frequency sweep."""
-    m = ipm2d()
-    kernel = ShellKernel()
-    profile = build_profile("odd-bump")
-    t0 = time.monotonic()
-    out = {}
-    for lam in SWEEP_LAMS:
-        params = make_params(basis, lambda1=lam, qmax=1, grid_budget=8192)
-        st0 = base_state(params, m, basis)
-        st1, bundle = step(st0, params, basis, m, kernel, profile)
-        diag = oscillation_diagnostics(bundle, st0, params, basis, m)
-        out[lam] = {
-            "params": params,
-            "state0": st0,
-            "state1": st1,
-            "bundle": bundle,
-            "diag": diag,
-            "history": st1.norm_history[-1],
-        }
-    out["elapsed"] = time.monotonic() - t0
-    return out
+    return harness.sweep(SWEEP_LAMS, 8192)
 
 
 @pytest.fixture(scope="session")

@@ -338,11 +338,26 @@ def test_synthesize_analyze_roundtrip():
     ],
 )
 def test_analyze_real_grid_with_nyquist_content(values):
-    # for even N the Nyquist-line frequency is stored as -N/2 only, unpaired
+    # for even N a Nyquist-line coefficient is split evenly over -N/2 and
+    # +N/2, so the spectrum is Hermitian
     g = analyze(GridBuffer(values.ndim, 4, values))
-    assert g.reality and not g.is_hermitian()
-    nyq = (-2,) + (0,) * (values.ndim - 1)
-    assert abs(g.coefficient(nyq) - 1.0) < 1e-15
+    assert g.reality and g.is_hermitian()
+    nyq = (2,) + (0,) * (values.ndim - 1)
+    assert abs(g.coefficient(nyq) - 0.5) < 1e-15
+    assert abs(g.coefficient(tuple(-c for c in nyq)) - 0.5) < 1e-15
+
+
+@pytest.mark.parametrize("transpose", [False, True])
+def test_analyze_nyquist_line_samples_on_a_finer_grid(transpose):
+    # (-1)^j on a 4x4 grid: the split coefficient must neither vanish (last
+    # axis, half-spectrum transform) nor double (axis 0) on an 8x8 grid
+    values = np.ones((4, 1)) * (-1.0) ** np.arange(4)
+    g = analyze(GridBuffer(2, 4, values.T if transpose else values))
+    x = np.stack(np.meshgrid(np.arange(8) / 8, np.arange(8) / 8, indexing="ij"), axis=-1)
+    direct = np.exp(2j * np.pi * x @ g.freqs.T) @ g.amps
+    assert np.allclose(sample(g, 8), direct, atol=1e-14)
+    assert np.allclose(direct.imag, 0.0, atol=1e-14)
+    assert np.allclose(sample(g, 4), values.T if transpose else values, atol=1e-14)
 
 
 def test_sample_matches_direct_evaluation():

@@ -58,6 +58,22 @@ def test_resolve_multiplier_gates():
         resolve_multiplier(RunConfig(multiplier="nope"))
 
 
+def test_run_checks_the_claims_once(tmp_path, monkeypatch):
+    import activeci.harness as harness
+
+    original, reports = harness.check_claims, []
+
+    def counted(m, sample=None):
+        reports.append(original(m, sample))
+        return reports[-1]
+
+    monkeypatch.setattr(harness, "check_claims", counted)
+    assert run(fast_config(tmp_path, qmax=0)) == 0
+    assert len(reports) == 1
+    written = json.loads((tmp_path / "report.json").read_text())["claims"]
+    assert written == json.loads(json.dumps(reports[0]))
+
+
 def test_test_functions_deterministic():
     a = build_test_functions(2, seed=0)
     b = build_test_functions(2, seed=0)

@@ -89,7 +89,7 @@ def test_base_state_invariants(setup, params):
     assert st.q == 0
     assert mean_part(st.theta) == 0.0
     assert sobolev_norm(st.R, -params.s) < 1.0
-    assert residual_defect(st.theta, st.u, st.R, params.gamma) < 1e-12
+    assert residual_defect(st.theta, st.u, st.R, params.gamma)[0] < 1e-12
     # base-case stress closed form: theta0 u0 - Lambda^{gamma-2} grad theta0
     R = multiply(st.theta, st.u) - fractional_laplacian(
         gradient(st.theta), params.gamma - 2.0
@@ -155,7 +155,7 @@ def test_stage_invariants_after_step(stage1, setup, params):
     m, _, _, _ = setup
     _, st1, _ = stage1
     assert mean_part(st1.theta) == 0.0
-    assert residual_defect(st1.theta, st1.u, st1.R, params.gamma) <= 1e-10
+    assert residual_defect(st1.theta, st1.u, st1.R, params.gamma)[0] <= 1e-10
     diff = (st1.u - apply_T(m, st1.theta)).max_amp()
     assert diff <= 1e-12 * st1.u.max_amp()
 

@@ -1,6 +1,7 @@
 """Drift-operator symbols: frozen values, structural claims, JSON loading."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -8,8 +9,10 @@ import pytest
 from activeci.fields import SpectralField
 from activeci.multipliers import (
     ClaimViolation,
+    Multiplier,
     apply_T,
     check_claims,
+    claim_sample,
     even_part,
     ipm2d,
     ipm3d,
@@ -147,3 +150,131 @@ def test_load_multiplier_roundtrip(tmp_path):
         assert np.allclose(m(xi), ref(xi))
     report = check_claims(m)
     assert all(rec["pass"] for rec in report.values())
+
+
+# -- the array contract ----------------------------------------------------
+#
+# Oracles evaluate each symbol one point at a time in Python scalars, the way
+# the formulas read.
+
+
+def ipm2d_point(x1, x2):
+    n2 = x1 * x1 + x2 * x2
+    return [x1 * x2 / n2, -x1 * x1 / n2]
+
+
+def ipm3d_point(x1, x2, x3):
+    n2 = x1 * x1 + x2 * x2 + x3 * x3
+    return [x1 * x3 / n2, x2 * x3 / n2, -(x1 * x1 + x2 * x2) / n2]
+
+
+def sqg_point(x1, x2):
+    n = math.sqrt(x1 * x1 + x2 * x2)
+    return [1j * x2 / n, -1j * x1 / n]
+
+
+def mg_point(x1, x2, x3):
+    if x3 == 0:
+        return [0.0, 0.0, 0.0]
+    n2 = x1 * x1 + x2 * x2 + x3 * x3
+    den = x3 * x3 * n2 + x2**4
+    return [
+        (x2 * x3 * n2 + x1 * x2 * x2 * x3) / den,
+        (-x1 * x3 * n2 + x2**3 * x3) / den,
+        (-x2 * x2 * (x1 * x1 + x2 * x2)) / den,
+    ]
+
+
+def oracle(point_fn, pts):
+    return np.array([point_fn(*p) for p in pts.tolist()], dtype=complex)
+
+
+def probe_points(m):
+    """The claim sample, and points at the 1e6 scale of the arc search."""
+    ang = np.linspace(0.0, np.pi, 720, endpoint=False)
+    big = np.rint(1e6 * np.stack([np.cos(ang), np.sin(ang)], axis=1)).astype(np.int64)
+    if m.dim == 3:
+        big = np.random.default_rng(7).integers(-(10**6), 10**6, size=(720, 3))
+        big[::7, 2] = 0  # rows on the xi3 = 0 plane
+    return [np.array(claim_sample(m)), big[big.any(axis=1)]]
+
+
+@pytest.mark.parametrize("maker, point_fn", [(ipm2d, ipm2d_point), (ipm3d, ipm3d_point)])
+def test_ipm_symbols_are_bitwise_their_pointwise_formula(maker, point_fn):
+    m = maker()
+    for pts in probe_points(m):
+        got = m(pts)
+        assert got.shape == pts.shape
+        assert got.tobytes() == oracle(point_fn, pts).tobytes()
+        assert m(tuple(pts[3].tolist())).tobytes() == got[3].tobytes()
+
+
+@pytest.mark.parametrize("maker, point_fn", [(sqg, sqg_point), (mg, mg_point)])
+def test_diagnostic_symbols_agree_with_their_pointwise_formula(maker, point_fn):
+    m = maker()
+    for pts in probe_points(m):
+        with np.errstate(all="raise"):
+            got = m(pts)
+        # mg's float numerators cancel at the 1e6 scale, where the oracle's
+        # integers are exact
+        assert np.allclose(got, oracle(point_fn, pts), rtol=1e-13, atol=1e-13)
+
+
+def test_json_symbol_agrees_with_its_pointwise_formula(tmp_path):
+    # a cubic numerator with a complex coefficient over a quartic denominator
+    spec = {
+        "dim": 2,
+        "components": [
+            {"num": [[3, 1, 1.0, 0.5]], "den": [[4, 0, 1.0, 0.0], [0, 4, 2.0, 0.0]]},
+            {"num": [[1, 0, -1.0, 0.0]], "den": [[1, 0, 1.0, 0.0], [0, 1, 3.0, 0.0]]},
+        ],
+    }
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(spec))
+    m = load_multiplier(path)
+
+    def point(x1, x2):
+        return [
+            (1.0 + 0.5j) * x1**3 * x2 / (x1**4 + 2.0 * x2**4),
+            -x1 / (x1 + 3.0 * x2),
+        ]
+
+    for pts in probe_points(m):
+        pts = pts[pts[:, 0] + 3 * pts[:, 1] != 0]
+        assert np.allclose(m(pts), oracle(point, pts), rtol=1e-14, atol=0.0)
+
+
+def test_apply_T_calls_the_symbol_once():
+    calls = []
+
+    def sym(xi):
+        calls.append(xi.shape)
+        return ipm2d().symbol(xi)
+
+    theta = SpectralField.scalar(
+        2, {(0, 0): 1.0, (1, 2): 1.0, (-1, -2): 1.0, (3, 0): 0.5, (-3, 0): 0.5}, reality=True
+    )
+    u = apply_T(Multiplier(2, sym, "counted"), theta)
+    assert calls == [(4, 2)]
+    assert np.array_equal(u.amps, apply_T(ipm2d(), theta).amps)
+
+
+def test_check_claims_witness_is_the_first_failing_sample_point():
+    sample = [(1, 0), (0, 1), (2, 3), (-1, 4), (5, 5)]
+
+    def sym(xi):
+        # divergence free except on the points with x1 = -1 or 5
+        val = ipm2d().symbol(xi)
+        bad = (xi[..., 0] == -1) | (xi[..., 0] == 5)
+        return val + np.where(bad, 1.0, 0.0)[..., None]
+
+    report = check_claims(Multiplier(2, sym, "leaky"), sample=sample)
+    assert report["divergence_free"] == {
+        "pass": False,
+        "witness": (-1, 4),
+        "claimed": True,
+        "consistent": False,
+    }
+    assert report["homogeneous_deg0"]["witness"] == ((1, 0), 5)  # (5, 0) fails
+    assert report["not_odd"]["witness"] == (1, 0)
+    assert check_claims(sqg())["not_odd"]["witness"] is None
