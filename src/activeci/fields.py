@@ -353,18 +353,25 @@ def _sample_rows(field: SpectralField, N: int):
     into a zero block and finishes the later axes.  Every line goes through
     the same 1-D transform as in ``irfftn``, so real samples are bitwise
     ``irfftn(half) * N^d`` for power-of-two N.  Every block is a view of
-    one buffer, overwritten by the next block.
+    one buffer, overwritten by the next block.  A 1-D field has no later
+    axes: one transform along axis 0 gives its one block, the whole grid.
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
     d = field.dim
     last = N // 2 + 1 if field.reality else N
-    tail = (N,) * (d - 2) + (last,)  # the later axes, as the transform reads them
     freqs, amps = field.arrays()
     freqs = freqs % N
     if field.reality:  # the dropped half holds the conjugates of the kept one
         keep = freqs[:, -1] < last
         freqs, amps = freqs[keep], amps[keep]
+    if d == 1:  # axis 0 is the last axis: one transform, one block
+        spec = np.zeros(last, dtype=complex)
+        np.add.at(spec, freqs[:, 0], amps)
+        inverse = np.fft.irfft if field.reality else np.fft.ifft
+        yield 0, inverse(spec, N, norm="forward")
+        return
+    tail = (N,) * (d - 2) + (last,)  # the later axes, as the transform reads them
     occupied, col = np.unique(
         np.ravel_multi_index(tuple(freqs[:, 1:].T), tail), return_inverse=True
     )

@@ -10,6 +10,7 @@ beyond any desk run.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -24,14 +25,9 @@ from .fields import (
     fractional_laplacian,
     gradient,
     lp_norm_detailed,
-    mean_part,
-    multiply,
     nonzero_part,
-    divergence_defect,
     quadrature_grid,
     save_snapshot,
-    sobolev_norm,
-    besov_norm,
 )
 from .iteration import (
     ITEM4_PAIRS,
@@ -115,7 +111,11 @@ def _checked_multiplier(config: RunConfig) -> tuple:
     """``(m, claims)``: the configured symbol and the claims report it passed."""
     name = config.multiplier
     if name.startswith("file:"):
-        m = load_multiplier(name[len("file:") :])
+        path = name[len("file:") :]
+        try:
+            m = load_multiplier(path)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"cannot load multiplier file {path!r}: {type(exc).__name__}: {exc}") from exc
     elif name in _MULTIPLIERS:
         m = _MULTIPLIERS[name]()
     else:
@@ -192,32 +192,27 @@ def pairing(f: SpectralField, g: SpectralField) -> tuple:
 # -- inductive items ------------------------------------------------------
 
 
-def certify_items(
-    state: IterationState,
-    params: IterationParams,
-    kernel: ShellKernel,
-    grid_budget: int,
-) -> dict:
+def certify_items(state: IterationState, params: IterationParams) -> dict:
+    """The inductive items of one stage, read from the measurements the
+    iteration kept on the state; only item 5's theta L^1 is computed here."""
     q = state.q
     report = {"q": q}
+    entry = state.norm_history[-1]
 
     # item 1: mean-zero scalar, divergence-free drift (exact / 1e-13)
-    mean = abs(mean_part(state.theta))
-    div_u = divergence_defect(state.u)
     report["item1"] = {
-        "theta_mean": mean,
-        "div_u_rel": div_u,
-        "pass": bool(mean == 0.0 and div_u <= 1e-13),
+        "theta_mean": state.theta_mean,
+        "div_u_rel": state.div_u,
+        "pass": bool(state.theta_mean == 0.0 and state.div_u <= 1e-13),
         "tolerance": 1e-13,
     }
 
-    # item 2: relaxed-equation residual (exact up to roundoff), computed
-    # once per state by the iteration's own check
-    defect = state.norm_history[-1]["residual_defect"]
+    # item 2: relaxed-equation residual (exact up to roundoff)
+    defect = entry["residual_defect"]
     report["item2"] = {"residual_defect": defect, "pass": bool(defect <= 1e-10), "tolerance": 1e-10}
 
     # item 3: stress smallness, value + trend
-    r_hs = sobolev_norm(state.R, -params.s)
+    r_hs = entry["R_Hs"]
     target = 2.0**-q
     hist = [h for h in state.norm_history if h.get("ratio") is not None]
     report["item3"] = {
@@ -228,22 +223,18 @@ def certify_items(
         "trend_decreasing": bool(all(h["ratio"] < 1.0 for h in hist)) if hist else None,
     }
 
-    # item 4: increment norms in Besov/L^p with fitted geometric decay
+    # item 4: increment norms in Besov/L^p with fitted geometric decay; a
+    # degenerate increment records no Besov norm, and counts as 0
     item4 = {}
     for alpha, p in ITEM4_PAIRS:
-        vals = []
-        for inc in state.increments:
-            w = inc["w"]
-            if w.is_zero():
-                vals.append({"stage": inc["stage"], "besov": 0.0, "lp": 0.0})
-                continue
-            vals.append(
-                {
-                    "stage": inc["stage"],
-                    "besov": besov_norm(w, alpha, kernel, grid_budget),
-                    "lp": lp_norm_detailed(w, p, grid_budget)[0],
-                }
-            )
+        vals = [
+            {
+                "stage": inc["stage"],
+                "besov": h["w_besov"].get(str(alpha), 0.0),
+                "lp": inc["lp"][p][0],
+            }
+            for inc, h in zip(state.increments, state.norm_history[1:])
+        ]
         totals = [v["besov"] + v["lp"] for v in vals]
         rate = None
         positive = [t for t in totals if t > 0]
@@ -255,8 +246,8 @@ def certify_items(
     report["item4"] = item4
 
     # item 5: L^1 mass floor with the implemented delta
-    l1, l1_err = lp_norm_detailed(state.theta, 1.0, grid_budget)
-    l1_N, l1_resolved = quadrature_grid(state.theta, 1.0, grid_budget)
+    l1, l1_err = lp_norm_detailed(state.theta, 1.0, params.grid_budget)
+    l1_N, l1_resolved = quadrature_grid(state.theta, 1.0, params.grid_budget)
     floor = (1.0 + 2.0**-q) * params.delta
     report["item5"] = {
         "theta_L1": l1,
@@ -270,49 +261,17 @@ def certify_items(
     }
 
     # item 6: each increment confined to one dyadic shell plateau (exact scan)
-    shells = []
-    ok6 = True
-    for inc in state.increments:
-        w = inc["w"]
-        if w.is_zero():
-            shells.append({"stage": inc["stage"], "degenerate": True, "pass": True})
-            continue
-        lam = params.stage_lam(inc["stage"])
-        j = lam.bit_length() - 1
-        lo, hi = 2.0**j, (12.0 / 7.0) * 2.0**j
-        mags = w.radii()
-        inside = bool(np.all((mags >= lo - 1e-9) & (mags <= hi + 1e-9)))
-        plateau = bool(np.all(kernel.shell_weight(w.freqs, j) == 1.0))
-        shells.append(
-            {
-                "stage": inc["stage"],
-                "shell_index": j,
-                "min_freq": float(mags.min()),
-                "max_freq": float(mags.max()),
-                "pass": inside and plateau,
-            }
-        )
-        ok6 = ok6 and inside and plateau
-    report["item6"] = {"per_stage": shells, "pass": ok6}
+    shells = [inc["shell"] for inc in state.increments]
+    report["item6"] = {"per_stage": shells, "pass": all(s["pass"] for s in shells)}
 
-    # item 7: full paraproduct interaction matrix and partial sums
-    mat = {}
-    partial = []
-    running = 0.0
-    incs = state.increments
-    for n, inc_n in enumerate(incs, start=1):
-        for mth, inc_m in enumerate(incs, start=1):
-            wn, twm = inc_n["w"], inc_m["Tw"]
-            if wn.is_zero() or twm.is_zero():
-                val = 0.0
-            else:  # the diagonal is the product the step formed
-                val = sobolev_norm(inc_n["wTw"] if n == mth else multiply(wn, twm), -params.s)
-            mat[f"{n},{mth}"] = val
-        running = sum(v for v in mat.values())
-        partial.append(running)
+    # item 7: full paraproduct interaction matrix and its partial sums over
+    # whole rows, summed in row-major order
+    rows = state.interactions
+    running = list(itertools.accumulate(v for row in rows for v in row))
+    partial = [running[n * len(rows) - 1] for n in range(1, len(rows) + 1)]
     monotone = all(b >= a - 1e-15 for a, b in zip(partial, partial[1:]))
     report["item7"] = {
-        "matrix": mat,
+        "matrix": {f"{n},{m}": v for n, row in enumerate(rows, 1) for m, v in enumerate(row, 1)},
         "partial_sums": partial,
         "monotone_bounded": bool(monotone),
     }
@@ -436,11 +395,10 @@ def run(config: RunConfig) -> int:
 
     state = base_state(params, m, basis)
     stages = []
-    cancellations = []
     timing = {"start": t0}
 
     def record_stage(st, diag):
-        cert = certify_items(st, params, kernel, config.grid_budget)
+        cert = certify_items(st, params)
         weak = weak_form_test(st, psis, params)
         stage_dir = os.path.join(config.out, f"stage-{st.q}")
         os.makedirs(stage_dir, exist_ok=True)
@@ -465,15 +423,6 @@ def run(config: RunConfig) -> int:
         state, bundle = step(state, params, basis, m, kernel, profile)
         diag = oscillation_diagnostics(bundle, prev, params, basis, m)
         record_stage(state, diag)
-        cancellations.append(
-            {
-                "q": state.q,
-                "lam": bundle.lam,
-                "eps": bundle.eps,
-                "degenerate": bundle.degenerate,
-                **{k: diag.get(k) for k in ("ratio", "low_Hs", "high_Hs", "offdiag_Hs", "mean_cancellation_rel")},
-            }
-        )
 
     # R-pairing decay across stages per test function
     decay = {}
@@ -502,26 +451,15 @@ def run(config: RunConfig) -> int:
         basis.omega[0], profile, list(config.scaling_lams), config.scaling_eps, [1.0, 2.0, math.inf]
     )
     write_scaling_csv(scaling_rows, os.path.join(config.out, "scaling.csv"))
+    # one row per iteration stage: the schedule from its history entry, the
+    # cancellation measurements from its diagnostics
+    head = ("q", "lam", "eps", "degenerate")
+    tail = ("ratio", "low_Hs", "high_Hs", "offdiag_Hs", "mean_cancellation_rel")
     with open(os.path.join(config.out, "cancellation.csv"), "w") as fh:
-        fh.write("q,lam,eps,degenerate,ratio,low_Hs,high_Hs,offdiag_Hs,mean_cancellation_rel\n")
-        for row in cancellations:
-            fh.write(
-                ",".join(
-                    "" if row.get(k) is None else str(row.get(k))
-                    for k in (
-                        "q",
-                        "lam",
-                        "eps",
-                        "degenerate",
-                        "ratio",
-                        "low_Hs",
-                        "high_Hs",
-                        "offdiag_Hs",
-                        "mean_cancellation_rel",
-                    )
-                )
-                + "\n"
-            )
+        fh.write(",".join(head + tail) + "\n")
+        for st in stages[1:]:
+            row = [st["history"][k] for k in head] + [st["diagnostics"].get(k) for k in tail]
+            fh.write(",".join("" if v is None else str(v) for v in row) + "\n")
 
     exact_ok = all(s["items"]["exact_pass"] and s["weak_form"]["all_pass"] for s in stages)
     report = {

@@ -39,7 +39,6 @@ from .fields import (
     lp_norms,
     mean_part,
     multiply,
-    nonzero_part,
     quadrature_grid,
     sample,
     sobolev_norm,
@@ -115,8 +114,15 @@ class IterationState:
     u: SpectralField
     R: SpectralField
     norm_history: list = dc_field(default_factory=list)
-    increments: list = dc_field(default_factory=list)  # per stage: {w, Tw, wTw}
-    theta_u: SpectralField | None = None  # formed by the residual check
+    # per stage: {stage, w, Tw, lp: lp_norms of w, shell: item 6's scan}
+    increments: list = dc_field(default_factory=list)
+    # ||w_n T w_m||_{H^{-s}}: row n, column m, one per pair of increments
+    interactions: list = dc_field(default_factory=list)
+    # measured by the state check: |mean theta|, the divergence defect of u,
+    # and the product theta u
+    theta_mean: float | None = None
+    div_u: float | None = None
+    theta_u: SpectralField | None = None
 
 
 @dataclass
@@ -131,6 +137,7 @@ class PerturbationBundle:
     wTw: SpectralField
     degenerate: bool
     lp_report: dict
+    w_norms: dict  # {p: (norm, err)}: every L^p norm of w taken, item 4's included
 
 
 def _harmonic_survives(lam: int, j: int, knorm: int, r: Fraction) -> bool:
@@ -260,13 +267,15 @@ def residual_defect(theta, u, R, gamma) -> tuple:
 
 def _check_state(state: IterationState, gamma: float, m: Multiplier) -> float:
     """Raise unless the state obeys the exact invariants; returns the
-    relaxed-equation residual defect and keeps the product theta u it formed
-    on the state."""
-    if abs(mean_part(state.theta)) != 0.0:
+    relaxed-equation residual defect and keeps the other measurements it took
+    (|mean theta|, the divergence defect of u, the product theta u) on the
+    state."""
+    state.theta_mean = abs(mean_part(state.theta))
+    if state.theta_mean != 0.0:
         raise ValueError("theta must be mean-free")
-    div_u = divergence_defect(state.u)
-    if div_u > 1e-13:
-        raise ValueError(f"u not divergence free: defect {div_u:.3g}")
+    state.div_u = divergence_defect(state.u)
+    if state.div_u > 1e-13:
+        raise ValueError(f"u not divergence free: defect {state.div_u:.3g}")
     diff = (state.u - apply_T(m, state.theta)).max_amp()
     if diff > 1e-12 * max(state.u.max_amp(), 1e-300):
         raise ValueError(f"u != T theta: {diff:.3g}")
@@ -300,7 +309,8 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
     A = params.A
     for _ in range(64):
         theta, u, R = _base_fields(A, params, m)
-        if sobolev_norm(R, -params.s) < 1.0:
+        R_Hs = sobolev_norm(R, -params.s)
+        if R_Hs < 1.0:
             break
         A /= 2.0
     else:
@@ -315,7 +325,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
             "lam": None,
             "eps": None,
             "degenerate": False,
-            "R_Hs": sobolev_norm(R, -params.s),
+            "R_Hs": R_Hs,
             "theta_L1": lp_norm_detailed(theta, 1.0, params.grid_budget)[0],
             "A": A,
             "delta": params.delta,
@@ -499,13 +509,13 @@ def build_increment(
         if abs(mean_part(w)) != 0.0:
             raise SupportError("increment acquired a mean")
 
+    # one quadrature pass for every norm of w used later: the report's
+    # exponents, item 4's exponents and the sup behind its Besov norms (w
+    # sits on one shell plateau, so P_j w = w); all 0 when w vanishes
+    ps = set(LP_EXPONENTS) | {p for _, p in ITEM4_PAIRS} | {math.inf}
+    norms = lp_norms(w, sorted(ps), params.grid_budget)
     lp_report = {}
     if not w.is_zero():
-        # one quadrature pass for every norm of w used later: the report's
-        # exponents, item 4's exponents and the sup behind its Besov norms
-        # (w sits on one shell plateau, so P_j w = w)
-        ps = set(LP_EXPONENTS) | {p for _, p in ITEM4_PAIRS} | {math.inf}
-        norms = lp_norms(w, sorted(ps), params.grid_budget)
         for p in LP_EXPONENTS:
             norm, err = norms[p]
             target = lam ** ((1.0 - eps) * (0.5 - 1.0 / p))
@@ -529,10 +539,30 @@ def build_increment(
         wTw=multiply(w, Tw),
         degenerate=degenerate,
         lp_report=lp_report,
+        w_norms=norms,
     )
 
 
 # -- step -----------------------------------------------------------------
+
+
+def _shell_scan(w: SpectralField, stage: int, lam: int, kernel: ShellKernel) -> dict:
+    """Item 6's exact scan: is every frequency of the increment inside the
+    dyadic shell j = log2 lam and on its plateau?"""
+    if w.is_zero():
+        return {"stage": stage, "degenerate": True, "pass": True}
+    j = lam.bit_length() - 1
+    lo, hi = 2.0**j, (12.0 / 7.0) * 2.0**j
+    mags = w.radii()
+    inside = bool(np.all((mags >= lo - 1e-9) & (mags <= hi + 1e-9)))
+    plateau = bool(np.all(kernel.shell_weight(w.freqs, j) == 1.0))
+    return {
+        "stage": stage,
+        "shell_index": j,
+        "min_freq": float(mags.min()),
+        "max_freq": float(mags.max()),
+        "pass": inside and plateau,
+    }
 
 
 def step(
@@ -542,11 +572,15 @@ def step(
     m: Multiplier,
     kernel: ShellKernel,
     profile: Profile,
-    bundle: PerturbationBundle | None = None,
 ) -> tuple:
-    """Advance one stage; returns (new_state, bundle)."""
-    if bundle is None:
-        bundle = build_increment(state, params, basis, m, kernel, profile)
+    """Advance one stage; returns (new_state, bundle).
+
+    Each measurement of the new stage is taken once, while the stage is
+    built, and kept on the new state for certification to read: the history
+    entry, the increment record and the new row and column of the
+    interaction matrix.
+    """
+    bundle = build_increment(state, params, basis, m, kernel, profile)
     w, Tw, wTw = bundle.w, bundle.Tw, bundle.wTw
     theta1 = state.theta + w
     u1 = state.u + Tw
@@ -566,7 +600,7 @@ def step(
     defect = _check_state(new_state, params.gamma, m)
 
     ms = -params.s
-    prev = sobolev_norm(state.R, ms)
+    prev = state.norm_history[-1]["R_Hs"]
     cur = sobolev_norm(R1, ms)
     entry = {
         "q": new_state.q,
@@ -593,7 +627,22 @@ def step(
                 w, alpha, kernel, params.grid_budget
             )
     new_state.norm_history.append(entry)
-    new_state.increments.append({"w": w, "Tw": Tw, "wTw": wTw, "stage": new_state.q})
+
+    # the new column (w_n T w, n < q) and row (w T w_m, m < q) of the
+    # interaction matrix; its diagonal entry is wTw_Hs
+    col = [sobolev_norm(multiply(inc["w"], Tw), ms) for inc in state.increments]
+    row = [sobolev_norm(multiply(w, inc["Tw"]), ms) for inc in state.increments]
+    new_state.interactions = [r + [c] for r, c in zip(state.interactions, col)]
+    new_state.interactions.append(row + [entry["wTw_Hs"]])
+    new_state.increments.append(
+        {
+            "stage": new_state.q,
+            "w": w,
+            "Tw": Tw,
+            "lp": bundle.w_norms,
+            "shell": _shell_scan(w, new_state.q, bundle.lam, kernel),
+        }
+    )
     return new_state, bundle
 
 
@@ -640,7 +689,7 @@ def oscillation_diagnostics(
             if ka != kb:
                 offdiag = offdiag + multiply(wa, twb)
 
-    prev_norm = sobolev_norm(state.R, ms)
+    prev_norm = state.norm_history[-1]["R_Hs"]
     resid = state.R + low
     ratio = sobolev_norm(resid, ms) / prev_norm if prev_norm > 0 else None
 

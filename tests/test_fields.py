@@ -345,6 +345,7 @@ def test_analyze_real_grid_with_nyquist_content(values):
     nyq = (2,) + (0,) * (values.ndim - 1)
     assert abs(g.coefficient(nyq) - 0.5) < 1e-15
     assert abs(g.coefficient(tuple(-c for c in nyq)) - 0.5) < 1e-15
+    assert np.allclose(sample(g, 4), values, atol=1e-15)
 
 
 @pytest.mark.parametrize("transpose", [False, True])
@@ -439,6 +440,8 @@ def dense_samples(f, N):
 @pytest.mark.parametrize(
     "dim,N,radius",
     [
+        (1, 8, 7),
+        (1, 16, 8),  # frequencies +-8 meet in the Nyquist bin
         (2, 8, 7),  # every axis wraps
         (2, 16, 8),  # last-axis frequencies +-8 meet in the Nyquist column
         (2, 512, 300),  # several row blocks
@@ -452,7 +455,9 @@ def test_sample_real_bitwise_dense_irfftn(dim, N, radius):
     assert np.array_equal(sample(f, N), dense_samples(f, N))
 
 
-@pytest.mark.parametrize("dim,N,radius", [(2, 8, 7), (2, 512, 300), (3, 16, 9), (3, 64, 40)])
+@pytest.mark.parametrize(
+    "dim,N,radius", [(1, 8, 7), (1, 64, 40), (2, 8, 7), (2, 512, 300), (3, 16, 9), (3, 64, 40)]
+)
 def test_sample_complex_matches_dense(dim, N, radius):
     rng = np.random.default_rng(dim * N)
     entries = {
@@ -495,6 +500,8 @@ def dense_norms(f, N):
 @pytest.mark.parametrize(
     "dim,N",
     [
+        (1, 64),
+        (1, 99),  # odd N: the subgrid has 50 points
         (2, 16),  # one block
         (2, 384),  # blocks of 170 rows: the last one is short
         (2, 999),  # odd N: the subgrid has 500 points per axis

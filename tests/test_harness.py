@@ -1,6 +1,7 @@
 """End-to-end harness: config, multiplier gating, weak form, artifacts, CLI."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,20 +10,33 @@ import numpy as np
 import pytest
 
 import activeci
+from activeci import fields, harness
 from activeci.cli import config_from_args, main
 from activeci.directions import build_basis
-from activeci.fields import SpectralField, gradient
+from activeci.fields import (
+    SpectralField,
+    besov_norm,
+    divergence_defect,
+    gradient,
+    lp_norm_detailed,
+    mean_part,
+    multiply,
+    sobolev_norm,
+)
 from activeci.harness import (
     ConfigError,
     RunConfig,
     build_test_functions,
+    certify_items,
     pairing,
     resolve_multiplier,
     run,
     weak_form_test,
 )
-from activeci.iteration import base_state, make_params
+from activeci.iteration import ITEM4_PAIRS, base_state, make_params, step
+from activeci.kernels import ShellKernel
 from activeci.multipliers import ipm2d
+from activeci.slabs import build_profile
 
 
 def fast_config(out, **kw):
@@ -108,6 +122,88 @@ def test_weak_form_on_base_state():
         if label == "all_pass":
             continue
         assert rec["defect_rel"] <= 1e-10
+
+
+@pytest.fixture(scope="module", params=[(256, 2), (64, 16)], ids=["lam256-512", "degenerate-lam64"])
+def two_stages(request):
+    """base_state -> step -> step from lambda1 with the given stage factor:
+    ``(params, kernel, states, bundles)``.  At lambda 64 the first increment
+    vanishes."""
+    lambda1, lam_step = request.param
+    m = ipm2d()
+    basis = build_basis(m, supplied=((4, 3), (4, -3)))
+    params = make_params(basis, lambda1=lambda1, qmax=2, grid_budget=1024, lam_step=lam_step)
+    kernel, profile = ShellKernel(r=float(params.r)), build_profile()
+    states, bundles = [base_state(params, m, basis)], []
+    for _ in range(2):
+        st, bundle = step(states[-1], params, basis, m, kernel, profile)
+        states.append(st)
+        bundles.append(bundle)
+    return params, kernel, states, bundles
+
+
+def fresh(f):
+    """The same field without its memoized quadratures."""
+    return SpectralField(f.dim, f.rank, f.freqs, f.amps, f.reality)
+
+
+def brute_shell_scan(stage, bundle, kernel):
+    if bundle.w.is_zero():
+        return {"stage": stage, "degenerate": True, "pass": True}
+    j = bundle.lam.bit_length() - 1
+    mags = [math.sqrt(sum(c * c for c in xi)) for xi in bundle.w.freqs.tolist()]
+    inside = min(mags) >= 2**j - 1e-9 and max(mags) <= 12 / 7 * 2**j + 1e-9
+    plateau = all(kernel.shell_weight(bundle.w.freqs, j) == 1.0)
+    return {
+        "stage": stage,
+        "shell_index": j,
+        "min_freq": min(mags),
+        "max_freq": max(mags),
+        "pass": inside and plateau,
+    }
+
+
+def test_certify_items_agrees_with_brute_force(two_stages):
+    params, kernel, states, bundles = two_stages
+    ms, budget = -params.s, params.grid_budget
+    for st in states:
+        report = certify_items(st, params)
+        incs = list(enumerate(bundles[: st.q], start=1))
+        assert report["item1"]["theta_mean"] == abs(mean_part(st.theta))
+        assert report["item1"]["div_u_rel"] == divergence_defect(st.u)
+        assert report["item3"]["R_Hs"] == sobolev_norm(st.R, ms)
+        for alpha, p in ITEM4_PAIRS:
+            assert report["item4"][f"alpha={alpha},p={p}"]["per_stage"] == [
+                {
+                    "stage": n,
+                    "besov": besov_norm(fresh(b.w), alpha, kernel, budget),
+                    "lp": lp_norm_detailed(fresh(b.w), p, budget)[0],
+                }
+                for n, b in incs
+            ]
+        assert report["item6"]["per_stage"] == [brute_shell_scan(n, b, kernel) for n, b in incs]
+        matrix = {
+            f"{n},{k}": sobolev_norm(multiply(bn.w, bk.Tw), ms) for n, bn in incs for k, bk in incs
+        }
+        assert report["item7"]["matrix"] == matrix
+        values = list(matrix.values())  # row-major
+        assert report["item7"]["partial_sums"] == [sum(values[: n * st.q]) for n, _ in incs]
+
+
+def test_certify_items_only_reads_the_stage_record(two_stages, monkeypatch):
+    params, _, states, _ = two_stages
+    calls = []
+    for name in ("multiply", "sobolev_norm", "besov_norm", "divergence_defect"):
+
+        def counted(*args, _name=name, _original=getattr(fields, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (fields, harness):
+            monkeypatch.setattr(module, name, counted, raising=False)
+    for st in states:
+        certify_items(st, params)
+    assert calls == []
 
 
 @pytest.fixture(scope="module")
@@ -218,9 +314,16 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     [
         ["--lambda1", "100"],  # not a power of two
         ["--multiplier", "ipm3d", "--dim", "3"],  # 3-D needs a supplied basis
+        ["--multiplier", "file:{dir}/missing.json"],
+        ["--multiplier", "file:{dir}/malformed.json"],
+        ["--multiplier", "file:{dir}/one_component.json"],  # d = 2 needs two
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
+    (tmp_path / "malformed.json").write_text("{not json")
+    one = {"dim": 2, "components": [{"num": [[0, 0, 1.0, 0.0]]}]}
+    (tmp_path / "one_component.json").write_text(json.dumps(one))
+    argv = [a.format(dir=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
