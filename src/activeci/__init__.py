@@ -15,7 +15,6 @@ from .fields import (
     sample,
     shell_project,
     sobolev_norm,
-    synthesize,
 )
 from .kernels import ShellKernel
 from .multipliers import Multiplier, apply_T, check_claims, even_part, ipm2d, ipm3d, load_multiplier, mg, sqg
@@ -46,7 +45,6 @@ __all__ = [
     "sample",
     "shell_project",
     "sobolev_norm",
-    "synthesize",
     "ShellKernel",
     "Multiplier",
     "apply_T",

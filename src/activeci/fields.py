@@ -9,8 +9,9 @@ frequencies in lexicographic order and the amplitudes in the same order, both
 read-only.  Every operation works on these arrays and returns a new field;
 filters and multipliers go through one coefficientwise weighting,
 :meth:`SpectralField.weighted`.  Dense arrays appear only in large products
-(cluster boxes) and in ``sample``, for callers that need a whole grid
-(``synthesize``, the stress in ``amplitudes``).
+(cluster boxes) and in ``sample``/``analyze``, the grid round trip of the
+amplitudes.  Every field put on a grid is real: sampling and analysis take
+real fields and real grids only.
 
 L^p and Besov quadrature streams the grid instead: ``_sample_rows`` runs the
 inverse DFT along axis 0 only on the lines that hold a coefficient, then
@@ -29,7 +30,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -38,9 +38,7 @@ from .kernels import ShellKernel
 
 __all__ = [
     "SpectralField",
-    "GridBuffer",
     "SupportError",
-    "synthesize",
     "analyze",
     "multiply",
     "divergence_defect",
@@ -94,15 +92,6 @@ def _fast_len(n: int) -> int:
 def _above(mags, rel=PRUNE_REL):
     """Mask of magnitudes above ``rel`` times their maximum along axis 0."""
     return mags > rel * mags.max(axis=0)
-
-
-@dataclass
-class GridBuffer:
-    """Samples of a field at x = j/N, j in {0..N-1}^d."""
-
-    dim: int
-    N: int
-    values: np.ndarray  # shape (N,)*dim, complex or real; vector: (d,) + (N,)*dim
 
 
 def _strides(span):
@@ -196,16 +185,6 @@ class SpectralField:
     def zero(cls, dim, rank=0):
         return cls(dim, rank, (), (), reality=True)
 
-    @classmethod
-    def from_components(cls, comps):
-        """Vector field whose i-th component is the scalar field comps[i]."""
-        freqs, inv = _unique_rows(np.concatenate([c.freqs for c in comps]))
-        amps = np.zeros((len(freqs), len(comps)), dtype=complex)
-        ends = np.cumsum([len(c) for c in comps])
-        for i, (c, end) in enumerate(zip(comps, ends)):
-            amps[inv[end - len(c) : end], i] = c.amps
-        return cls(comps[0].dim, 1, freqs, amps, all(c.reality for c in comps)).pruned()
-
     # -- basic queries ----------------------------------------------------
 
     def __len__(self):
@@ -222,10 +201,6 @@ class SpectralField:
 
     def component(self, i):
         return SpectralField(self.dim, 0, self.freqs, self.amps[:, i], self.reality).pruned()
-
-    def arrays(self):
-        """The stored ``(freqs, amps)``."""
-        return self.freqs, self.amps
 
     def radii(self):
         """Euclidean |xi| of each stored frequency."""
@@ -346,30 +321,29 @@ def _sample_rows(field: SpectralField, N: int):
     and an even row count, so that every block starts at an even row.
 
     The inverse DFT runs in numpy's ``irfftn`` order: axis 0 first, then the
-    later axes, the last one by ``irfft`` over the half spectrum for
-    Hermitian (``reality``) fields.  Axis 0 is transformed only along the
-    lines whose later-axis indices hold a coefficient, gathered in an
-    (N, #occupied) array; each block then scatters its rows of those lines
-    into a zero block and finishes the later axes.  Every line goes through
-    the same 1-D transform as in ``irfftn``, so real samples are bitwise
-    ``irfftn(half) * N^d`` for power-of-two N.  Every block is a view of
-    one buffer, overwritten by the next block.  A 1-D field has no later
-    axes: one transform along axis 0 gives its one block, the whole grid.
+    later axes, the last one by ``irfft`` over the half spectrum.  Axis 0 is
+    transformed only along the lines whose later-axis indices hold a
+    coefficient, gathered in an (N, #occupied) array; each block then
+    scatters its rows of those lines into a zero block and finishes the
+    later axes.  Every line goes through the same 1-D transform as in
+    ``irfftn``, so the samples are bitwise ``irfftn(half) * N^d`` for
+    power-of-two N.  Every block is a view of one buffer, overwritten by the
+    next block.  A 1-D field has no later axes: one ``irfft`` along axis 0
+    gives its one block, the whole grid.
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
+    if not field.reality:
+        raise ValueError("only real fields are sampled")
     d = field.dim
-    last = N // 2 + 1 if field.reality else N
-    freqs, amps = field.arrays()
-    freqs = freqs % N
-    if field.reality:  # the dropped half holds the conjugates of the kept one
-        keep = freqs[:, -1] < last
-        freqs, amps = freqs[keep], amps[keep]
+    last = N // 2 + 1
+    freqs = field.freqs % N
+    keep = freqs[:, -1] < last  # the dropped half holds the conjugates of the kept one
+    freqs, amps = freqs[keep], field.amps[keep]
     if d == 1:  # axis 0 is the last axis: one transform, one block
         spec = np.zeros(last, dtype=complex)
         np.add.at(spec, freqs[:, 0], amps)
-        inverse = np.fft.irfft if field.reality else np.fft.ifft
-        yield 0, inverse(spec, N, norm="forward")
+        yield 0, np.fft.irfft(spec, N, norm="forward")
         return
     tail = (N,) * (d - 2) + (last,)  # the later axes, as the transform reads them
     occupied, col = np.unique(
@@ -380,84 +354,66 @@ def _sample_rows(field: SpectralField, N: int):
     lines = np.fft.ifft(lines, axis=0, norm="forward")
     rows = min(N, max(2, _BLOCK_POINTS // N ** (d - 1) // 2 * 2))
     spec = np.zeros((rows, math.prod(tail)), dtype=complex)
-    out = np.empty((rows,) + (N,) * (d - 1), dtype=float if field.reality else complex)
+    out = np.empty((rows,) + (N,) * (d - 1))
     for i in range(0, N, rows):
         n = min(rows, N - i)
         spec[:n, occupied] = lines[i : i + n]  # the other columns stay zero
         block = spec[:n].reshape((n,) + tail)
         for ax in range(1, d - 1):
             block = np.fft.ifft(block, axis=ax, norm="forward")
-        if field.reality:
-            np.fft.irfft(block, N, axis=-1, norm="forward", out=out[:n])
-        else:
-            np.fft.ifft(block, axis=-1, norm="forward", out=out[:n])
+        np.fft.irfft(block, N, axis=-1, norm="forward", out=out[:n])
         yield i, out[:n]
 
 
 def sample(field: SpectralField, N: int) -> np.ndarray:
-    """Exact samples of the field at the N^d grid points, for callers that
-    need the whole grid (``synthesize``, the stress in ``amplitudes``); the
-    norms stream :func:`_sample_rows` instead.
+    """Exact samples of a real field at the N^d grid points, shape (N,)*d
+    for a scalar and (d,) + (N,)*d for a vector field, for callers that need
+    the whole grid (the stress in ``amplitudes``); the norms stream
+    :func:`_sample_rows` instead.
 
-    Hermitian (``reality``) fields give real samples through a real inverse
-    FFT over the half spectrum; other fields give complex samples.  Wrapping
-    frequencies mod N leaves grid-point values exact because
+    Wrapping frequencies mod N leaves grid-point values exact because
     e^{2 pi i xi j / N} only depends on xi mod N; only coefficient recovery
     requires an unaliased grid.
     """
     comps = [field.component(c) for c in range(field.dim)] if field.rank else [field]
-    out = np.empty((len(comps),) + (N,) * field.dim, dtype=float if field.reality else complex)
+    out = np.empty((len(comps),) + (N,) * field.dim)
     for grid, comp in zip(out, comps):
         for i, block in _sample_rows(comp, N):
             grid[i : i + len(block)] = block
     return out if field.rank else out[0]
 
 
-def synthesize(field: SpectralField, N: int) -> GridBuffer:
-    """Inverse-transform the field onto an N^d grid.
+def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
+    """Recover the sparse coefficient map of a real scalar field from its
+    samples at x = j/N, j in {0..N-1}^d: a real (N,)*d array.
 
-    Requires N to exceed twice the field's max frequency magnitude so that
-    ``analyze`` recovers the coefficients exactly.
+    The spectrum is Hermitian once each coefficient on a Nyquist line (-N/2
+    on some axis, even N) is split evenly over -N/2 and +N/2 on that axis;
+    the N-grid samples stay the same.
     """
-    if N <= 2 * field.max_freq:
-        raise SupportError(
-            f"grid N={N} cannot resolve max frequency {field.max_freq:.1f}"
-        )
-    return GridBuffer(field.dim, N, sample(field, N))
-
-
-def analyze(grid: GridBuffer, rel=PRUNE_REL) -> SpectralField:
-    """Recover the sparse coefficient map from grid samples."""
-    values = np.asarray(grid.values)
-    if values.ndim == grid.dim + 1:  # vector field, leading component axis
-        comps = [
-            analyze(GridBuffer(grid.dim, grid.N, values[i]), rel)
-            for i in range(values.shape[0])
-        ]
-        return SpectralField.from_components(comps)
-    N = grid.N
-    arr = np.fft.fftn(values) / N**grid.dim
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError("only real grids are analyzed")
+    dim, N = values.ndim, values.shape[0]
+    if values.shape != (N,) * dim:
+        raise ValueError(f"samples of shape {values.shape} are not one scalar N^d grid")
+    arr = np.fft.fftn(values) / N**dim
     mags = np.abs(arr)
     scale = mags.max()
     if scale == 0.0:
-        return SpectralField.zero(grid.dim, 0)
+        return SpectralField.zero(dim, 0)
     idx = np.argwhere(mags > rel * scale)
     centered = ((idx + N // 2) % N) - N // 2
     amps = arr[tuple(idx.T)]
-    if np.isrealobj(values):
-        # real samples have a Hermitian spectrum once each coefficient on a
-        # Nyquist line (-N/2 on some axis, even N) is split evenly over -N/2
-        # and +N/2 on that axis; the N-grid samples stay the same
-        for ax in range(grid.dim if N % 2 == 0 else 0):
-            on = centered[:, ax] == -N // 2
-            if on.any():
-                half = amps[on] / 2
-                amps = np.concatenate((np.where(on, amps / 2, amps), half))
-                mirror = centered[on]
-                mirror[:, ax] = N // 2
-                centered = np.concatenate((centered, mirror))
-        return SpectralField._summed(grid.dim, 0, centered, amps, True)
-    return SpectralField.from_entries(grid.dim, 0, centered, amps)
+    for ax in range(dim if N % 2 == 0 else 0):
+        on = centered[:, ax] == -N // 2
+        if on.any():
+            half = amps[on] / 2
+            amps = np.concatenate((np.where(on, amps / 2, amps), half))
+            mirror = centered[on]
+            mirror[:, ax] = N // 2
+            centered = np.concatenate((centered, mirror))
+    return SpectralField._summed(dim, 0, centered, amps, True)
 
 
 # -- products -------------------------------------------------------------
@@ -603,9 +559,8 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
         raise ValueError("vector x vector products are not defined here")
     if f.is_zero() or g.is_zero():
         return SpectralField.zero(f.dim, g.rank)
-    ff, af = f.arrays()
-    fg, ag = g.arrays()
-    ag = ag.reshape(len(fg), -1)  # one amplitude column per component
+    ff, af = f.freqs, f.amps
+    fg, ag = g.freqs, g.amps.reshape(len(g), -1)  # one amplitude column per component
     if g.rank == 0:
         keep = np.ones(ag.shape, dtype=bool)
     else:
@@ -680,9 +635,8 @@ def divergence_defect(u: SpectralField) -> float:
         raise ValueError("divergence defect of vector fields only")
     if u.is_zero():
         return 0.0
-    freqs, amps = u.arrays()
-    freqs = freqs.astype(float)
-    amps = np.max(np.abs(amps), axis=1)
+    freqs = u.freqs.astype(float)
+    amps = np.max(np.abs(u.amps), axis=1)
     scale = 2.0 * np.pi * float(np.max(np.linalg.norm(freqs, axis=1) * amps))
     if scale == 0.0:
         return 0.0
@@ -812,14 +766,13 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     Uses the bare Euclidean |xi| without 2 pi factors, matching the space's
     definition (the fractional Laplacian, by contrast, uses |2 pi xi|).
     """
-    freqs, amps = f.arrays()
-    freqs = freqs.astype(float)
+    freqs = f.freqs.astype(float)
     mag2 = np.sum(freqs * freqs, axis=1)
     keep = mag2 > 0
     if f.rank == 0:
-        amp2 = np.abs(amps) ** 2
+        amp2 = np.abs(f.amps) ** 2
     else:
-        amp2 = np.sum(np.abs(amps) ** 2, axis=1)
+        amp2 = np.sum(np.abs(f.amps) ** 2, axis=1)
     total = float(np.sum(mag2[keep] ** s * amp2[keep]))
     return math.sqrt(total)
 
@@ -858,10 +811,9 @@ SNAPSHOT_VERSION = 1
 def field_to_snapshot(f: SpectralField) -> dict:
     """JSON-ready dict of a field: one row per frequency in sorted order, the
     frequency followed by the real and imaginary part of each component."""
-    freqs, amps = f.arrays()
     width = 2 * (f.dim if f.rank else 1)
-    parts = amps.view(np.float64).reshape(len(freqs), width).tolist()  # -0.0 kept
-    entries = [xi + a for xi, a in zip(freqs.tolist(), parts)]
+    parts = f.amps.view(np.float64).reshape(len(f), width).tolist()  # -0.0 kept
+    entries = [xi + a for xi, a in zip(f.freqs.tolist(), parts)]
     return {
         "version": SNAPSHOT_VERSION,
         "d": f.dim,

@@ -97,6 +97,10 @@ class RunConfig:
             raise ConfigError(f"gamma = {self.gamma} must lie in (0, 2]")
         if self.qmax < 0:
             raise ConfigError("qmax must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed = {self.seed} must be >= 0")
+        if self.grid_budget < 1:
+            raise ConfigError(f"grid_budget = {self.grid_budget} must be >= 1")
 
 
 @dataclass
@@ -375,6 +379,7 @@ def run(config: RunConfig) -> int:
     t0 = time.time()
     os.makedirs(config.out, exist_ok=True)
     m, claims = _checked_multiplier(config)
+    profile = build_profile()
     try:
         basis = build_basis(m, supplied=config.supplied_basis, margin=config.gamma_margin)
         params = make_params(
@@ -387,10 +392,16 @@ def run(config: RunConfig) -> int:
             lambda1=config.lambda1,
             grid_budget=config.grid_budget,
         )
-    except ValueError as exc:  # the basis or schedule the config asks for
+        # the slab table needs no stage, so a bad scaling_eps or scaling_lams
+        # stops the run before the first one
+        scaling_rows = certify_scaling(
+            basis.omega[0], profile, list(config.scaling_lams), config.scaling_eps, [1.0, 2.0, math.inf]
+        )
+    except ValueError as exc:  # the basis, schedule or slab table the config asks for
         raise ConfigError(str(exc)) from exc
+    except TypeError as exc:  # e.g. a string lambda1 or a number as supplied_basis
+        raise ConfigError(f"config value of the wrong type: {exc}") from exc
     kernel = ShellKernel(r=float(params.r))
-    profile = build_profile()
     psis = build_test_functions(config.d, config.seed)
 
     state = base_state(params, m, basis)
@@ -447,9 +458,6 @@ def run(config: RunConfig) -> int:
             else None,
         }
 
-    scaling_rows = certify_scaling(
-        basis.omega[0], profile, list(config.scaling_lams), config.scaling_eps, [1.0, 2.0, math.inf]
-    )
     write_scaling_csv(scaling_rows, os.path.join(config.out, "scaling.csv"))
     # one row per iteration stage: the schedule from its history entry, the
     # cancellation measurements from its diagnostics

@@ -25,9 +25,9 @@ import numpy as np
 
 from .directions import DirectionBasis
 from .fields import (
-    GridBuffer,
     SpectralField,
     SupportError,
+    _next_pow2,
     analyze,
     besov_norm,
     divergence,
@@ -400,10 +400,7 @@ def amplitudes(
     d = params.d
     band = int(np.max(R.max_axis_freq()))
     trunc = min(8 * max(1, int(math.ceil(R.max_freq))), params.grid_budget // 8)
-    N = 8
-    while N < max(2 * band + 2, 2 * trunc + 2):
-        N *= 2
-    N = min(N, params.grid_budget)
+    N = min(max(8, _next_pow2(2 * max(band, trunc) + 2)), params.grid_budget)
 
     grid = sample(R, N)  # shape (d,) + (N,)*d
     pts = grid.reshape(d, -1).T  # (N^d, d)
@@ -424,7 +421,7 @@ def amplitudes(
     out = {}
     for col, k in enumerate(basis.omega):
         a_grid = (pref * np.sqrt(coef[:, col])).reshape((N,) * d)
-        a_full = analyze(GridBuffer(d, N, a_grid))
+        a_full = analyze(a_grid)
         inside = a_full.radii() <= trunc
         a = a_full.weighted(inside)
         mass = np.abs(a_full.amps) ** 2

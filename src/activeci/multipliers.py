@@ -251,6 +251,16 @@ def _poly_eval(monomials, xi):
     return total
 
 
+def _is_poly(monomials, d) -> bool:
+    """Whether ``monomials`` is a list of monomials of d + 2 numbers each."""
+    return isinstance(monomials, list) and all(
+        isinstance(mono, list)
+        and len(mono) == d + 2
+        and all(isinstance(v, (int, float)) for v in mono)
+        for mono in monomials
+    )
+
+
 def load_multiplier(path) -> Multiplier:
     """Load a user-defined rational symbol from its declarative JSON file."""
     with open(path) as fh:
@@ -259,6 +269,12 @@ def load_multiplier(path) -> Multiplier:
     comps = data["components"]
     if len(comps) != dim:
         raise ValueError("component count must equal the dimension")
+    for i, c in enumerate(comps):
+        if not (isinstance(c, dict) and _is_poly(c.get("num"), dim) and _is_poly(c.get("den", []), dim)):
+            raise ValueError(
+                f"component {i} must be an object whose num and optional den "
+                f"are lists of monomials of {dim + 2} numbers"
+            )
 
     def sym(xi, comps=comps):
         one = [[0] * dim + [1.0, 0.0]]

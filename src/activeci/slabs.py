@@ -215,7 +215,10 @@ def _line_norm(spec: SlabSpec, p: float, pts_per_copy: int = 256) -> float:
 def certify_scaling(k, profile: Profile, lam_list, eps: float, p_list) -> list:
     """Measure ||rho||_{L^p} across scales and fit log-log slopes against the
     target exponent (1-eps)(1/2 - 1/p).  Returns report rows; deviations are
-    entries, never errors."""
+    entries, never errors.  ValueError when fewer than two frequencies are
+    given, since no slope can be fitted."""
+    if len(lam_list) < 2:
+        raise ValueError(f"a slope fit needs at least two frequencies, got {list(lam_list)}")
     rows = []
     for p in p_list:
         pf = float(p)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from activeci import fields
 from activeci.fields import (
-    GridBuffer,
     SpectralField,
     analyze,
     besov_norm,
@@ -33,7 +32,6 @@ from activeci.fields import (
     save_snapshot,
     shell_project,
     sobolev_norm,
-    synthesize,
 )
 from activeci.kernels import ShellKernel
 
@@ -42,8 +40,16 @@ def cos_field(freq, amp=1.0):
     """Real field amp*cos(2 pi freq . x) as a hermitian coefficient pair."""
     neg = tuple(-c for c in freq)
     return SpectralField.scalar(
-        2, {freq: amp / 2.0, neg: amp / 2.0}, reality=True
+        len(freq), {freq: amp / 2.0, neg: amp / 2.0}, reality=True
     )
+
+
+def vector_of(comps):
+    """Vector field whose i-th component is the scalar field comps[i]."""
+    d = comps[0].dim
+    freqs = np.concatenate([c.freqs for c in comps])
+    amps = np.concatenate([np.outer(c.amps, np.eye(d)[i]) for i, c in enumerate(comps)])
+    return SpectralField.from_entries(d, 1, freqs, amps)
 
 
 # -- hypothesis strategies -------------------------------------------------
@@ -132,8 +138,7 @@ def test_snapshot_keeps_its_saved_reality_flag():
 
 def test_storage_is_sorted_read_only_arrays():
     f = SpectralField.scalar(2, {(1, 0): 2.0, (-1, 3): 1j, (-1, -2): 0.5})
-    freqs, amps = f.arrays()
-    assert freqs is f.freqs and amps is f.amps
+    freqs, amps = f.freqs, f.amps
     assert freqs.tolist() == [[-1, -2], [-1, 3], [1, 0]]
     assert amps.tolist() == [0.5, 1j, 2.0]
     v = SpectralField.vector(3, {(0, 0, 1): [1, 2, 3]})
@@ -203,14 +208,8 @@ def test_multiply_matches_grid_path(f, g):
     # sparse convolution vs dealiased grid product
     fg = multiply(f, g)
     band = int(math.ceil(f.max_freq + g.max_freq))
-    N = 1
-    while N < 2 * band + 2:
-        N *= 2
-    N = max(N, 8)
-    grid = synthesize(f, N).values * synthesize(g, N).values
-    from activeci.fields import GridBuffer
-
-    via_grid = analyze(GridBuffer(2, N, grid))
+    N = max(8, fields._next_pow2(2 * band + 2))
+    via_grid = analyze(sample(f, N) * sample(g, N))
     diff = (fg - via_grid).pruned(rel=1e-12)
     scale = max(fg.max_amp(), 1e-30)
     assert diff.is_zero() or diff.max_amp() < 1e-12 * scale
@@ -238,13 +237,11 @@ def product_cases(rng):
         (random_hermitian(rng, 3, 8, 3), random_hermitian(rng, 3, 8, 2)),
         (
             random_hermitian(rng, 2, 10, 4, (200, 70)),
-            SpectralField.from_components(
-                [random_hermitian(rng, 2, 7, 4), random_hermitian(rng, 2, 5, 6)]
-            ),
+            vector_of([random_hermitian(rng, 2, 7, 4), random_hermitian(rng, 2, 5, 6)]),
         ),
         (
             random_hermitian(rng, 3, 6, 3),
-            SpectralField.from_components([random_hermitian(rng, 3, 5, 2) for _ in range(3)]),
+            vector_of([random_hermitian(rng, 3, 5, 2) for _ in range(3)]),
         ),
     ]
 
@@ -323,11 +320,33 @@ def test_multiply_scalar_vector():
 # -- transforms ------------------------------------------------------------
 
 
-def test_synthesize_analyze_roundtrip():
-    f = cos_field((3, 2), amp=1.7) + cos_field((1, 0), amp=-0.4)
-    g = analyze(synthesize(f, 16))
+@pytest.mark.parametrize(
+    "f",
+    [
+        cos_field((3,), amp=1.7) + cos_field((1,), amp=-0.4),
+        cos_field((3, 2), amp=1.7) + cos_field((1, 0), amp=-0.4),
+        cos_field((3, 2, -1), amp=1.7) + cos_field((1, 0, 2), amp=-0.4),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_sample_analyze_roundtrip(f):
+    g = analyze(sample(f, 16))
+    assert g.reality and g.dim == f.dim
     diff = (f - g).pruned(rel=1e-13)
     assert diff.is_zero() or diff.max_amp() < 1e-13
+
+
+def test_grid_layer_takes_real_fields_only():
+    f = SpectralField.scalar(2, {(1, 0): 1.0, (2, 3): 0.5j})
+    assert not f.reality
+    for call in (lambda: sample(f, 8), lambda: lp_norms(f, (1.0,), 8)):
+        with pytest.raises(ValueError, match="real"):
+            call()
+    with pytest.raises(ValueError, match="real"):
+        analyze(np.ones((8, 8), dtype=complex))
+    v = vector_of([cos_field((1, 0)), cos_field((0, 2))])
+    with pytest.raises(ValueError, match="scalar"):
+        analyze(sample(v, 8))  # shape (2, 8, 8)
 
 
 @pytest.mark.parametrize(
@@ -340,7 +359,7 @@ def test_synthesize_analyze_roundtrip():
 def test_analyze_real_grid_with_nyquist_content(values):
     # for even N a Nyquist-line coefficient is split evenly over -N/2 and
     # +N/2, so the spectrum is Hermitian
-    g = analyze(GridBuffer(values.ndim, 4, values))
+    g = analyze(values)
     assert g.reality and g.is_hermitian()
     nyq = (2,) + (0,) * (values.ndim - 1)
     assert abs(g.coefficient(nyq) - 0.5) < 1e-15
@@ -353,7 +372,7 @@ def test_analyze_nyquist_line_samples_on_a_finer_grid(transpose):
     # (-1)^j on a 4x4 grid: the split coefficient must neither vanish (last
     # axis, half-spectrum transform) nor double (axis 0) on an 8x8 grid
     values = np.ones((4, 1)) * (-1.0) ** np.arange(4)
-    g = analyze(GridBuffer(2, 4, values.T if transpose else values))
+    g = analyze(values.T if transpose else values)
     x = np.stack(np.meshgrid(np.arange(8) / 8, np.arange(8) / 8, indexing="ij"), axis=-1)
     direct = np.exp(2j * np.pi * x @ g.freqs.T) @ g.amps
     assert np.allclose(sample(g, 8), direct, atol=1e-14)
@@ -414,27 +433,14 @@ def test_sample_real_fft_3d():
     assert np.allclose(vals, direct_samples(f, 8).real, atol=1e-12)
 
 
-def test_sample_non_hermitian_is_complex():
-    f = SpectralField.scalar(2, {(1, 0): 1.0, (2, 3): 0.5j})
-    assert not f.reality
-    vals = sample(f, 8)
-    assert np.iscomplexobj(vals)
-    assert np.allclose(vals, direct_samples(f, 8), atol=1e-13)
-
-
 def dense_samples(f, N):
     """The whole-grid transform: the spectrum scattered mod N, then numpy's
-    n-D inverse FFT (``irfftn`` over the half spectrum for real fields)."""
-    freqs, amps = f.arrays()
-    freqs = freqs % N
-    if f.reality:
-        keep = freqs[:, -1] <= N // 2
-        spec = np.zeros((N,) * (f.dim - 1) + (N // 2 + 1,), dtype=complex)
-        np.add.at(spec, tuple(freqs[keep].T), amps[keep])
-        return np.fft.irfftn(spec, s=(N,) * f.dim, axes=tuple(range(f.dim))) * N**f.dim
-    spec = np.zeros((N,) * f.dim, dtype=complex)
-    np.add.at(spec, tuple(freqs.T), amps)
-    return np.fft.ifftn(spec) * N**f.dim
+    n-D ``irfftn`` over the half spectrum."""
+    freqs = f.freqs % N
+    keep = freqs[:, -1] <= N // 2
+    spec = np.zeros((N,) * (f.dim - 1) + (N // 2 + 1,), dtype=complex)
+    np.add.at(spec, tuple(freqs[keep].T), f.amps[keep])
+    return np.fft.irfftn(spec, s=(N,) * f.dim, axes=tuple(range(f.dim))) * N**f.dim
 
 
 @pytest.mark.parametrize(
@@ -455,25 +461,10 @@ def test_sample_real_bitwise_dense_irfftn(dim, N, radius):
     assert np.array_equal(sample(f, N), dense_samples(f, N))
 
 
-@pytest.mark.parametrize(
-    "dim,N,radius", [(1, 8, 7), (1, 64, 40), (2, 8, 7), (2, 512, 300), (3, 16, 9), (3, 64, 40)]
-)
-def test_sample_complex_matches_dense(dim, N, radius):
-    rng = np.random.default_rng(dim * N)
-    entries = {
-        tuple(int(c) for c in rng.integers(-radius, radius + 1, size=dim)): complex(*rng.normal(size=2))
-        for _ in range(20)
-    }
-    f = SpectralField.scalar(dim, entries, reality=False)
-    vals = sample(f, N)
-    assert vals.dtype == complex
-    assert np.allclose(vals, dense_samples(f, N), atol=1e-13)
-
-
 def test_sample_vector_field():
     f = random_hermitian(np.random.default_rng(2), 2, 10, 6)
     g = random_hermitian(np.random.default_rng(3), 2, 10, 6)
-    v = SpectralField.from_components([f, g])
+    v = vector_of([f, g])
     vals = sample(v, 16)
     assert vals.shape == (2, 16, 16) and vals.dtype == np.float64
     assert np.array_equal(vals[0], sample(v.component(0), 16))
@@ -597,7 +588,7 @@ def test_divergence_defect_perp_field():
     # u = (d2, -d1) psi is exactly divergence free
     psi = cos_field((2, 3), amp=1.3)
     g = gradient(psi)
-    u = SpectralField.from_components([g.component(1), g.component(0).scaled(-1.0)])
+    u = vector_of([g.component(1), g.component(0).scaled(-1.0)])
     assert divergence_defect(u) < 1e-13
 
 

@@ -1,5 +1,6 @@
 """End-to-end harness: config, multiplier gating, weak form, artifacts, CLI."""
 
+import csv
 import json
 import math
 import os
@@ -309,6 +310,19 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
 
+BAD_FILES = {
+    "malformed.json": "{not json",
+    "one_component.json": {"dim": 2, "components": [{"num": [[0, 0, 1.0, 0.0]]}]},
+    "number_components.json": {"dim": 2, "components": [1, 2]},
+    "short_monomial.json": {"dim": 2, "components": [{"num": [[0, 0, 1.0]]}] * 2},
+    "basis_number.json": {"supplied_basis": 5},
+    "lambda1_string.json": {"lambda1": "x"},
+    "scaling_lams_3_8.json": {"scaling_lams": [3, 8]},
+    "scaling_lams_empty.json": {"scaling_lams": []},
+    "scaling_eps_2.json": {"scaling_eps": 2},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -317,17 +331,27 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         ["--multiplier", "file:{dir}/missing.json"],
         ["--multiplier", "file:{dir}/malformed.json"],
         ["--multiplier", "file:{dir}/one_component.json"],  # d = 2 needs two
+        ["--multiplier", "file:{dir}/number_components.json"],
+        ["--multiplier", "file:{dir}/short_monomial.json"],  # d + 2 = 4 numbers each
+        ["--seed", "-1"],
+        ["--grid-budget", "0", "--qmax", "0"],
+        ["--grid-budget", "-8", "--qmax", "0"],
+        ["--config", "{dir}/basis_number.json"],
+        ["--config", "{dir}/lambda1_string.json"],
+        ["--config", "{dir}/scaling_lams_3_8.json"],  # 3 is not a power of two
+        ["--config", "{dir}/scaling_lams_empty.json"],
+        ["--config", "{dir}/scaling_eps_2.json"],  # outside (0, 1]
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
-    (tmp_path / "malformed.json").write_text("{not json")
-    one = {"dim": 2, "components": [{"num": [[0, 0, 1.0, 0.0]]}]}
-    (tmp_path / "one_component.json").write_text(json.dumps(one))
+    for name, content in BAD_FILES.items():
+        (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
     argv = [a.format(dir=tmp_path) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "o" / "stage-0").exists()  # no stage ran
 
 
 def test_cli_rejects_odd_multiplier(tmp_path):
@@ -346,6 +370,33 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+SWEEP_COLUMNS = [
+    "lam",
+    "eps",
+    "degenerate",
+    "ratio",
+    "R_Hs",
+    "R_N_Hs",
+    "R_D_Hs",
+    "cancellation_ratio",
+    "mean_cancellation_rel",
+]
+
+
+def test_lambda_sweep_script_writes_its_table(tmp_path):
+    src = os.path.dirname(os.path.dirname(activeci.__file__))
+    script = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "lambda_sweep.py")
+    out = tmp_path / "sweep.csv"
+    argv = [sys.executable, script, "--lams", "64", "256", "--grid-budget", "256", "--out", str(out)]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == SWEEP_COLUMNS
+    assert [row[0] for row in rows[1:]] == ["64", "256"]
+    assert all(len(row) == len(SWEEP_COLUMNS) for row in rows[1:])
 
 
 def test_cli_ipm3d_end_to_end(tmp_path):
