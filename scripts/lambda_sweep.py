@@ -5,7 +5,7 @@ import argparse
 import csv
 import sys
 
-from activeci.harness import sweep
+from activeci.harness import ConfigError, sweep
 
 
 def main() -> int:
@@ -21,7 +21,11 @@ def main() -> int:
     parser.add_argument("--out", default="sweep.csv", help="output CSV path")
     args = parser.parse_args()
 
-    records = sweep(args.lams, args.grid_budget)
+    try:
+        records = sweep(args.lams, args.grid_budget)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
     for lam in args.lams:
         rec = records[lam]

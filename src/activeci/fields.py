@@ -102,16 +102,20 @@ def _strides(span):
     return np.concatenate((np.cumprod(span[:0:-1])[::-1], [1]))
 
 
-def _unique_rows(freqs):
-    """Distinct rows of ``freqs`` in lexicographic order, and the index of
-    each input row among them."""
-    order = np.lexsort(freqs.T[::-1])
-    rows = freqs[order]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    inv = np.empty(len(rows), dtype=np.intp)
+def _unique_keys(keys):
+    """Distinct entries of ``keys`` in ascending order and the index of each
+    input entry among them: the values of a 1-D array, or the rows of a 2-D
+    one in lexicographic order.  This is ``np.unique(keys, axis=0,
+    return_inverse=True)`` without the ``numpy.ma`` import that costs; the
+    inverse does not depend on how the sort orders ties."""
+    order = np.argsort(keys) if keys.ndim == 1 else np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    ne = keys[1:] != keys[:-1]
+    new[1:] = ne if ne.ndim == 1 else ne.any(axis=1)
+    inv = np.empty(len(keys), dtype=np.intp)
     inv[order] = np.cumsum(new) - 1
-    return rows[new], inv
+    return keys[new], inv
 
 
 class SpectralField:
@@ -155,7 +159,7 @@ class SpectralField:
         entry order, pruned; ``reality`` as given."""
         freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, dim)
         amps = np.asarray(amps, dtype=complex).reshape((len(freqs),) + (dim,) * rank)
-        uniq, inv = _unique_rows(freqs)
+        uniq, inv = _unique_keys(freqs)
         # -0.0 is the exact additive identity: a lone entry is kept bitwise
         sums = np.full((len(uniq),) + amps.shape[1:], complex(-0.0, -0.0))
         np.add.at(sums, inv, amps)
@@ -346,11 +350,9 @@ def _sample_rows(field: SpectralField, N: int):
         yield 0, np.fft.irfft(spec, N, norm="forward")
         return
     tail = (N,) * (d - 2) + (last,)  # the later axes, as the transform reads them
-    occupied, col = np.unique(
-        np.ravel_multi_index(tuple(freqs[:, 1:].T), tail), return_inverse=True
-    )
+    occupied, col = _unique_keys(np.ravel_multi_index(tuple(freqs[:, 1:].T), tail))
     lines = np.zeros((N, len(occupied)), dtype=complex)
-    np.add.at(lines, (freqs[:, 0], col.reshape(-1)), amps)
+    np.add.at(lines, (freqs[:, 0], col), amps)
     lines = np.fft.ifft(lines, axis=0, norm="forward")
     rows = min(N, max(2, _BLOCK_POINTS // N ** (d - 1) // 2 * 2))
     spec = np.zeros((rows, math.prod(tail)), dtype=complex)
@@ -397,7 +399,11 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
     dim, N = values.ndim, values.shape[0]
     if values.shape != (N,) * dim:
         raise ValueError(f"samples of shape {values.shape} are not one scalar N^d grid")
-    arr = np.fft.fftn(values) / N**dim
+    # fftn's passes, last axis first, in place on one complex copy
+    arr = values.astype(complex)
+    for ax in reversed(range(dim)):
+        np.fft.fft(arr, axis=ax, out=arr)
+    arr /= N**dim
     mags = np.abs(arr)
     scale = mags.max()
     if scale == 0.0:
@@ -420,32 +426,39 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
 
 
 def _clusters(freqs: np.ndarray, cell: int = 64):
-    """Partition frequencies into connected clusters of occupied coarse cells."""
-    cells, cell_of = np.unique(freqs // cell, axis=0, return_inverse=True)
-    uniq = [tuple(c) for c in cells.tolist()]  # sorted, so cluster order is stable
-    comp = {}
-    nxt = 0
+    """Partition frequencies into connected clusters of occupied coarse
+    cells, cells being adjacent when their Chebyshev distance is at most 1.
+
+    Clusters come in the lexicographic order of their first cell, each an
+    ascending array of indices into ``freqs``.  The cells are labelled with
+    array operations: neighbours are found by searching the packed cell keys
+    at the 3^d offsets, and min-label propagation with pointer jumping
+    leaves every cell labelled by the first cell of its cluster.
+    """
     d = freqs.shape[1]
-    # union of cells adjacent in Chebyshev distance <= 1 via BFS
-    uniq_set = set(uniq)
-    offsets = np.array(
-        np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")
-    ).reshape(d, -1).T.tolist()
-    for c in uniq:
-        if c in comp:
-            continue
-        stack = [c]
-        comp[c] = nxt
-        while stack:
-            cur = stack.pop()
-            for off in offsets:
-                nb = tuple(x + o for x, o in zip(cur, off))
-                if nb in uniq_set and nb not in comp:
-                    comp[nb] = nxt
-                    stack.append(nb)
-        nxt += 1
-    labels = np.array([comp[c] for c in uniq], dtype=np.int64)[cell_of.reshape(-1)]
-    return [np.nonzero(labels == i)[0] for i in range(nxt)]
+    cells, cell_of = _unique_keys(freqs // cell)  # lexicographic: ascending keys
+    lo = cells.min(axis=0) - 1
+    strides = _strides(cells.max(axis=0) - lo + 2)  # a step of +-1 stays in the box
+    keys = (cells - lo) @ strides
+    offsets = np.array(np.meshgrid(*([[-1, 0, 1]] * d), indexing="ij")).reshape(d, -1).T
+    want = keys[:, None] + offsets @ strides
+    at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+    src, hit = np.nonzero(keys[at] == want)
+    nbr = at[src, hit]
+    # labels only fall and always name a cell of the same cluster, so they
+    # settle on its first cell
+    label = np.arange(len(keys))
+    while True:
+        low = label.copy()
+        np.minimum.at(low, src, label[nbr])
+        low = low[low]
+        if np.array_equal(low, label):
+            break
+        label = low
+    first = label == np.arange(len(keys))
+    comp = (np.cumsum(first) - 1)[label][cell_of]
+    members = np.argsort(comp, kind="stable")
+    return np.split(members, np.cumsum(np.bincount(comp))[:-1])
 
 
 def _pair_convolve(ka, aa, kb, bb, keep):
@@ -531,9 +544,9 @@ def _sum_by_key(parts):
     if not parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex)
     keys = np.concatenate([k for k, _ in parts])
-    uniq, inv = np.unique(keys, return_inverse=True)
+    uniq, inv = _unique_keys(keys)
     sums = np.full(len(uniq), complex(-0.0, -0.0))
-    np.add.at(sums, inv.reshape(-1), np.concatenate([a for _, a in parts]))
+    np.add.at(sums, inv, np.concatenate([a for _, a in parts]))
     keep = _above(np.hypot(sums.real, sums.imag))
     return uniq[keep], sums[keep]
 
@@ -586,7 +599,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
                     out.append(r)
 
     comps = [_sum_by_key(out) for out in parts]
-    keys = np.unique(np.concatenate([k for k, _ in comps]))
+    keys = _unique_keys(np.concatenate([k for k, _ in comps]))[0]
     amps = np.zeros((len(keys), len(comps)), dtype=complex)
     for i, (k, a) in enumerate(comps):
         amps[np.searchsorted(keys, k), i] = a

@@ -330,16 +330,22 @@ def sweep(lams, grid_budget: int) -> dict:
 
     Returns ``{lam: record}`` with the keys ``params``, ``state0``,
     ``state1``, ``bundle``, ``diag`` and ``history`` in each record, plus
-    ``"elapsed"``: the seconds the stages took.
+    ``"elapsed"``: the seconds the stages took.  A frequency or budget that
+    the schedule rejects raises ConfigError before any stage runs.
     """
     m = ipm2d()
-    basis = build_basis(m, supplied=((4, 3), (4, -3)))
     kernel = ShellKernel()
     profile = build_profile("odd-bump")
+    try:
+        basis = build_basis(m, supplied=((4, 3), (4, -3)))
+        schedules = {
+            lam: make_params(basis, lambda1=lam, qmax=1, grid_budget=grid_budget) for lam in lams
+        }
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     t0 = time.monotonic()
     out = {}
-    for lam in lams:
-        params = make_params(basis, lambda1=lam, qmax=1, grid_budget=grid_budget)
+    for lam, params in schedules.items():
         st0 = base_state(params, m, basis)
         st1, bundle = step(st0, params, basis, m, kernel, profile)
         out[lam] = {
@@ -377,7 +383,10 @@ def run(config: RunConfig) -> int:
     Quantitative trends are reported, never fatal.
     """
     t0 = time.time()
-    os.makedirs(config.out, exist_ok=True)
+    try:
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {config.out!r}: {exc}") from exc
     m, claims = _checked_multiplier(config)
     profile = build_profile()
     try:

@@ -27,6 +27,7 @@ from .directions import DirectionBasis
 from .fields import (
     SpectralField,
     SupportError,
+    _BLOCK_POINTS,
     _next_pow2,
     analyze,
     besov_norm,
@@ -402,26 +403,37 @@ def amplitudes(
     trunc = min(8 * max(1, int(math.ceil(R.max_freq))), params.grid_budget // 8)
     N = min(max(8, _next_pow2(2 * max(band, trunc) + 2)), params.grid_budget)
 
-    grid = sample(R, N)  # shape (d,) + (N,)*d
-    pts = grid.reshape(d, -1).T  # (N^d, d)
-    rmax = float(np.max(np.linalg.norm(pts, axis=1)))
+    # the stress samples, shape (d,) + (N,)*d, are the only d N^d buffer:
+    # the Gamma coefficients (solved a block of points at a time) and then
+    # the amplitudes overwrite them in place
+    grid = sample(R, N)
+    flat = grid.reshape(d, -1)
+    blocks = [slice(i, i + _BLOCK_POINTS) for i in range(0, N**d, _BLOCK_POINTS)]
+    # sqrt is monotone, so the root of the largest sum of squares (summed
+    # component by component) is bitwise the largest |R|
+    rmax = math.sqrt(max(float(np.max(np.sum(flat[:, b] ** 2, axis=0))) for b in blocks))
     if rmax == 0.0:
         raise ZeroStress("stress field vanishes on the evaluation grid")
-    v = basis.k_star[None, :] - (basis.eps_omega / rmax) * pts
     E = basis.even_parts.T
-    coef = np.linalg.solve(E, v.T).T  # (N^d, d)
-    cmin = float(np.min(coef))
+    mins = []
+    for b in blocks:  # the right-hand side stays unnamed, so it dies with the call
+        flat[:, b] = np.linalg.solve(
+            E, basis.k_star[:, None] - (basis.eps_omega / rmax) * flat[:, b]
+        )
+        mins.append(np.min(flat[:, b]))
+    cmin = float(np.min(mins))
     if cmin < basis.gamma_margin * (1 - 1e-9):
         raise ValueError(
             f"amplitude coefficient {cmin:.3g} fell below the margin "
             f"{basis.gamma_margin}"
         )
     pref = (S * basis.eps_omega / rmax) ** (-0.5)
+    np.sqrt(flat, out=flat)
+    flat *= pref
     shared = {"S": S, "R_max": rmax, "prefactor": pref, "trunc_radius": trunc, "grid_N": N}
     out = {}
     for col, k in enumerate(basis.omega):
-        a_grid = (pref * np.sqrt(coef[:, col])).reshape((N,) * d)
-        a_full = analyze(a_grid)
+        a_full = analyze(grid[col])
         inside = a_full.radii() <= trunc
         a = a_full.weighted(inside)
         mass = np.abs(a_full.amps) ** 2

@@ -296,6 +296,45 @@ def test_multiply_box_path_matches_pair_path(monkeypatch):
         assert diff.is_zero() or diff.max_amp() < 1e-13 * fg.max_amp()
 
 
+def bfs_clusters(freqs, cell):
+    """Reference: breadth-first search over the occupied cells in sorted
+    order, neighbours at Chebyshev distance 1, one index list per cluster."""
+    cells = [tuple(c) for c in (freqs // cell).tolist()]
+    occupied = set(cells)
+    offsets = list(np.ndindex(*(3,) * freqs.shape[1]))
+    label = {}
+    n = -1
+    for start in sorted(occupied):
+        if start in label:
+            continue
+        n += 1
+        label[start] = n
+        stack = [start]
+        while stack:
+            cur = stack.pop()
+            for off in offsets:
+                nb = tuple(c + o - 1 for c, o in zip(cur, off))
+                if nb in occupied and nb not in label:
+                    label[nb] = n
+                    stack.append(nb)
+    per_freq = np.array([label[c] for c in cells])
+    return [np.flatnonzero(per_freq == i) for i in range(n + 1)]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("cell", [4, 64])
+def test_clusters_match_breadth_first_search(dim, cell):
+    rng = np.random.default_rng(10 * dim + cell)
+    centres = rng.integers(-40 * cell, 40 * cell, size=(6, dim))
+    centres[0] = -centres[1]  # a mirror pair, as in a real field
+    freqs = np.concatenate([c + rng.integers(-2 * cell, 2 * cell, size=(30, dim)) for c in centres])
+    freqs = freqs[rng.permutation(len(freqs))]
+    got = fields._clusters(freqs, cell)
+    want = bfs_clusters(freqs, cell)
+    assert len(want) >= 5  # several clusters
+    assert [g.tolist() for g in got] == [w.tolist() for w in want]
+
+
 def test_fast_len_matches_scipy():
     # the box path pads to the lengths scipy.fft would pick for complex input
     from scipy.fft import next_fast_len
@@ -378,6 +417,35 @@ def test_analyze_nyquist_line_samples_on_a_finer_grid(transpose):
     assert np.allclose(sample(g, 8), direct, atol=1e-14)
     assert np.allclose(direct.imag, 0.0, atol=1e-14)
     assert np.allclose(sample(g, 4), values.T if transpose else values, atol=1e-14)
+
+
+@pytest.mark.parametrize("dim,N", [(1, 16), (2, 8), (2, 32), (3, 8), (3, 16), (2, 9)])
+def test_analyze_is_bitwise_fftn(dim, N):
+    # the in-place per-axis transform gives numpy's fftn bit for bit; a
+    # coefficient with |xi_i| = N/2 on m axes is fftn's value over 2^m
+    values = np.random.default_rng(dim * N).normal(size=(N,) * dim)
+    ref = np.fft.fftn(values) / N**dim
+    g = analyze(values, rel=0.0)
+    assert len(g) == (N + 1 - N % 2) ** dim  # each Nyquist line split in two
+    halvings = (np.abs(g.freqs) * 2 == N).sum(axis=1)
+    expect = ref[tuple((g.freqs % N).T)] / 2.0**halvings
+    assert g.amps.tobytes() == expect.tobytes()
+
+
+def test_analyze_holds_one_complex_grid():
+    import tracemalloc
+
+    values = sample(random_hermitian(np.random.default_rng(2), 3, 6, 3), 64)
+    grid_bytes = values.nbytes
+    tracemalloc.start()
+    try:
+        analyze(values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one complex copy (two grids) and the magnitudes (one); fftn's chained
+    # out-of-place passes held two complex grids at once
+    assert peak < 3.5 * grid_bytes
 
 
 def test_sample_matches_direct_evaluation():

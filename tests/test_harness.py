@@ -358,18 +358,33 @@ def test_cli_rejects_odd_multiplier(tmp_path):
     assert main(["--multiplier", "sqg", "--out", str(tmp_path / "o")]) == 2
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: the package and its CLI must not load it
+def test_import_loads_no_scipy(tmp_path):
+    # scipy is a test-only dependency: the package and its CLI must not load
+    # it; nor may a run load numpy.ma (np.unique imports it), which costs a
+    # fresh process time and memory.  numpy.matrixlib must not match.
     src = os.path.dirname(os.path.dirname(activeci.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    argv = ["--qmax", "1", "--lambda1", "64", "--grid-budget", "256", "--out", str(tmp_path / "o")]
     code = (
         "import activeci, activeci.cli, sys; "
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        "mods = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'numpy.ma' or m.startswith('numpy.ma.')); "
+        "print(mods()); "
+        f"rc = activeci.cli.main({argv!r}); "
+        "print(rc, mods())"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "0 []"]
+
+
+def test_cli_unusable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["--qmax", "0", "--out", str(blocker / "sub")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
 
 
 SWEEP_COLUMNS = [
@@ -397,6 +412,13 @@ def test_lambda_sweep_script_writes_its_table(tmp_path):
     assert rows[0] == SWEEP_COLUMNS
     assert [row[0] for row in rows[1:]] == ["64", "256"]
     assert all(len(row) == len(SWEEP_COLUMNS) for row in rows[1:])
+    # a frequency that is not a power of two is bad input: exit 2, one line
+    bad = tmp_path / "bad.csv"
+    argv = [sys.executable, script, "--lams", "64", "100", "--grid-budget", "256", "--out", str(bad)]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == "" and not bad.exists()  # no stage ran
 
 
 def test_cli_ipm3d_end_to_end(tmp_path):

@@ -27,7 +27,7 @@ from activeci.iteration import (
     step,
 )
 from activeci.kernels import ShellKernel
-from activeci.multipliers import apply_T, ipm2d
+from activeci.multipliers import apply_T, ipm2d, ipm3d
 from activeci.slabs import SlabSpec, build_profile
 
 SUPPLIED = ((4, 3), (4, -3))
@@ -119,6 +119,27 @@ def test_amplitudes_zero_stress_raises(setup, params):
     spec = SlabSpec(k=(4, 3), lam=256, eps=1.0 / 8.0, profile=profile)
     with pytest.raises(ZeroStress):
         amplitudes(SpectralField.vector(2, {}), basis, params, spec, kernel)
+
+
+def test_amplitudes_3d_hold_few_grids():
+    # the stress samples are overwritten in place by the Gamma coefficients
+    # and the amplitudes; analyze adds one complex copy of one component
+    import tracemalloc
+
+    m = ipm3d()
+    basis = build_basis(m, supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
+    params = make_params(basis, d=3, lambda1=128, qmax=1, grid_budget=128)
+    R = base_state(params, m, basis).R
+    spec = SlabSpec(k=basis.omega[0], lam=128, eps=params.stage_eps(1), profile=build_profile())
+    tracemalloc.start()
+    try:
+        out = amplitudes(R, basis, params, spec, ShellKernel(r=float(params.r)), stress_cutoff=2.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    N = out[basis.omega[0]][1]["grid_N"]
+    assert N == 64
+    assert peak < 8 * N**3 * 8  # eight float64 N^3 grids; fourteen before
 
 
 @pytest.fixture(scope="module")
