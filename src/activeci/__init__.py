@@ -9,7 +9,7 @@ from .fields import (
     fractional_laplacian,
     gradient,
     low_pass,
-    lp_norm,
+    lp_norms,
     mean_part,
     multiply,
     sample,
@@ -39,7 +39,7 @@ __all__ = [
     "fractional_laplacian",
     "gradient",
     "low_pass",
-    "lp_norm",
+    "lp_norms",
     "mean_part",
     "multiply",
     "sample",

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,10 +43,9 @@ __all__ = [
     "analyze",
     "multiply",
     "divergence_defect",
-    "lp_norm",
+    "Quadrature",
     "lp_norms",
     "lp_norm_detailed",
-    "quadrature_grid",
     "sobolev_norm",
     "besov_norm",
     "shell_project",
@@ -692,10 +692,15 @@ def _quadrature_N(band: int, p: float, grid_budget: int):
     return min(want, grid_budget), want <= grid_budget
 
 
-def quadrature_grid(f: SpectralField, p: float, grid_budget: int = DEFAULT_GRID_BUDGET):
-    """``(N, resolved)``: the grid :func:`lp_norms` uses for ``||f||_p`` and
-    whether it is the dealias grid, i.e. that grid fit in the budget."""
-    return _quadrature_N(int(np.max(f.max_axis_freq())), p, grid_budget)
+class Quadrature(NamedTuple):
+    """One L^p norm by grid quadrature: the value, its estimated error, the
+    grid N it was taken on, and whether N is the dealias grid (it fit in the
+    budget)."""
+
+    norm: float
+    quad_err: float
+    grid_N: int
+    resolved: bool
 
 
 def _grid_sums(f: SpectralField, N: int, ps) -> dict:
@@ -730,14 +735,14 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
 def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> dict:
     """L^p norms by grid quadrature, with estimated quadrature errors.
 
-    Returns ``{p: (norm, err)}``.  Each p gets the grid that obeys the dealias
+    Returns ``{p: Quadrature}``.  Each p gets the grid that obeys the dealias
     rule for |f|^ceil(p) (|f| for p = inf) when that fits in the budget;
     otherwise the largest budget grid is used (the sampled values are still
-    exact) and the error, the change from the half-resolution subgrid,
-    reflects the unresolved quadrature; :func:`quadrature_grid` tells which.
+    exact), the record says ``resolved=False``, and the error, the change
+    from the half-resolution subgrid, reflects the unresolved quadrature.
     The quadrature streams row blocks of the samples and never holds the
     N^d grid: one pass per distinct grid serves all its exponents, and the
-    results are memoized on the field.
+    values are memoized on the field.
     """
     if not f.reality:
         raise ValueError("L^p norms are defined for real fields here")
@@ -745,12 +750,12 @@ def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> di
         raise ValueError("scalar fields only")
     if any(p < 1 for p in ps):
         raise ValueError("p must be >= 1")
+    band = int(np.max(f.max_axis_freq()))  # 0 for the zero field
+    grids = {p: _quadrature_N(band, p, grid_budget) for p in ps}
     if f.is_zero():
-        return {p: (0.0, 0.0) for p in ps}
-    band = int(np.max(f.max_axis_freq()))
-    grids = {p: _quadrature_N(band, p, grid_budget)[0] for p in ps}
+        return {p: Quadrature(0.0, 0.0, N, resolved) for p, (N, resolved) in grids.items()}
     todo = {}  # N -> exponents not yet memoized at N
-    for p, N in grids.items():
+    for p, (N, _) in grids.items():
         if (p, N) not in f._norms:
             todo.setdefault(N, []).append(p)
     for N, grid_ps in todo.items():
@@ -761,16 +766,12 @@ def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> di
             else:
                 fine, coarse = ((s / n) ** (1.0 / p) for s, n in zip(sums, counts))
             f._norms[(p, N)] = (fine, abs(fine - coarse))
-    return {p: f._norms[(p, N)] for p, N in grids.items()}
+    return {p: Quadrature(*f._norms[(p, N)], N, resolved) for p, (N, resolved) in grids.items()}
 
 
 def lp_norm_detailed(f: SpectralField, p: float, grid_budget: int = DEFAULT_GRID_BUDGET):
-    """L^p norm and its estimated quadrature error; see :func:`lp_norms`."""
+    """The :class:`Quadrature` record of ``||f||_p``; see :func:`lp_norms`."""
     return lp_norms(f, (p,), grid_budget)[p]
-
-
-def lp_norm(f: SpectralField, p: float, grid_budget: int = DEFAULT_GRID_BUDGET) -> float:
-    return lp_norm_detailed(f, p, grid_budget)[0]
 
 
 def sobolev_norm(f: SpectralField, s: float) -> float:
@@ -811,7 +812,7 @@ def besov_norm(
         pj = shell_project(f, j, kernel)
         if pj.is_zero():
             continue
-        val = 2.0 ** (j * alpha) * lp_norm(pj, math.inf, grid_budget)
+        val = 2.0 ** (j * alpha) * lp_norm_detailed(pj, math.inf, grid_budget).norm
         best = max(best, val)
     return best
 

@@ -26,7 +26,6 @@ from .fields import (
     gradient,
     lp_norm_detailed,
     nonzero_part,
-    quadrature_grid,
     save_snapshot,
 )
 from .iteration import (
@@ -59,7 +58,6 @@ __all__ = [
     "pairing",
     "certify_items",
     "weak_form_test",
-    "sweep",
     "run",
 ]
 
@@ -88,6 +86,13 @@ class RunConfig:
     scaling_lams: tuple = (64, 256, 1024, 4096)
 
     def __post_init__(self):
+        for name in ("multiplier", "out"):
+            if not isinstance(getattr(self, name), str):
+                raise ConfigError(f"{name} = {getattr(self, name)!r} must be a string")
+        for name in ("d", "b0", "qmax", "lambda1", "grid_budget", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} = {value!r} must be an integer")
         floor = self.d / 2 + max(self.gamma - 1.0, 0.0)
         if self.s <= floor:
             raise ConfigError(
@@ -101,6 +106,10 @@ class RunConfig:
             raise ConfigError(f"seed = {self.seed} must be >= 0")
         if self.grid_budget < 1:
             raise ConfigError(f"grid_budget = {self.grid_budget} must be >= 1")
+        if self.lambda1 < 2 or self.lambda1 & (self.lambda1 - 1):
+            raise ConfigError(f"lambda1 = {self.lambda1} must be a power of two")
+        if not 0 < self.gamma_margin < 1:
+            raise ConfigError(f"gamma_margin = {self.gamma_margin} must lie in (0, 1)")
 
 
 @dataclass
@@ -235,7 +244,7 @@ def certify_items(state: IterationState, params: IterationParams) -> dict:
             {
                 "stage": inc["stage"],
                 "besov": h["w_besov"].get(str(alpha), 0.0),
-                "lp": inc["lp"][p][0],
+                "lp": inc["lp"][p].norm,
             }
             for inc, h in zip(state.increments, state.norm_history[1:])
         ]
@@ -250,18 +259,17 @@ def certify_items(state: IterationState, params: IterationParams) -> dict:
     report["item4"] = item4
 
     # item 5: L^1 mass floor with the implemented delta
-    l1, l1_err = lp_norm_detailed(state.theta, 1.0, params.grid_budget)
-    l1_N, l1_resolved = quadrature_grid(state.theta, 1.0, params.grid_budget)
+    l1 = lp_norm_detailed(state.theta, 1.0, params.grid_budget)
     floor = (1.0 + 2.0**-q) * params.delta
     report["item5"] = {
-        "theta_L1": l1,
-        "quad_err": l1_err,
-        "grid_N": l1_N,
-        "resolved": l1_resolved,
+        "theta_L1": l1.norm,
+        "quad_err": l1.quad_err,
+        "grid_N": l1.grid_N,
+        "resolved": l1.resolved,
         "floor": floor,
         "delta": params.delta,
-        "delta_max_here": l1 / (1.0 + 2.0**-q),
-        "pass": bool(l1 > floor),
+        "delta_max_here": l1.norm / (1.0 + 2.0**-q),
+        "pass": bool(l1.norm > floor),
     }
 
     # item 6: each increment confined to one dyadic shell plateau (exact scan)
@@ -322,42 +330,6 @@ def weak_form_test(state: IterationState, psis: TestFunctionSet, params: Iterati
 
 
 # -- orchestration --------------------------------------------------------
-
-
-def sweep(lams, grid_budget: int) -> dict:
-    """Single-stage ipm2d runs on the basis (4, 3), (4, -3), one per
-    first-stage frequency in ``lams``.
-
-    Returns ``{lam: record}`` with the keys ``params``, ``state0``,
-    ``state1``, ``bundle``, ``diag`` and ``history`` in each record, plus
-    ``"elapsed"``: the seconds the stages took.  A frequency or budget that
-    the schedule rejects raises ConfigError before any stage runs.
-    """
-    m = ipm2d()
-    kernel = ShellKernel()
-    profile = build_profile("odd-bump")
-    try:
-        basis = build_basis(m, supplied=((4, 3), (4, -3)))
-        schedules = {
-            lam: make_params(basis, lambda1=lam, qmax=1, grid_budget=grid_budget) for lam in lams
-        }
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    t0 = time.monotonic()
-    out = {}
-    for lam, params in schedules.items():
-        st0 = base_state(params, m, basis)
-        st1, bundle = step(st0, params, basis, m, kernel, profile)
-        out[lam] = {
-            "params": params,
-            "state0": st0,
-            "state1": st1,
-            "bundle": bundle,
-            "diag": oscillation_diagnostics(bundle, st0, params, basis, m),
-            "history": st1.norm_history[-1],
-        }
-    out["elapsed"] = time.monotonic() - t0
-    return out
 
 
 def _json_default(obj):

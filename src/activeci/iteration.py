@@ -40,7 +40,6 @@ from .fields import (
     lp_norms,
     mean_part,
     multiply,
-    quadrature_grid,
     sample,
     sobolev_norm,
 )
@@ -137,8 +136,7 @@ class PerturbationBundle:
     Tw: SpectralField
     wTw: SpectralField
     degenerate: bool
-    lp_report: dict
-    w_norms: dict  # {p: (norm, err)}: every L^p norm of w taken, item 4's included
+    w_norms: dict  # {p: Quadrature}: every L^p norm of w taken, item 4's included
 
 
 def _harmonic_survives(lam: int, j: int, knorm: int, r: Fraction) -> bool:
@@ -327,7 +325,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
             "eps": None,
             "degenerate": False,
             "R_Hs": R_Hs,
-            "theta_L1": lp_norm_detailed(theta, 1.0, params.grid_budget)[0],
+            "theta_L1": lp_norm_detailed(theta, 1.0, params.grid_budget).norm,
             "A": A,
             "delta": params.delta,
             "residual_defect": defect,
@@ -523,19 +521,6 @@ def build_increment(
     # sits on one shell plateau, so P_j w = w); all 0 when w vanishes
     ps = set(LP_EXPONENTS) | {p for _, p in ITEM4_PAIRS} | {math.inf}
     norms = lp_norms(w, sorted(ps), params.grid_budget)
-    lp_report = {}
-    if not w.is_zero():
-        for p in LP_EXPONENTS:
-            norm, err = norms[p]
-            target = lam ** ((1.0 - eps) * (0.5 - 1.0 / p))
-            N, resolved = quadrature_grid(w, p, params.grid_budget)
-            lp_report[p] = {
-                "norm": norm,
-                "quad_err": err,
-                "ratio": norm / target,
-                "grid_N": N,
-                "resolved": resolved,
-            }
     Tw = apply_T(m, w)
     return PerturbationBundle(
         stage=stage,
@@ -547,7 +532,6 @@ def build_increment(
         Tw=Tw,
         wTw=multiply(w, Tw),
         degenerate=degenerate,
-        lp_report=lp_report,
         w_norms=norms,
     )
 
@@ -623,7 +607,7 @@ def step(
         "wTw_Hs": sobolev_norm(wTw, ms),
         "R_N_Hs": sobolev_norm(R_N, ms),
         "R_D_Hs": sobolev_norm(R_D, ms),
-        "w_lp": {str(p): rep for p, rep in bundle.lp_report.items()},
+        "w_lp": {},
         "w_besov": {},
         "residual_defect": defect,
         "amp_info": {
@@ -631,6 +615,10 @@ def step(
         },
     }
     if not w.is_zero():
+        for p in LP_EXPONENTS:
+            rec = bundle.w_norms[p]
+            target = bundle.lam ** ((1.0 - bundle.eps) * (0.5 - 1.0 / p))
+            entry["w_lp"][str(p)] = {**rec._asdict(), "ratio": rec.norm / target}
         for alpha in BESOV_ALPHAS:
             entry["w_besov"][str(alpha)] = besov_norm(
                 w, alpha, kernel, params.grid_budget

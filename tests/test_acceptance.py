@@ -1,9 +1,11 @@
-"""Acceptance suite: eleven certified properties of the full construction.
+"""Acceptance suite: eleven certified properties of the full construction,
+plus 07b, the sharp single-shell rates of the error pieces.
 
 Each test prints one ``ACCEPTANCE n: PASS/FAIL`` line (visible with ``-s`` or
 on failure) and asserts at the stated tolerance.  Shared heavy artifacts — the
 default two-stage run (twice, for the determinism check) and the first-stage
-frequency sweep — are built once per session.
+frequency sweep — are built once per session.  Every figure comes from the
+report.json of a ``run``, the same pipeline ``ci-run`` takes.
 """
 
 import filecmp
@@ -15,7 +17,6 @@ import time
 import numpy as np
 import pytest
 
-from activeci import harness
 from activeci.directions import build_basis, gamma_coefficients
 from activeci.fields import sobolev_norm
 from activeci.harness import RunConfig, run
@@ -40,10 +41,29 @@ def basis():
     return build_basis(ipm2d(), supplied=SUPPLIED)
 
 
+def first_stage_reports(root, lams, **config):
+    """``{lam: report}``: the report.json of one single-stage ``run`` per
+    first-stage frequency on the basis (4, 3), (4, -3), grid budget 8192."""
+    reports = {}
+    for lam in lams:
+        out = root / f"lam-{lam}"
+        run(RunConfig(supplied_basis=SUPPLIED, qmax=1, lambda1=lam, grid_budget=8192, out=str(out), **config))
+        reports[lam] = json.loads((out / "report.json").read_text())
+    return reports
+
+
 @pytest.fixture(scope="session")
-def sweep():
-    """Single-stage runs across the first-stage frequency sweep."""
-    return harness.sweep(SWEEP_LAMS, 8192)
+def sweep(tmp_path_factory):
+    """``({lam: report}, seconds)``: the first-stage frequency sweep and the
+    time its runs took."""
+    t0 = time.monotonic()
+    reports = first_stage_reports(tmp_path_factory.mktemp("sweep"), SWEEP_LAMS)
+    return reports, time.monotonic() - t0
+
+
+def history(report):
+    """The history entry of a report's first stage."""
+    return report["stages"][1]["history"]
 
 
 @pytest.fixture(scope="session")
@@ -97,10 +117,11 @@ def test_criterion_02_slab_scaling():
 def test_criterion_03_series_physical_agreement(sweep):
     profile = build_profile("odd-bump")
     rng = np.random.default_rng(3)
+    reports, _ = sweep
     shipped = [
-        (rec["params"].stage_lam(1), rec["params"].stage_eps(1))
-        for lam, rec in sweep.items()
-        if lam != "elapsed" and not rec["bundle"].degenerate
+        (rep["params"]["lam_schedule"][0], rep["params"]["eps_schedule"][0])
+        for rep in reports.values()
+        if not history(rep)["degenerate"]
     ] + [(lam, 0.5) for lam in (64, 256, 1024, 4096)]
     grid = np.linspace(-1.0, 1.0, 4001)
     phi_max = float(np.max(np.abs(profile(grid))))
@@ -148,10 +169,10 @@ def test_criterion_05_exact_structural_items(default_runs):
 
 
 def test_criterion_06_stress_decay(sweep):
-    default_ratio = sweep[256]["history"]["ratio"]
-    ratios = [sweep[lam]["history"]["ratio"] for lam in (64, 256, 1024)]
+    reports, elapsed = sweep
+    default_ratio = history(reports[256])["ratio"]
+    ratios = [history(reports[lam])["ratio"] for lam in (64, 256, 1024)]
     monotone = all(b < a + 1e-15 for a, b in zip(ratios, ratios[1:]))
-    elapsed = sweep["elapsed"]
     ok = default_ratio < 1.0 and monotone and elapsed < 600.0
     assert report_line(
         6, "stress decay", ok,
@@ -162,10 +183,11 @@ def test_criterion_06_stress_decay(sweep):
 
 
 def test_criterion_07_error_piece_rates(sweep):
+    reports, _ = sweep
     lams = np.array(NONDEGENERATE_LAMS, dtype=float)
-    rd = np.array([sweep[int(l)]["history"]["R_D_Hs"] for l in lams])
-    rn = np.array([sweep[int(l)]["history"]["R_N_Hs"] for l in lams])
-    eps = np.array([sweep[int(l)]["params"].stage_eps(1) for l in lams])
+    rd = np.array([history(reports[int(l)])["R_D_Hs"] for l in lams])
+    rn = np.array([history(reports[int(l)])["R_N_Hs"] for l in lams])
+    eps = np.array([reports[int(l)]["params"]["eps_schedule"][0] for l in lams])
     slope_rd = float(np.polyfit(np.log2(lams), np.log2(rd), 1)[0])
     slope_rn = float(np.polyfit(np.log2(lams), np.log2(rn), 1)[0])
     # modeled rates lam^{(eps-1)/2} and lam^{(eps-1)/6} with the per-stage eps
@@ -194,6 +216,29 @@ def test_criterion_07_error_piece_rates(sweep):
     )
 
 
+@pytest.mark.parametrize("gamma,s", [(1.0, 2.0), (0.5, 2.0), (2.0, 3.0)])
+def test_criterion_07b_sharp_error_piece_rates(sweep, tmp_path, gamma, s):
+    # each increment sits on the single shell |xi| ~ lam with an L^2 norm
+    # that does not grow with lam, so ||R_D||_{H^-s} ~ lam^{gamma-1-s} and
+    # ||R_N||_{H^-s} ~ lam^{-s}; (1, 2) is the sweep's own config
+    if (gamma, s) == (1.0, 2.0):
+        reports = sweep[0]
+    else:
+        reports = first_stage_reports(tmp_path, NONDEGENERATE_LAMS, gamma=gamma, s=s)
+    x = np.log2(NONDEGENERATE_LAMS)
+    slope = {}
+    for key in ("R_D_Hs", "R_N_Hs"):
+        y = np.log2([history(reports[lam])[key] for lam in NONDEGENERATE_LAMS])
+        slope[key] = float(np.polyfit(x, y, 1)[0])
+    target = {"R_D_Hs": gamma - 1.0 - s, "R_N_Hs": -s}
+    ok = all(abs(slope[key] - target[key]) <= 0.01 for key in slope)
+    assert report_line(
+        "7b", f"sharp error-piece rates, gamma={gamma}, s={s}", ok,
+        f"R_D slope {slope['R_D_Hs']:.3f} vs lam^(gamma-1-s) {target['R_D_Hs']:.3f}, "
+        f"R_N slope {slope['R_N_Hs']:.3f} vs lam^-s {target['R_N_Hs']:.3f} (tol 0.01)",
+    )
+
+
 def test_criterion_08_oscillation_cancellation(basis, sweep):
     # frozen: constant stress -> constant amplitudes; the mean of the updated
     # stress must hit its closed form to roundoff
@@ -218,8 +263,11 @@ def test_criterion_08_oscillation_cancellation(basis, sweep):
     target = (np.linalg.norm(Rbar) / basis.eps_omega) * basis.k_star
     frozen_rel = float(np.max(np.abs(mean_new - target)) / np.max(np.abs(target)))
 
-    ratios = [sweep[lam]["diag"]["ratio"] for lam in SWEEP_LAMS]
-    live_ok = all(r < 1.0 or sweep[lam]["bundle"].degenerate for r, lam in zip(ratios, SWEEP_LAMS))
+    reports, _ = sweep
+    ratios = [reports[lam]["stages"][1]["diagnostics"]["ratio"] for lam in SWEEP_LAMS]
+    live_ok = all(
+        r < 1.0 or history(reports[lam])["degenerate"] for r, lam in zip(ratios, SWEEP_LAMS)
+    )
     decreasing = all(b < a + 1e-15 for a, b in zip(ratios, ratios[1:]))
     ok = frozen_rel <= 1e-6 and live_ok and decreasing
     assert report_line(
@@ -230,15 +278,16 @@ def test_criterion_08_oscillation_cancellation(basis, sweep):
 
 
 def test_criterion_09_increment_norms(sweep):
+    reports, _ = sweep
     spread = {}
     for p in ("1.0", "1.5", "2.0"):
         vals = []
         for lam in NONDEGENERATE_LAMS:
-            rec = sweep[lam]["history"]["w_lp"][p]
+            rec = history(reports[lam])["w_lp"][p]
             vals.append(rec["ratio"])
         spread[p] = max(vals) / min(vals)
     besov_reported = all(
-        set(sweep[lam]["history"]["w_besov"]) == {"-0.1", "-0.5", "-0.9"}
+        set(history(reports[lam])["w_besov"]) == {"-0.1", "-0.5", "-0.9"}
         for lam in NONDEGENERATE_LAMS
     )
     ok = all(v <= 4.0 for v in spread.values()) and besov_reported

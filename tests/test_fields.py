@@ -22,7 +22,6 @@ from activeci.fields import (
     gradient,
     load_snapshot,
     low_pass,
-    lp_norm,
     lp_norm_detailed,
     lp_norms,
     mean_part,
@@ -570,25 +569,27 @@ def dense_norms(f, N):
 )
 def test_lp_norms_stream_equals_dense(dim, N):
     f = random_hermitian(np.random.default_rng(N), dim, 25, N)  # every p capped at N
-    assert {fields.quadrature_grid(f, p, N) for p in STREAM_PS} == {(N, False)}
     got = lp_norms(f, STREAM_PS, N)
+    assert {(rec.grid_N, rec.resolved) for rec in got.values()} == {(N, False)}
     for p, (norm, err) in dense_norms(f, N).items():
-        assert abs(got[p][0] - norm) <= 1e-13 * norm
-        assert abs(got[p][1] - err) <= 1e-13 * norm
+        assert abs(got[p].norm - norm) <= 1e-13 * norm
+        assert abs(got[p].quad_err - err) <= 1e-13 * norm
 
 
 def test_lp_norms_zero_field():
     z = SpectralField.zero(2)
-    assert lp_norms(z, STREAM_PS, 64) == {p: (0.0, 0.0) for p in STREAM_PS}
+    # the record a band-0 field gets: the 8-point floor grid, within the budget
+    assert lp_norms(z, STREAM_PS, 64) == {p: (0.0, 0.0, 8, True) for p in STREAM_PS}
+    assert lp_norms(z, STREAM_PS, 4) == {p: (0.0, 0.0, 4, False) for p in STREAM_PS}
     assert np.array_equal(sample(z, 8), np.zeros((8, 8)))
 
 
-def test_quadrature_grid_flags_budget_cap():
+def test_lp_norms_flag_budget_cap():
     f = cos_field((5, 0))
     # band 5: 4 * 5 + 1 points dealias the sup norm, 2 * 2 * 5 + 1 |f|^1.5
-    assert fields.quadrature_grid(f, math.inf, 32) == (32, True)
-    assert fields.quadrature_grid(f, 1.5, 16) == (16, False)
-    assert fields.quadrature_grid(SpectralField.zero(2), 2.0, 64) == (8, True)
+    assert lp_norm_detailed(f, math.inf, 32)[2:] == (32, True)
+    assert lp_norm_detailed(f, 1.5, 16)[2:] == (16, False)
+    assert lp_norm_detailed(SpectralField.zero(2), 2.0, 64)[2:] == (8, True)
 
 
 def test_lp_norms_never_hold_the_grid():
@@ -623,7 +624,7 @@ def test_norms_sample_each_grid_once(monkeypatch):
     assert [lp_norm_detailed(f, p, 256) for p in ps] == [lp[p] for p in ps]
     # band 5: 16 points dealias |f|, 32 dealias |f|^2 and the sup
     assert grids == Counter({16: 1, 32: 1})
-    assert besov == [2.0 ** (2 * alpha) * lp[math.inf][0] for alpha in (-0.1, -0.5, -0.9)]
+    assert besov == [2.0 ** (2 * alpha) * lp[math.inf].norm for alpha in (-0.1, -0.5, -0.9)]
     # one p at a time on a fresh field gives the same values
     fresh = SpectralField.scalar(2, dict(f.coeffs), reality=True)
     assert {p: lp_norm_detailed(fresh, p, 256) for p in ps} == lp
@@ -636,7 +637,7 @@ def test_shell_project_plateau_returns_field():
 
 def test_parseval():
     f = cos_field((3, 2), amp=2.0)
-    l2 = lp_norm(f, 2.0, grid_budget=64)
+    l2 = lp_norm_detailed(f, 2.0, grid_budget=64).norm
     coeff_l2 = math.sqrt(sum(abs(a) ** 2 for a in f.coeffs.values()))
     assert abs(l2 - coeff_l2) < 1e-12
 
@@ -723,15 +724,16 @@ def test_lp_norms_check_input_of_zero_fields():
         lp_norms(SpectralField.zero(2, 1), (1.0,))
     with pytest.raises(ValueError, match="p must be >= 1"):
         lp_norms(SpectralField.zero(2), (0.5,))
-    assert lp_norms(SpectralField.zero(2), (1.0, math.inf)) == {1.0: (0.0, 0.0), math.inf: (0.0, 0.0)}
+    zero = (0.0, 0.0, 8, True)
+    assert lp_norms(SpectralField.zero(2), (1.0, math.inf)) == {1.0: zero, math.inf: zero}
 
 
 def test_lp_norm_oracles():
     f = cos_field((5, 0), amp=2.0)
     # ||2 cos||_2 = sqrt(2), ||2 cos||_1 = 4/pi, ||2 cos||_inf = 2
-    n2, _ = lp_norm_detailed(f, 2.0, grid_budget=256)
-    n1, err1 = lp_norm_detailed(f, 1.0, grid_budget=256)
-    ninf, _ = lp_norm_detailed(f, np.inf, grid_budget=256)
+    n2 = lp_norm_detailed(f, 2.0, grid_budget=256).norm
+    n1, err1, _, _ = lp_norm_detailed(f, 1.0, grid_budget=256)
+    ninf = lp_norm_detailed(f, np.inf, grid_budget=256).norm
     assert abs(n2 - math.sqrt(2.0)) < 1e-10
     # |cos| has kinks; grid quadrature converges slowly, err estimate reported
     assert abs(n1 - 4.0 / np.pi) < 5e-2

@@ -178,7 +178,7 @@ def test_certify_items_agrees_with_brute_force(two_stages):
                 {
                     "stage": n,
                     "besov": besov_norm(fresh(b.w), alpha, kernel, budget),
-                    "lp": lp_norm_detailed(fresh(b.w), p, budget)[0],
+                    "lp": lp_norm_detailed(fresh(b.w), p, budget).norm,
                 }
                 for n, b in incs
             ]
@@ -266,20 +266,30 @@ def test_report_snapshot_roundtrip(fast_run):
                 assert field_to_snapshot(load_snapshot(path)) == saved
 
 
-def test_report_quadrature_grids(fast_run):
-    from activeci.fields import load_snapshot, quadrature_grid
+def dealias_grid(path, p, budget):
+    """``[grid_N, resolved]`` by the dealias rule for |f|^p: the smallest
+    power of two >= 2 ceil(p) band + 1, band the largest |xi_i| of the saved
+    field, capped at the budget."""
+    with open(path) as fh:
+        snap = json.load(fh)
+    band = max(abs(c) for row in snap["entries"] for c in row[: snap["d"]])
+    want = 1 << (2 * math.ceil(p) * band).bit_length()
+    return [min(want, budget), want <= budget]
 
+
+def test_report_quadrature_grids(fast_run):
     _, out = fast_run
     with open(os.path.join(out, "report.json")) as fh:
         stage = json.load(fh)["stages"][1]
-    w = load_snapshot(os.path.join(out, "stage-1", "w.json"))
-    theta = load_snapshot(os.path.join(out, "stage-1", "theta.json"))
     w_lp = stage["history"]["w_lp"]
     assert set(w_lp) == {"1.0", "1.3333333333333333", "1.5", "2.0"}
-    for p, rec in w_lp.items():
-        assert [rec["grid_N"], rec["resolved"]] == list(quadrature_grid(w, float(p), 8192))
+    w_path = os.path.join(out, "stage-1", "w.json")
+    grids = {p: [rec["grid_N"], rec["resolved"]] for p, rec in w_lp.items()}
+    assert grids == {p: dealias_grid(w_path, float(p), 8192) for p in w_lp}
+    assert grids["2.0"] == [2048, True]  # band 286: 4 * 286 + 1 points
     item5 = stage["items"]["item5"]
-    assert [item5["grid_N"], item5["resolved"]] == list(quadrature_grid(theta, 1.0, 8192))
+    theta_path = os.path.join(out, "stage-1", "theta.json")
+    assert [item5["grid_N"], item5["resolved"]] == dealias_grid(theta_path, 1.0, 8192)
 
 
 def test_cancellation_csv_rows(fast_run):
@@ -320,6 +330,18 @@ BAD_FILES = {
     "scaling_lams_3_8.json": {"scaling_lams": [3, 8]},
     "scaling_lams_empty.json": {"scaling_lams": []},
     "scaling_eps_2.json": {"scaling_eps": 2},
+    "multiplier_number.json": {"multiplier": 5},
+    "out_number.json": {"out": 5},
+    "seed_float.json": {"seed": 1.5},
+    "d_float.json": {"d": 2.0},
+    "b0_bool.json": {"b0": True},
+    "qmax_string.json": {"qmax": "1"},
+    "lambda1_float.json": {"lambda1": 256.0},
+    "lambda1_1.json": {"lambda1": 1},
+    "grid_budget_float.json": {"grid_budget": 8192.0},
+    "gamma_margin_1.json": {"gamma_margin": 1.0},
+    "gamma_margin_1_5.json": {"gamma_margin": 1.5},
+    "gamma_margin_0.json": {"gamma_margin": 0.0},
 }
 
 
@@ -341,17 +363,31 @@ BAD_FILES = {
         ["--config", "{dir}/scaling_lams_3_8.json"],  # 3 is not a power of two
         ["--config", "{dir}/scaling_lams_empty.json"],
         ["--config", "{dir}/scaling_eps_2.json"],  # outside (0, 1]
+        ["--config", "{dir}/multiplier_number.json"],
+        ["--config", "{dir}/out_number.json"],  # the one case without --out
+        ["--config", "{dir}/seed_float.json"],
+        ["--config", "{dir}/d_float.json"],
+        ["--config", "{dir}/b0_bool.json"],
+        ["--config", "{dir}/qmax_string.json"],
+        ["--config", "{dir}/lambda1_float.json"],
+        ["--config", "{dir}/lambda1_1.json"],  # a power of two below 2
+        ["--config", "{dir}/grid_budget_float.json"],
+        ["--config", "{dir}/gamma_margin_1.json"],  # outside (0, 1)
+        ["--config", "{dir}/gamma_margin_1_5.json"],
+        ["--config", "{dir}/gamma_margin_0.json"],
     ],
 )
-def test_cli_bad_input_exits_2(tmp_path, capsys, argv):
+def test_cli_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     for name, content in BAD_FILES.items():
         (tmp_path / name).write_text(content if isinstance(content, str) else json.dumps(content))
-    argv = [a.format(dir=tmp_path) for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    monkeypatch.chdir(tmp_path)  # where a relative or misread --out would land
+    if argv[-1] != "{dir}/out_number.json":
+        argv = argv + ["--out", "o"]
+    assert main([a.format(dir=tmp_path) for a in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert not (tmp_path / "o" / "stage-0").exists()  # no stage ran
+    assert not list(tmp_path.rglob("stage-0"))  # no stage ran
 
 
 def test_cli_rejects_odd_multiplier(tmp_path):
@@ -419,6 +455,28 @@ def test_lambda_sweep_script_writes_its_table(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == "" and not bad.exists()  # no stage ran
+    # a frequency above the grid budget passes the config check and fails in
+    # its run's schedule: exit 2, no table, though the frequencies before it ran
+    argv = [sys.executable, script, "--lams", "64", "512", "--grid-budget", "256", "--out", str(bad)]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: stage frequency 512 exceeds the grid budget 256\n"
+    assert proc.stdout == "" and not bad.exists()
+
+
+def test_traced_benchmark_run(tmp_path):
+    # the benchmark's tracer wraps functions by parameter name and unpacks
+    # step's (state, bundle): a run it traces must find every function
+    src = os.path.dirname(os.path.dirname(activeci.__file__))
+    tracer = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    spans = tmp_path / "spans.json"
+    argv = [sys.executable, tracer, "--spans", str(spans), "--run-id", "t", "--"]
+    argv += ["--qmax", "1", "--lambda1", "256", "--grid-budget", "256", "--out", str(tmp_path / "o")]
+    proc = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    trace = json.loads(spans.read_text())
+    assert trace["rc"] == 0 and trace["missing"] == []
+    assert trace["counters"]["iteration.coeffs.w.q1"] > 0
 
 
 def test_cli_ipm3d_end_to_end(tmp_path):
