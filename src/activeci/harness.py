@@ -24,7 +24,6 @@ from .fields import (
     SpectralField,
     fractional_laplacian,
     gradient,
-    lp_norm_detailed,
     nonzero_part,
     save_snapshot,
 )
@@ -34,7 +33,6 @@ from .iteration import (
     IterationState,
     base_state,
     make_params,
-    oscillation_diagnostics,
     step,
 )
 from .kernels import ShellKernel
@@ -93,6 +91,10 @@ class RunConfig:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ConfigError(f"{name} = {value!r} must be an integer")
+        for name in ("gamma", "s"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
+                raise ConfigError(f"{name} = {value!r} must be a finite number")
         floor = self.d / 2 + max(self.gamma - 1.0, 0.0)
         if self.s <= floor:
             raise ConfigError(
@@ -155,17 +157,14 @@ def resolve_multiplier(config: RunConfig) -> Multiplier:
 def build_test_functions(d: int, seed: int) -> TestFunctionSet:
     """Six real single modes at |xi| in {1, 2, 5} plus two seeded random
     band-limited combinations."""
-    if d == 2:
-        singles = [(1, 0), (0, 1), (2, 0), (0, 2), (3, 4), (5, 0)]
-    else:
-        singles = [
-            (1,) + (0,) * (d - 1),
-            (0, 1) + (0,) * (d - 2),
-            (2,) + (0,) * (d - 1),
-            (0, 2) + (0,) * (d - 2),
-            (3, 4) + (0,) * (d - 2),
-            (5,) + (0,) * (d - 1),
-        ]
+    singles = [
+        (1,) + (0,) * (d - 1),
+        (0, 1) + (0,) * (d - 2),
+        (2,) + (0,) * (d - 1),
+        (0, 2) + (0,) * (d - 2),
+        (3, 4) + (0,) * (d - 2),
+        (5,) + (0,) * (d - 1),
+    ]
     members = []
     for xi in singles:
         neg = tuple(-c for c in xi)
@@ -205,9 +204,9 @@ def pairing(f: SpectralField, g: SpectralField) -> tuple:
 # -- inductive items ------------------------------------------------------
 
 
-def certify_items(state: IterationState, params: IterationParams) -> dict:
+def certify_items(state: IterationState) -> dict:
     """The inductive items of one stage, read from the measurements the
-    iteration kept on the state; only item 5's theta L^1 is computed here."""
+    iteration kept on the state; nothing is computed here."""
     q = state.q
     report = {"q": q}
     entry = state.norm_history[-1]
@@ -242,9 +241,9 @@ def certify_items(state: IterationState, params: IterationParams) -> dict:
     for alpha, p in ITEM4_PAIRS:
         vals = [
             {
-                "stage": inc["stage"],
+                "stage": inc.stage,
                 "besov": h["w_besov"].get(str(alpha), 0.0),
-                "lp": inc["lp"][p].norm,
+                "lp": inc.w_norms[p].norm,
             }
             for inc, h in zip(state.increments, state.norm_history[1:])
         ]
@@ -259,21 +258,21 @@ def certify_items(state: IterationState, params: IterationParams) -> dict:
     report["item4"] = item4
 
     # item 5: L^1 mass floor with the implemented delta
-    l1 = lp_norm_detailed(state.theta, 1.0, params.grid_budget)
-    floor = (1.0 + 2.0**-q) * params.delta
+    l1, delta = state.theta_L1, state.norm_history[0]["delta"]
+    floor = (1.0 + 2.0**-q) * delta
     report["item5"] = {
         "theta_L1": l1.norm,
         "quad_err": l1.quad_err,
         "grid_N": l1.grid_N,
         "resolved": l1.resolved,
         "floor": floor,
-        "delta": params.delta,
+        "delta": delta,
         "delta_max_here": l1.norm / (1.0 + 2.0**-q),
         "pass": bool(l1.norm > floor),
     }
 
     # item 6: each increment confined to one dyadic shell plateau (exact scan)
-    shells = [inc["shell"] for inc in state.increments]
+    shells = [inc.shell for inc in state.increments]
     report["item6"] = {"per_stage": shells, "pass": all(s["pass"] for s in shells)}
 
     # item 7: full paraproduct interaction matrix and its partial sums over
@@ -389,8 +388,8 @@ def run(config: RunConfig) -> int:
     stages = []
     timing = {"start": t0}
 
-    def record_stage(st, diag):
-        cert = certify_items(st, params)
+    def record_stage(st):
+        cert = certify_items(st)
         weak = weak_form_test(st, psis, params)
         stage_dir = os.path.join(config.out, f"stage-{st.q}")
         os.makedirs(stage_dir, exist_ok=True)
@@ -398,23 +397,21 @@ def run(config: RunConfig) -> int:
         save_snapshot(st.u, os.path.join(stage_dir, "u.json"))
         save_snapshot(st.R, os.path.join(stage_dir, "R.json"))
         if st.increments:
-            save_snapshot(st.increments[-1]["w"], os.path.join(stage_dir, "w.json"))
+            save_snapshot(st.increments[-1].w, os.path.join(stage_dir, "w.json"))
         stages.append(
             {
                 "q": st.q,
                 "items": cert,
                 "weak_form": weak,
-                "diagnostics": diag,
+                "diagnostics": st.diagnostics,
                 "history": st.norm_history[-1],
             }
         )
 
-    record_stage(state, None)
+    record_stage(state)
     for _ in range(params.qmax):
-        prev = state
-        state, bundle = step(state, params, basis, m, kernel, profile)
-        diag = oscillation_diagnostics(bundle, prev, params, basis, m)
-        record_stage(state, diag)
+        state, _ = step(state, params, basis, m, kernel, profile)
+        record_stage(state)
 
     # R-pairing decay across stages per test function
     decay = {}
@@ -475,8 +472,8 @@ def run(config: RunConfig) -> int:
         "params": {
             "r": str(params.r),
             "c": str(params.c),
-            "A": params.A,
-            "delta": params.delta,
+            "A": state.norm_history[0]["A"],
+            "delta": state.norm_history[0]["delta"],
             "lam_schedule": params.lam_schedule,
             "eps_schedule": params.eps_schedule,
             "stage_flags": params.stage_flags,

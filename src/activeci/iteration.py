@@ -25,6 +25,7 @@ import numpy as np
 
 from .directions import DirectionBasis
 from .fields import (
+    Quadrature,
     SpectralField,
     SupportError,
     _BLOCK_POINTS,
@@ -83,8 +84,6 @@ class IterationParams:
     s: float
     b0: int
     qmax: int
-    A: float
-    delta: float
     r: Fraction
     c: Fraction
     lam_schedule: list
@@ -114,15 +113,18 @@ class IterationState:
     u: SpectralField
     R: SpectralField
     norm_history: list = dc_field(default_factory=list)
-    # per stage: {stage, w, Tw, lp: lp_norms of w, shell: item 6's scan}
+    # the PerturbationBundle of every stage so far
     increments: list = dc_field(default_factory=list)
     # ||w_n T w_m||_{H^{-s}}: row n, column m, one per pair of increments
     interactions: list = dc_field(default_factory=list)
+    # oscillation_diagnostics of the increment that made this stage; None at q = 0
+    diagnostics: dict | None = None
     # measured by the state check: |mean theta|, the divergence defect of u,
-    # and the product theta u
+    # the product theta u and the L^1 quadrature of theta
     theta_mean: float | None = None
     div_u: float | None = None
     theta_u: SpectralField | None = None
+    theta_L1: Quadrature | None = None
 
 
 @dataclass
@@ -131,12 +133,13 @@ class PerturbationBundle:
     lam: int
     eps: float
     sigma: int
-    per_k: dict  # k -> {a, w_k, S, amp_info, mode_cap}
+    per_k: dict  # k -> {w_k, amp_info, mode_cap}
     w: SpectralField
     Tw: SpectralField
     wTw: SpectralField
     degenerate: bool
     w_norms: dict  # {p: Quadrature}: every L^p norm of w taken, item 4's included
+    shell: dict  # item 6's scan of w
 
 
 def _harmonic_survives(lam: int, j: int, knorm: int, r: Fraction) -> bool:
@@ -238,8 +241,6 @@ def make_params(
         s=s,
         b0=b0,
         qmax=qmax,
-        A=1.0,
-        delta=0.25,
         r=r,
         c=c,
         lam_schedule=lam_schedule,
@@ -264,11 +265,11 @@ def residual_defect(theta, u, R, gamma) -> tuple:
     return ((lhs - rhs).max_amp() / scale if scale else 0.0), theta_u
 
 
-def _check_state(state: IterationState, gamma: float, m: Multiplier) -> float:
+def _check_state(state: IterationState, params: IterationParams, m: Multiplier) -> float:
     """Raise unless the state obeys the exact invariants; returns the
     relaxed-equation residual defect and keeps the other measurements it took
     (|mean theta|, the divergence defect of u, the product theta u) on the
-    state."""
+    state, together with the L^1 quadrature of theta."""
     state.theta_mean = abs(mean_part(state.theta))
     if state.theta_mean != 0.0:
         raise ValueError("theta must be mean-free")
@@ -278,9 +279,10 @@ def _check_state(state: IterationState, gamma: float, m: Multiplier) -> float:
     diff = (state.u - apply_T(m, state.theta)).max_amp()
     if diff > 1e-12 * max(state.u.max_amp(), 1e-300):
         raise ValueError(f"u != T theta: {diff:.3g}")
-    defect, state.theta_u = residual_defect(state.theta, state.u, state.R, gamma)
+    defect, state.theta_u = residual_defect(state.theta, state.u, state.R, params.gamma)
     if defect > 1e-10:
         raise ValueError(f"relaxed-equation residual {defect:.3g} exceeds 1e-10")
+    state.theta_L1 = lp_norm_detailed(state.theta, 1.0, params.grid_budget)
     return defect
 
 
@@ -303,9 +305,10 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
     The stress is the exact residual R_0 = theta_0 u_0 - Lambda^{gamma-2}
     grad theta_0 (the sign makes div R_0 reproduce the Lambda^gamma term,
     since div Lambda^{gamma-2} grad = -Lambda^gamma).  delta = A/4 is the
-    L^1-floor constant: ||theta_0||_{L^1} = 2A/pi > (1+1) A/4.
+    L^1-floor constant: ||theta_0||_{L^1} = 2A/pi > (1+1) A/4.  Both live in
+    the base history entry only.
     """
-    A = params.A
+    A = 1.0
     for _ in range(64):
         theta, u, R = _base_fields(A, params, m)
         R_Hs = sobolev_norm(R, -params.s)
@@ -314,10 +317,8 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
         A /= 2.0
     else:
         raise ValueError("could not normalize the base stress below 1")
-    params.A = A
-    params.delta = A / 4.0
     state = IterationState(q=0, theta=theta, u=u, R=R)
-    defect = _check_state(state, params.gamma, m)
+    defect = _check_state(state, params, m)
     state.norm_history.append(
         {
             "q": 0,
@@ -325,9 +326,9 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
             "eps": None,
             "degenerate": False,
             "R_Hs": R_Hs,
-            "theta_L1": lp_norm_detailed(theta, 1.0, params.grid_budget).norm,
+            "theta_L1": state.theta_L1.norm,
             "A": A,
-            "delta": params.delta,
+            "delta": A / 4.0,
             "residual_defect": defect,
         }
     )
@@ -444,6 +445,25 @@ def amplitudes(
 # -- increment ------------------------------------------------------------
 
 
+def _shell_scan(w: SpectralField, stage: int, lam: int, kernel: ShellKernel) -> dict:
+    """Item 6's exact scan: is every frequency of the increment inside the
+    dyadic shell j = log2 lam and on its plateau?"""
+    if w.is_zero():
+        return {"stage": stage, "degenerate": True, "pass": True}
+    j = lam.bit_length() - 1
+    lo, hi = 2.0**j, (12.0 / 7.0) * 2.0**j
+    mags = w.radii()
+    inside = bool(np.all((mags >= lo - 1e-9) & (mags <= hi + 1e-9)))
+    plateau = bool(np.all(kernel.shell_weight(w.freqs, j) == 1.0))
+    return {
+        "stage": stage,
+        "shell_index": j,
+        "min_freq": float(mags.min()),
+        "max_freq": float(mags.max()),
+        "pass": inside and plateau,
+    }
+
+
 def build_increment(
     state: IterationState,
     params: IterationParams,
@@ -472,13 +492,7 @@ def build_increment(
         spec = SlabSpec(k=k, lam=lam, eps=eps, profile=profile)
         if k not in amps:
             degenerate = True
-            per_k[k] = {
-                "a": SpectralField.zero(params.d, 0),
-                "w_k": SpectralField.zero(params.d, 0),
-                "S": 0.0,
-                "amp_info": None,
-                "mode_cap": 0,
-            }
+            per_k[k] = {"w_k": SpectralField.zero(params.d, 0), "amp_info": None, "mode_cap": 0}
             continue
         a, info = amps[k]
         # only slab harmonics that can reach the low-pass support after
@@ -493,13 +507,7 @@ def build_increment(
         w_k = g.modulated([sigma * c for c in k])
         # highest slab harmonic actually kept; sets the diagnostics split scale
         kept_cap = int(np.round(rho_t.radii() / (sig_step * params.basis_norm)).max(initial=0))
-        per_k[k] = {
-            "a": a,
-            "w_k": w_k,
-            "S": info["S"],
-            "amp_info": info,
-            "mode_cap": kept_cap,
-        }
+        per_k[k] = {"w_k": w_k, "amp_info": info, "mode_cap": kept_cap}
         w = w + w_k
 
     if w.is_zero():
@@ -533,29 +541,11 @@ def build_increment(
         wTw=multiply(w, Tw),
         degenerate=degenerate,
         w_norms=norms,
+        shell=_shell_scan(w, stage, lam, kernel),
     )
 
 
 # -- step -----------------------------------------------------------------
-
-
-def _shell_scan(w: SpectralField, stage: int, lam: int, kernel: ShellKernel) -> dict:
-    """Item 6's exact scan: is every frequency of the increment inside the
-    dyadic shell j = log2 lam and on its plateau?"""
-    if w.is_zero():
-        return {"stage": stage, "degenerate": True, "pass": True}
-    j = lam.bit_length() - 1
-    lo, hi = 2.0**j, (12.0 / 7.0) * 2.0**j
-    mags = w.radii()
-    inside = bool(np.all((mags >= lo - 1e-9) & (mags <= hi + 1e-9)))
-    plateau = bool(np.all(kernel.shell_weight(w.freqs, j) == 1.0))
-    return {
-        "stage": stage,
-        "shell_index": j,
-        "min_freq": float(mags.min()),
-        "max_freq": float(mags.max()),
-        "pass": inside and plateau,
-    }
 
 
 def step(
@@ -569,11 +559,14 @@ def step(
     """Advance one stage; returns (new_state, bundle).
 
     Each measurement of the new stage is taken once, while the stage is
-    built, and kept on the new state for certification to read: the history
-    entry, the increment record and the new row and column of the
+    built, and kept on the new state for certification to read: the
+    oscillation diagnostics, the history entry, the increment (the bundle
+    itself, last in ``increments``) and the new row and column of the
     interaction matrix.
     """
     bundle = build_increment(state, params, basis, m, kernel, profile)
+    # taken before R_O, R_N and R_D exist, so its products add nothing to their peak
+    diagnostics = oscillation_diagnostics(bundle, state, params, basis, m)
     w, Tw, wTw = bundle.w, bundle.Tw, bundle.wTw
     theta1 = state.theta + w
     u1 = state.u + Tw
@@ -588,9 +581,10 @@ def step(
         u=u1,
         R=R1,
         norm_history=list(state.norm_history),
-        increments=list(state.increments),
+        increments=state.increments + [bundle],
+        diagnostics=diagnostics,
     )
-    defect = _check_state(new_state, params.gamma, m)
+    defect = _check_state(new_state, params, m)
 
     ms = -params.s
     prev = state.norm_history[-1]["R_Hs"]
@@ -627,19 +621,10 @@ def step(
 
     # the new column (w_n T w, n < q) and row (w T w_m, m < q) of the
     # interaction matrix; its diagonal entry is wTw_Hs
-    col = [sobolev_norm(multiply(inc["w"], Tw), ms) for inc in state.increments]
-    row = [sobolev_norm(multiply(w, inc["Tw"]), ms) for inc in state.increments]
+    col = [sobolev_norm(multiply(inc.w, Tw), ms) for inc in state.increments]
+    row = [sobolev_norm(multiply(w, inc.Tw), ms) for inc in state.increments]
     new_state.interactions = [r + [c] for r, c in zip(state.interactions, col)]
     new_state.interactions.append(row + [entry["wTw_Hs"]])
-    new_state.increments.append(
-        {
-            "stage": new_state.q,
-            "w": w,
-            "Tw": Tw,
-            "lp": bundle.w_norms,
-            "shell": _shell_scan(w, new_state.q, bundle.lam, kernel),
-        }
-    )
     return new_state, bundle
 
 
@@ -700,30 +685,25 @@ def oscillation_diagnostics(
         "degenerate": bundle.degenerate,
     }
 
-    # closed-form mean comparison
-    rmax = None
-    for rec in bundle.per_k.values():
-        if rec["amp_info"] is not None:
-            rmax = rec["amp_info"]["R_max"]
-            break
-    if rmax is not None:
-        target = (rmax / basis.eps_omega) * basis.k_star
+    # closed-form mean comparison; the amplitudes share one R_max
+    infos = [rec["amp_info"] for rec in bundle.per_k.values() if rec["amp_info"] is not None]
+    report["mean_cancellation_rel"] = None
+    if infos:
+        target = (infos[0]["R_max"] / basis.eps_omega) * basis.k_star
         achieved = np.asarray(mean_part(state.R + bundle.wTw), dtype=complex)
         scale = float(np.linalg.norm(target))
-        report["mean_cancellation_rel"] = (
-            float(np.linalg.norm(achieved - target)) / scale if scale > 0 else None
-        )
-    else:
-        report["mean_cancellation_rel"] = None
+        if scale > 0:
+            report["mean_cancellation_rel"] = float(np.linalg.norm(achieved - target)) / scale
 
-    # off-diagonal frequency-separation certificate
+    # off-diagonal frequency-separation certificate: each w_k lies within
+    # r lam of +-sigma k (sigma = c lam), so w_a T w_b with a != b sits at
+    # least lam (c min |k_a +- k_b| - 2 r) from the origin
     if not offdiag.is_zero():
         mags = offdiag.radii()
-        ks = list(bundle.per_k)
-        ksum = np.linalg.norm(
-            np.asarray(ks[0], dtype=float) + np.asarray(ks[1], dtype=float)
-        )
-        threshold = (float(params.c) - 2.0 * float(params.r)) * bundle.lam * ksum
+        ks = np.asarray(list(bundle.per_k), dtype=float)
+        a, b = np.triu_indices(len(ks), 1)
+        gap = float(np.linalg.norm(np.concatenate((ks[a] + ks[b], ks[a] - ks[b])), axis=1).min())
+        threshold = bundle.lam * (float(params.c) * gap - 2.0 * float(params.r))
         report["offdiag_min_freq"] = float(mags.min())
         report["offdiag_threshold"] = threshold
         report["offdiag_separated"] = bool(mags.min() >= threshold - 1e-9)

@@ -132,12 +132,10 @@ def test_criterion_03_series_physical_agreement(sweep):
         pts = rng.uniform(0.0, 1.0, size=(100, 2))
         # relative to the slab's sup: sample points may all miss the thin slabs
         scale = lam ** ((1.0 - eps) / 2.0) * phi_max
-        for x in pts:
-            series = sum(
-                np.real(a * np.exp(2j * np.pi * np.dot(xi, x)))
-                for xi, a in f.coeffs.items()
-            )
-            worst = max(worst, abs(series - slab_physical(spec, x)) / scale)
+        # the series at every point at once: (points x modes) phases times amps
+        series = np.real(np.exp(2j * np.pi * (pts @ f.freqs.T)) @ f.amps)
+        physical = np.array([slab_physical(spec, x) for x in pts])
+        worst = max(worst, float(np.max(np.abs(series - physical))) / scale)
     ok = worst <= 1e-8
     assert report_line(
         3, "series vs physical slab values", ok,

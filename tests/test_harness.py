@@ -168,11 +168,13 @@ def test_certify_items_agrees_with_brute_force(two_stages):
     params, kernel, states, bundles = two_stages
     ms, budget = -params.s, params.grid_budget
     for st in states:
-        report = certify_items(st, params)
+        report = certify_items(st)
         incs = list(enumerate(bundles[: st.q], start=1))
         assert report["item1"]["theta_mean"] == abs(mean_part(st.theta))
         assert report["item1"]["div_u_rel"] == divergence_defect(st.u)
         assert report["item3"]["R_Hs"] == sobolev_norm(st.R, ms)
+        l1 = lp_norm_detailed(fresh(st.theta), 1.0, budget)
+        assert [report["item5"][k] for k in ("theta_L1", "quad_err", "grid_N", "resolved")] == list(l1)
         for alpha, p in ITEM4_PAIRS:
             assert report["item4"][f"alpha={alpha},p={p}"]["per_stage"] == [
                 {
@@ -192,9 +194,10 @@ def test_certify_items_agrees_with_brute_force(two_stages):
 
 
 def test_certify_items_only_reads_the_stage_record(two_stages, monkeypatch):
-    params, _, states, _ = two_stages
+    _, _, states, _ = two_stages
     calls = []
-    for name in ("multiply", "sobolev_norm", "besov_norm", "divergence_defect"):
+    names = ("multiply", "sobolev_norm", "besov_norm", "divergence_defect", "lp_norms", "lp_norm_detailed")
+    for name in names:
 
         def counted(*args, _name=name, _original=getattr(fields, name), **kwargs):
             calls.append(_name)
@@ -203,7 +206,7 @@ def test_certify_items_only_reads_the_stage_record(two_stages, monkeypatch):
         for module in (fields, harness):
             monkeypatch.setattr(module, name, counted, raising=False)
     for st in states:
-        certify_items(st, params)
+        certify_items(st)
     assert calls == []
 
 
@@ -342,6 +345,9 @@ BAD_FILES = {
     "gamma_margin_1.json": {"gamma_margin": 1.0},
     "gamma_margin_1_5.json": {"gamma_margin": 1.5},
     "gamma_margin_0.json": {"gamma_margin": 0.0},
+    "gamma_bool.json": {"gamma": True, "qmax": 0},
+    "s_nan.json": '{"s": NaN, "qmax": 0}',
+    "s_inf.json": '{"s": Infinity, "qmax": 0}',
 }
 
 
@@ -375,6 +381,10 @@ BAD_FILES = {
         ["--config", "{dir}/gamma_margin_1.json"],  # outside (0, 1)
         ["--config", "{dir}/gamma_margin_1_5.json"],
         ["--config", "{dir}/gamma_margin_0.json"],
+        ["--config", "{dir}/gamma_bool.json"],
+        ["--config", "{dir}/s_nan.json"],
+        ["--config", "{dir}/s_inf.json"],
+        ["--s", "nan", "--qmax", "0"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):

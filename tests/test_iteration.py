@@ -1,5 +1,6 @@
 """Stage construction: parameter schedule, base case, increment, cancellation."""
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -95,6 +96,13 @@ def test_base_state_invariants(setup, params):
         gradient(st.theta), params.gamma - 2.0
     )
     assert (R - st.R).pruned(rel=1e-13).is_zero()
+    # at gamma 1.5 the amplitude is halved once; A and delta go to the base
+    # history entry and leave the schedule as it was
+    p = make_params(basis, gamma=1.5, lambda1=256, qmax=1)
+    schedule = dataclasses.asdict(p)
+    entry = base_state(p, m, basis).norm_history[0]
+    assert dataclasses.asdict(p) == schedule
+    assert (entry["A"], entry["delta"]) == (0.5, 0.125)
 
 
 def test_amplitudes_constant_stress(setup, params):
@@ -181,13 +189,43 @@ def test_stage_invariants_after_step(stage1, setup, params):
     assert diff <= 1e-12 * st1.u.max_amp()
 
 
+def test_step_keeps_its_bundle_and_diagnostics(stage1, setup, params):
+    m, basis, _, _ = setup
+    st0, st1, bundle = stage1
+    assert st0.increments == [] and st0.diagnostics is None
+    assert st1.increments[-1] is bundle
+    assert st1.diagnostics == oscillation_diagnostics(bundle, st0, params, basis, m)
+
+
+def first_stage_3d():
+    m = ipm3d()
+    basis = build_basis(m, supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
+    params = make_params(basis, d=3, lambda1=128, qmax=1, grid_budget=128)
+    st0 = base_state(params, m, basis)
+    _, bundle = step(st0, params, basis, m, ShellKernel(r=float(params.r)), build_profile())
+    return m, basis, params, st0, bundle
+
+
 def test_oscillation_diagnostics_cancellation(stage1, setup, params):
     m, basis, _, _ = setup
     st0, _, bundle = stage1
-    d = oscillation_diagnostics(bundle, st0, params, basis, m)
-    assert d["ratio"] < 1.0
-    assert d["offdiag_separated"]
-    assert d["mean_cancellation_rel"] < 0.1
+    cases = [(m, basis, params, st0, bundle), first_stage_3d()]
+    for m, basis, p, st0, bundle in cases:
+        d = oscillation_diagnostics(bundle, st0, p, basis, m)
+        assert d["ratio"] < 1.0
+        # each w_k lies within r lam of +-sigma k, so w_a T w_b (a != b) sits
+        # at least lam (c min |k_a +- k_b| - 2 r) from the origin
+        ks = [np.array(k, dtype=float) for k in basis.omega]
+        gap = min(
+            np.linalg.norm(ka + sign * kb)
+            for i, ka in enumerate(ks)
+            for kb in ks[i + 1 :]
+            for sign in (1.0, -1.0)
+        )
+        lam, c, r = p.stage_lam(1), float(p.c), float(p.r)
+        assert d["offdiag_threshold"] == pytest.approx(lam * (c * gap - 2.0 * r))
+        assert d["offdiag_separated"]
+        assert d["mean_cancellation_rel"] < 0.1
 
 
 def test_degenerate_stage_zero_increment(setup):
