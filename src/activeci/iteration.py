@@ -492,7 +492,11 @@ def build_increment(
         spec = SlabSpec(k=k, lam=lam, eps=eps, profile=profile)
         if k not in amps:
             degenerate = True
-            per_k[k] = {"w_k": SpectralField.zero(params.d, 0), "amp_info": None, "mode_cap": 0}
+            per_k[k] = {
+                "w_k": SpectralField.zero(params.d, 0),
+                "amp_info": None,
+                "mode_cap": 0,
+            }
             continue
         a, info = amps[k]
         # only slab harmonics that can reach the low-pass support after
@@ -507,7 +511,11 @@ def build_increment(
         w_k = g.modulated([sigma * c for c in k])
         # highest slab harmonic actually kept; sets the diagnostics split scale
         kept_cap = int(np.round(rho_t.radii() / (sig_step * params.basis_norm)).max(initial=0))
-        per_k[k] = {"w_k": w_k, "amp_info": info, "mode_cap": kept_cap}
+        per_k[k] = {
+            "w_k": w_k,
+            "amp_info": info,
+            "mode_cap": kept_cap,
+        }
         w = w + w_k
 
     if w.is_zero():
