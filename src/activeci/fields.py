@@ -389,9 +389,12 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
     """Recover the sparse coefficient map of a real scalar field from its
     samples at x = j/N, j in {0..N-1}^d: a real (N,)*d array.
 
-    The spectrum is Hermitian once each coefficient on a Nyquist line (-N/2
-    on some axis, even N) is split evenly over -N/2 and +N/2 on that axis;
-    the N-grid samples stay the same.
+    Only the half spectrum, last index 0..N//2, is transformed (rfftn's
+    passes, bit for bit); each kept coefficient with 0 < last index < N/2
+    also stands at -xi as its exact conjugate.  The spectrum is Hermitian
+    once each coefficient on a Nyquist line (-N/2 on some axis, even N) is
+    split evenly over -N/2 and +N/2 on that axis; the N-grid samples stay
+    the same.
     """
     values = np.asarray(values)
     if np.iscomplexobj(values):
@@ -399,9 +402,9 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
     dim, N = values.ndim, values.shape[0]
     if values.shape != (N,) * dim:
         raise ValueError(f"samples of shape {values.shape} are not one scalar N^d grid")
-    # fftn's passes, last axis first, in place on one complex copy
-    arr = values.astype(complex)
-    for ax in reversed(range(dim)):
+    # rfftn's passes, last axis first, the complex ones in place
+    arr = np.fft.rfft(values.astype(float, copy=False), axis=-1)
+    for ax in reversed(range(dim - 1)):
         np.fft.fft(arr, axis=ax, out=arr)
     arr /= N**dim
     mags = np.abs(arr)
@@ -409,8 +412,11 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
     if scale == 0.0:
         return SpectralField.zero(dim, 0)
     idx = np.argwhere(mags > rel * scale)
-    centered = ((idx + N // 2) % N) - N // 2
     amps = arr[tuple(idx.T)]
+    mirrored = (idx[:, -1] > 0) & (2 * idx[:, -1] < N)
+    idx = np.concatenate((idx, -idx[mirrored] % N))
+    amps = np.concatenate((amps, amps[mirrored].conj()))
+    centered = ((idx + N // 2) % N) - N // 2
     for ax in range(dim if N % 2 == 0 else 0):
         on = centered[:, ax] == -N // 2
         if on.any():

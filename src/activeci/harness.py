@@ -14,6 +14,8 @@ import itertools
 import json
 import math
 import os
+import random
+import resource
 import time
 from dataclasses import dataclass
 
@@ -104,7 +106,7 @@ class RunConfig:
             raise ConfigError(f"gamma = {self.gamma} must lie in (0, 2]")
         if self.qmax < 0:
             raise ConfigError("qmax must be >= 0")
-        if self.seed < 0:
+        if self.seed < 0:  # random.Random(-n) would draw what n draws
             raise ConfigError(f"seed = {self.seed} must be >= 0")
         if self.grid_budget < 1:
             raise ConfigError(f"grid_budget = {self.grid_budget} must be >= 1")
@@ -170,14 +172,14 @@ def build_test_functions(d: int, seed: int) -> TestFunctionSet:
         neg = tuple(-c for c in xi)
         f = SpectralField.scalar(d, {xi: 0.5, neg: 0.5}, reality=True)
         members.append((f"mode{xi}", f, math.sqrt(sum(c * c for c in xi))))
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)  # private: the global generator stays untouched
     for idx in range(2):
         freqs, amps = [], []
         for _ in range(4):
-            xi = rng.integers(-6, 7, size=d)
+            xi = np.array([rng.randint(-6, 6) for _ in range(d)])
             if not xi.any():
                 continue
-            amp = complex(rng.normal(), rng.normal()) / 2.0
+            amp = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) / 2.0
             freqs += [xi, -xi]
             amps += [amp, amp.conjugate()]
         f = SpectralField.from_entries(d, 0, freqs, amps, reality=True)
@@ -489,5 +491,7 @@ def run(config: RunConfig) -> int:
     _dump(report, os.path.join(config.out, "report.json"))
     _dump({"history": state.norm_history}, os.path.join(config.out, "history.json"))
     timing["elapsed_s"] = time.time() - t0
+    # ru_maxrss is in KiB on Linux; MB = 10^6 bytes
+    timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
     _dump(timing, os.path.join(config.out, "timing.json"))
     return 0 if exact_ok else 1

@@ -419,15 +419,21 @@ def test_analyze_nyquist_line_samples_on_a_finer_grid(transpose):
 
 
 @pytest.mark.parametrize("dim,N", [(1, 16), (2, 8), (2, 32), (3, 8), (3, 16), (2, 9)])
-def test_analyze_is_bitwise_fftn(dim, N):
-    # the in-place per-axis transform gives numpy's fftn bit for bit; a
-    # coefficient with |xi_i| = N/2 on m axes is fftn's value over 2^m
+def test_analyze_is_bitwise_rfftn(dim, N):
+    # the computed half (last index 0..N/2 mod N) is numpy's rfftn bit for
+    # bit, the other half its exact conjugate; a coefficient with
+    # |xi_i| = N/2 on m axes is that value over 2^m
     values = np.random.default_rng(dim * N).normal(size=(N,) * dim)
-    ref = np.fft.fftn(values) / N**dim
+    ref = np.fft.rfftn(values) / N**dim
     g = analyze(values, rel=0.0)
     assert len(g) == (N + 1 - N % 2) ** dim  # each Nyquist line split in two
     halvings = (np.abs(g.freqs) * 2 == N).sum(axis=1)
-    expect = ref[tuple((g.freqs % N).T)] / 2.0**halvings
+    last = g.freqs[:, -1] % N
+    computed = 2 * last <= N
+    at = np.where(computed[:, None], g.freqs, -g.freqs) % N
+    expect = ref[tuple(at.T)]
+    expect = np.where(computed, expect, expect.conj()) / 2.0**halvings
+    assert not computed.all()  # the mirrored half is checked too
     assert g.amps.tobytes() == expect.tobytes()
 
 
@@ -442,9 +448,9 @@ def test_analyze_holds_one_complex_grid():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one complex copy (two grids) and the magnitudes (one); fftn's chained
-    # out-of-place passes held two complex grids at once
-    assert peak < 3.5 * grid_bytes
+    # the half spectrum (one grid) and its magnitudes (half a grid); the
+    # full complex copy and full magnitudes held three grids
+    assert peak < 2 * grid_bytes
 
 
 def test_sample_matches_direct_evaluation():

@@ -90,12 +90,18 @@ def test_run_checks_the_claims_once(tmp_path, monkeypatch):
 
 
 def test_test_functions_deterministic():
+    import random
+
+    state = random.getstate()
     a = build_test_functions(2, seed=0)
+    assert random.getstate() == state  # a private generator
     b = build_test_functions(2, seed=0)
     assert [m[0] for m in a.members] == [m[0] for m in b.members]
     for (la, fa, ra), (lb, fb, rb) in zip(a.members, b.members):
-        assert fa.coeffs.keys() == fb.coeffs.keys()
+        assert fa.coeffs == fb.coeffs
         assert ra == rb
+    for _, f, _ in a.members[-2:]:
+        assert f.reality and 0 < np.abs(f.freqs).max() <= 6
     c = build_test_functions(2, seed=1)
     assert a.members[-1][1].coeffs != c.members[-1][1].coeffs
 
@@ -253,6 +259,18 @@ def test_report_structure(fast_run):
     assert "elapsed" not in json.dumps(report)
 
 
+def test_timing_records_peak_rss_and_reports_rerun_identically(fast_run, tmp_path):
+    _, out = fast_run
+    with open(os.path.join(out, "timing.json")) as fh:
+        timing = json.load(fh)
+    assert timing["peak_rss_mb"] > 0
+    assert run(fast_config(tmp_path)) == 0
+    for name in ("report.json", "history.json"):
+        with open(os.path.join(out, name), "rb") as a, open(tmp_path / name, "rb") as b:
+            assert a.read() == b.read(), name
+    assert "rss" not in (tmp_path / "report.json").read_text()
+
+
 def test_report_snapshot_roundtrip(fast_run):
     from activeci.fields import load_snapshot
     from activeci.fields import divergence_defect, field_to_snapshot
@@ -406,15 +424,20 @@ def test_cli_rejects_odd_multiplier(tmp_path):
 
 def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency: the package and its CLI must not load
-    # it; nor may a run load numpy.ma (np.unique imports it), which costs a
-    # fresh process time and memory.  numpy.matrixlib must not match.
+    # it; nor may the set-up calls or a run load numpy.ma (np.unique imports
+    # it) or numpy.random (seeded draws come from the stdlib), which cost a
+    # fresh process time and memory.  numpy.matrixlib and the like must not
+    # match.
     src = os.path.dirname(os.path.dirname(activeci.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["--qmax", "1", "--lambda1", "64", "--grid-budget", "256", "--out", str(tmp_path / "o")]
     code = (
-        "import activeci, activeci.cli, sys; "
+        "import activeci, activeci.cli, activeci.harness as h, sys; "
         "mods = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m == 'numpy.ma' or m.startswith('numpy.ma.')); "
+        "or any(m == p or m.startswith(p + '.') for p in ('numpy.ma', 'numpy.random'))); "
+        "print(mods()); "
+        "h.resolve_multiplier(h.RunConfig(d=3, multiplier='ipm3d')); "
+        "h.build_test_functions(3, 1); "
         "print(mods()); "
         f"rc = activeci.cli.main({argv!r}); "
         "print(rc, mods())"
@@ -422,7 +445,22 @@ def test_import_loads_no_scipy(tmp_path):
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.splitlines() == ["[]", "0 []"]
+    assert out.stdout.splitlines() == ["[]", "[]", "0 []"]
+
+
+def test_cli_lets_memory_error_propagate(tmp_path, monkeypatch):
+    # a MemoryError is not bad input: it is neither caught nor turned into
+    # exit 2, and the stage it hit writes nothing
+    import activeci.iteration as iteration
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("amplitude grid")
+
+    monkeypatch.setattr(iteration, "sample", exhausted)
+    with pytest.raises(MemoryError, match="amplitude grid"):
+        main(["--qmax", "1", "--lambda1", "256", "--grid-budget", "256", "--out", str(tmp_path)])
+    assert (tmp_path / "stage-0").is_dir()
+    assert not (tmp_path / "stage-1").exists()
 
 
 def test_cli_unusable_out_exits_2(tmp_path, capsys):

@@ -278,3 +278,20 @@ def test_check_claims_witness_is_the_first_failing_sample_point():
     assert report["homogeneous_deg0"]["witness"] == ((1, 0), 5)  # (5, 0) fails
     assert report["not_odd"]["witness"] == (1, 0)
     assert check_claims(sqg())["not_odd"]["witness"] is None
+
+
+@pytest.mark.parametrize("maker", [ipm2d, ipm3d])
+def test_claim_sample_is_deterministic_and_in_range(maker):
+    import random
+
+    m = maker()
+    state = random.getstate()
+    pts = claim_sample(m, extra=[(3,) * m.dim])
+    assert random.getstate() == state  # a private generator
+    assert pts == claim_sample(m, extra=[(3,) * m.dim])
+    axes = [tuple(s * e) for e in np.eye(m.dim, dtype=int) for s in (1, -1)]
+    assert pts[: 2 * m.dim] == axes and pts[2 * m.dim] == (3,) * m.dim
+    drawn = np.array(pts[2 * m.dim + 1 :])
+    assert drawn.shape == (100, m.dim) and all(type(c) is int for xi in pts for c in xi)
+    assert drawn.any(axis=1).all() and np.abs(drawn).max() <= 50
+    assert len({tuple(xi) for xi in drawn}) > 90
