@@ -43,7 +43,9 @@ def config_from_args(argv=None) -> RunConfig:
     data = {}
     if args.config:
         with open(args.config) as fh:
-            data.update(json.load(fh))
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: the top level is not a JSON object")
     overrides = {
         "gamma": args.gamma,
         "s": args.s,

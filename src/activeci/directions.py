@@ -62,11 +62,13 @@ class DirectionBasis:
     eps_omega: float
     gamma_margin: float
     common_norm: int
+    even_inv: np.ndarray  # E^{-1}, E's columns the even parts: c(v) = E^{-1} v
 
     def __post_init__(self):
         self.omega = [tuple(int(c) for c in k) for k in self.omega]
         self.even_parts = np.asarray(self.even_parts, dtype=float)
         self.k_star = np.asarray(self.k_star, dtype=float)
+        self.even_inv = np.asarray(self.even_inv, dtype=float)
 
 
 def find_arc(m: Multiplier, resolution: int = 720):
@@ -156,17 +158,15 @@ def lattice_basis_in_arc(arc, norm_cap: int = 1000):
     raise SearchExhausted(f"no equal-norm pair with norm <= {norm_cap} in the arc")
 
 
-def estimate_eps_omega(even_parts: np.ndarray, k_star: np.ndarray, margin: float) -> float:
+def estimate_eps_omega(even_inv: np.ndarray, margin: float) -> float:
     """Largest ball radius around k* on which all solved coefficients stay
     above the margin, times a 1/2 safety factor.
 
-    The coefficient map v -> c(v) is affine (c = E^{-1} v with c(k*) = 1), so
+    The coefficient map v -> c(v) is linear (c = E^{-1} v with c(k*) = 1), so
     the minimum over the ball is attained on the boundary in closed form:
     min_k c_k = 1 - eps * ||row_k(E^{-1})||.
     """
-    E = np.asarray(even_parts, dtype=float).T  # columns are the even parts
-    inv = np.linalg.inv(E)
-    row_norms = np.linalg.norm(inv, axis=1)
+    row_norms = np.linalg.norm(even_inv, axis=1)
     room = 1.0 - margin
     if room <= 0:
         return 0.0
@@ -206,7 +206,8 @@ def build_basis(m: Multiplier, supplied=None, margin: float = DEFAULT_GAMMA_MARG
     k_star = ep.sum(axis=0)
     if np.linalg.norm(k_star) <= 1e-10:
         raise DegenerateBasis("k* vanishes")
-    eps = estimate_eps_omega(ep, k_star, margin)
+    inv = np.linalg.inv(ep.T)  # the one inverse: E's columns are the even parts
+    eps = estimate_eps_omega(inv, margin)
     return DirectionBasis(
         dim=m.dim,
         omega=omega,
@@ -215,6 +216,7 @@ def build_basis(m: Multiplier, supplied=None, margin: float = DEFAULT_GAMMA_MARG
         eps_omega=eps,
         gamma_margin=margin,
         common_norm=int(round(common)),
+        even_inv=inv,
     )
 
 
@@ -232,8 +234,7 @@ def gamma_coefficients(basis: DirectionBasis, v):
         raise OutsideBall(
             f"max |v - k*| = {dist.max():.3g} exceeds eps_omega = {basis.eps_omega:.3g}"
         )
-    E = basis.even_parts.T  # columns are even parts
-    c = np.linalg.solve(E, vb.T).T  # (n, d)
+    c = vb @ basis.even_inv.T  # (n, d)
     if np.min(c) < basis.gamma_margin * (1 - 1e-9):
         raise NegativeCoefficient(
             f"min coefficient {np.min(c):.3g} below margin {basis.gamma_margin}"

@@ -370,7 +370,8 @@ def _sample_rows(field: SpectralField, N: int):
 def sample(field: SpectralField, N: int) -> np.ndarray:
     """Exact samples of a real field at the N^d grid points, shape (N,)*d
     for a scalar and (d,) + (N,)*d for a vector field, for callers that need
-    the whole grid (the stress in ``amplitudes``); the norms stream
+    the whole grid (each direction's Gamma^2 coefficients in
+    ``amplitudes``); the norms and ``amplitudes``' sup |R| stream
     :func:`_sample_rows` instead.
 
     Wrapping frequencies mod N leaves grid-point values exact because

@@ -28,8 +28,8 @@ from .fields import (
     Quadrature,
     SpectralField,
     SupportError,
-    _BLOCK_POINTS,
     _next_pow2,
+    _sample_rows,
     analyze,
     besov_norm,
     divergence,
@@ -360,6 +360,20 @@ def harmonic_weight_sum(
     return total
 
 
+def _grid_sup(R: SpectralField, N: int) -> float:
+    """max |R| over the N^d grid of a real vector field, streamed: the row
+    blocks of its components side by side, their squares added in component
+    order.  sqrt is monotone, so the root of the largest sum is bitwise the
+    largest |R| of the sampled grid; no block outlives the call."""
+    sq = 0.0
+    for blocks in zip(*(_sample_rows(R.component(c), N) for c in range(R.dim))):
+        squares = blocks[0][1] ** 2
+        for _, block in blocks[1:]:
+            squares += block**2
+        sq = max(sq, float(squares.max()))
+    return math.sqrt(sq)
+
+
 def amplitudes(
     R: SpectralField,
     basis: DirectionBasis,
@@ -373,11 +387,16 @@ def amplitudes(
     re-analyzed and truncated in frequency.
 
     Returns ``{k: (field, info)}``.  ``spec`` gives lam, eps and the profile,
-    which all directions share.  The stress is sampled and the Gamma
-    coefficients are solved once for all directions; only the re-analysis
-    and truncation run per direction.  ||R||_inf is taken as the grid
-    maximum of |R| on the evaluation grid itself, which guarantees the Gamma
-    arguments stay in the admissible ball pointwise.
+    which all directions share.  ||R||_inf is taken as the grid maximum of
+    |R| on the evaluation grid itself, which guarantees the Gamma arguments
+    stay in the admissible ball pointwise; it is streamed through row blocks
+    of R's components, so no d N^d grid is held.  The coefficient map is
+    affine, c = E^{-1} k* - (eps_Omega/||R||_inf) E^{-1} R(x), so each
+    direction's Gamma_k^2 coefficient is a real scalar field with an exact
+    spectrum: that field is sampled on one N^d grid, checked against the
+    margin, turned into the amplitude in place (square root, prefactor),
+    re-analyzed and truncated, and its grid released before the next
+    direction.
 
     ``stress_cutoff``: when set, the amplitudes target only the stress below
     that frequency.  The squared amplitude is affine in the stress, so the
@@ -402,37 +421,28 @@ def amplitudes(
     trunc = min(8 * max(1, int(math.ceil(R.max_freq))), params.grid_budget // 8)
     N = min(max(8, _next_pow2(2 * max(band, trunc) + 2)), params.grid_budget)
 
-    # the stress samples, shape (d,) + (N,)*d, are the only d N^d buffer:
-    # the Gamma coefficients (solved a block of points at a time) and then
-    # the amplitudes overwrite them in place
-    grid = sample(R, N)
-    flat = grid.reshape(d, -1)
-    blocks = [slice(i, i + _BLOCK_POINTS) for i in range(0, N**d, _BLOCK_POINTS)]
-    # sqrt is monotone, so the root of the largest sum of squares (summed
-    # component by component) is bitwise the largest |R|
-    rmax = math.sqrt(max(float(np.max(np.sum(flat[:, b] ** 2, axis=0))) for b in blocks))
+    rmax = _grid_sup(R, N)
     if rmax == 0.0:
         raise ZeroStress("stress field vanishes on the evaluation grid")
-    E = basis.even_parts.T
-    mins = []
-    for b in blocks:  # the right-hand side stays unnamed, so it dies with the call
-        flat[:, b] = np.linalg.solve(
-            E, basis.k_star[:, None] - (basis.eps_omega / rmax) * flat[:, b]
-        )
-        mins.append(np.min(flat[:, b]))
-    cmin = float(np.min(mins))
-    if cmin < basis.gamma_margin * (1 - 1e-9):
-        raise ValueError(
-            f"amplitude coefficient {cmin:.3g} fell below the margin "
-            f"{basis.gamma_margin}"
-        )
     pref = (S * basis.eps_omega / rmax) ** (-0.5)
-    np.sqrt(flat, out=flat)
-    flat *= pref
+    rows = (-basis.eps_omega / rmax) * basis.even_inv
+    means = (basis.even_inv * basis.k_star).sum(axis=1)  # E^{-1} k*
+    origin = np.zeros((1, d), dtype=np.int64)
     shared = {"S": S, "R_max": rmax, "prefactor": pref, "trunc_radius": trunc, "grid_N": N}
     out = {}
-    for col, k in enumerate(basis.omega):
-        a_full = analyze(grid[col])
+    for k, row, mean in zip(basis.omega, rows, means):
+        coeff = SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1), True)
+        grid = sample(coeff + SpectralField(d, 0, origin, [mean], True), N)
+        cmin = float(grid.min())
+        if cmin < basis.gamma_margin * (1 - 1e-9):
+            raise ValueError(
+                f"amplitude coefficient {cmin:.3g} fell below the margin "
+                f"{basis.gamma_margin}"
+            )
+        np.sqrt(grid, out=grid)
+        grid *= pref
+        a_full = analyze(grid)
+        del grid  # so that the next direction's grid does not join it
         inside = a_full.radii() <= trunc
         a = a_full.weighted(inside)
         mass = np.abs(a_full.amps) ** 2

@@ -1,0 +1,77 @@
+"""The pair summary of scripts/bench.py, on canned run.py output."""
+
+import importlib.util
+import json
+import os
+
+import pytest
+
+_path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts", "bench.py")
+_spec = importlib.util.spec_from_file_location("bench", _path)
+bench = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench)
+
+SPEC = [
+    {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "score", "unit": "count", "better": "higher", "bound": 0.25},
+]
+
+
+def _stdout(wall, score, correct=True):
+    metrics = {"wall_s": {"value": wall, "unit": "s"}, "score": {"value": score, "unit": "count"}}
+    return "\n".join(
+        [
+            'host {"nproc": 2, "python": "3.11.7"}',
+            "workload w seed 1: 3 runs attempted, 0 failed",
+            f"  wall_s {wall} s",
+            json.dumps({"correct": correct, "attempted": 3, "failed": 0 if correct else 1, "metrics": metrics}),
+        ]
+    )
+
+
+def test_parse_output_reads_host_and_result():
+    host, result = bench.parse_output(_stdout(0.5, 3))
+    assert host == {"nproc": 2, "python": "3.11.7"}
+    assert result["metrics"]["wall_s"]["value"] == 0.5
+    # an error run prints no result line
+    assert bench.parse_output("error: no activeci sources\n") == (None, None)
+    assert bench.parse_output("") == (None, None)
+
+
+def test_run_failed():
+    _, good = bench.parse_output(_stdout(0.5, 3))
+    _, bad = bench.parse_output(_stdout(0.5, 3, correct=False))
+    assert not bench.run_failed(0, good)
+    assert bench.run_failed(1, good)
+    assert bench.run_failed(0, None)
+    assert bench.run_failed(0, bad)
+
+
+def test_summarize_counts_wins_by_direction_and_ties_for_neither():
+    # wall: change lower in pairs 0, 1; tied in 2; higher in 3
+    # score: change higher in pairs 0, 2; lower in 1; tied in 3
+    walls = [(1.0, 0.8), (1.2, 0.9), (1.1, 1.1), (0.9, 1.0)]
+    scores = [(3, 5), (4, 2), (1, 2), (7, 7)]
+    records = []
+    for pair, ((wp, wc), (sp, sc)) in enumerate(zip(walls, scores)):
+        for side, w, s in (("parent", wp, sp), ("change", wc, sc)):
+            records.append({"workload": "w", "pair": pair, "side": side, "result": bench.parse_output(_stdout(w, s))[1]})
+    out = bench.summarize(records, SPEC)["w"]
+    assert out["wall_s"]["change_wins"] == 2
+    assert out["score"]["change_wins"] == 2
+    assert out["wall_s"]["pairs"] == 4
+    assert out["wall_s"]["parent"] == {"median": pytest.approx(1.05), "q1": pytest.approx(0.975), "q3": pytest.approx(1.125)}
+    assert out["wall_s"]["change"]["median"] == pytest.approx(0.95)
+    assert (out["score"]["unit"], out["score"]["better"]) == ("count", "higher")
+
+
+def test_summarize_skips_pairs_with_a_failed_side():
+    records = [
+        {"workload": "w", "pair": 0, "side": "parent", "result": bench.parse_output(_stdout(1.0, 1))[1]},
+        {"workload": "w", "pair": 0, "side": "change", "result": None},
+        {"workload": "w", "pair": 1, "side": "change", "result": bench.parse_output(_stdout(0.5, 1))[1]},
+        {"workload": "w", "pair": 1, "side": "parent", "result": bench.parse_output(_stdout(0.7, 1))[1]},
+    ]
+    out = bench.summarize(records, SPEC)["w"]["wall_s"]
+    assert out["pairs"] == 1 and out["change_wins"] == 1
+    assert out["parent"] == {"median": 0.7, "q1": 0.7, "q3": 0.7}

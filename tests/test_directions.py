@@ -119,7 +119,8 @@ def test_eps_omega_closed_form(basis):
     expect = 0.5 * (1.0 - basis.gamma_margin) / np.max(
         np.linalg.norm(inv, axis=1)
     )
-    assert abs(estimate_eps_omega(basis.even_parts, basis.k_star, basis.gamma_margin) - expect) < 1e-15
+    assert np.array_equal(basis.even_inv, inv)  # the basis keeps the one inverse
+    assert abs(estimate_eps_omega(basis.even_inv, basis.gamma_margin) - expect) < 1e-15
     assert abs(basis.eps_omega - expect) < 1e-15
 
 

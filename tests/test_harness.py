@@ -366,6 +366,9 @@ BAD_FILES = {
     "gamma_bool.json": {"gamma": True, "qmax": 0},
     "s_nan.json": '{"s": NaN, "qmax": 0}',
     "s_inf.json": '{"s": Infinity, "qmax": 0}',
+    "top_string.json": '"abc"',
+    "top_nested_list.json": [[1, 2, 3]],
+    "top_pairs.json": [["qmax", 0]],
 }
 
 
@@ -403,6 +406,9 @@ BAD_FILES = {
         ["--config", "{dir}/s_nan.json"],
         ["--config", "{dir}/s_inf.json"],
         ["--s", "nan", "--qmax", "0"],
+        ["--config", "{dir}/top_string.json"],  # the top level must be an object
+        ["--config", "{dir}/top_nested_list.json"],
+        ["--config", "{dir}/top_pairs.json"],
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):

@@ -1,11 +1,13 @@
 """Stage construction: parameter schedule, base case, increment, cancellation."""
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from activeci import fields
 from activeci.directions import build_basis
 from activeci.fields import (
     SpectralField,
@@ -19,6 +21,7 @@ from activeci.fields import (
 from activeci.iteration import (
     IterationState,
     ZeroStress,
+    _grid_sup,
     amplitudes,
     base_state,
     build_increment,
@@ -130,8 +133,8 @@ def test_amplitudes_zero_stress_raises(setup, params):
 
 
 def test_amplitudes_3d_hold_few_grids():
-    # the stress samples are overwritten in place by the Gamma coefficients
-    # and the amplitudes; analyze adds one complex copy of one component
+    # sup |R| is streamed, and each direction holds one real N^d grid (its
+    # Gamma^2 coefficients, then its amplitude) plus analyze's half spectrum
     import tracemalloc
 
     m = ipm3d()
@@ -147,7 +150,92 @@ def test_amplitudes_3d_hold_few_grids():
         tracemalloc.stop()
     N = out[basis.omega[0]][1]["grid_N"]
     assert N == 64
-    assert peak < 8 * N**3 * 8  # eight float64 N^3 grids; fourteen before
+    assert peak < 3.5 * N**3 * 8  # float64 N^3 grids: 2.8 now, 4.6 with the stress grid held
+
+
+def _dense_amplitudes(R, basis, info):
+    """The solve on the whole stress grid, for reference: sample R, take the
+    Gamma^2 coefficients by a LAPACK solve at every point, then the square
+    root, prefactor, analysis and truncation of each direction."""
+    N, d = info["grid_N"], basis.dim
+    grid = fields.sample(R, N)
+    flat = grid.reshape(d, -1)
+    rmax = float(np.sqrt(np.max(np.sum(flat**2, axis=0))))
+    coeffs = np.linalg.solve(
+        basis.even_parts.T, basis.k_star[:, None] - (basis.eps_omega / rmax) * flat
+    )
+    amps = np.sqrt(coeffs).reshape(grid.shape) * (info["S"] * basis.eps_omega / rmax) ** -0.5
+    out = {}
+    for col, k in enumerate(basis.omega):
+        a = fields.analyze(amps[col])
+        out[k] = a.weighted(a.radii() <= info["trunc_radius"])
+    return rmax, out
+
+
+def _stage_stress(dim):
+    """A stage's cut-off stress in 2D (basis (4,3),(4,-3), lambda1 256) and
+    3D (the benchmark's basis, lambda1 128), with what amplitudes needs."""
+    if dim == 2:
+        m = ipm2d()
+        basis = build_basis(m, supplied=SUPPLIED)
+        params = make_params(basis, lambda1=256, qmax=1, grid_budget=8192)
+    else:
+        m = ipm3d()
+        basis = build_basis(m, supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
+        params = make_params(basis, d=3, lambda1=128, qmax=1, grid_budget=128)
+    spec = SlabSpec(k=basis.omega[0], lam=params.stage_lam(1), eps=params.stage_eps(1), profile=build_profile())
+    return base_state(params, m, basis).R, basis, params, spec, ShellKernel(r=float(params.r))
+
+
+def _random_stress(dim, modes, radius, seed):
+    rng = np.random.default_rng(seed)
+    entries = {}
+    for _ in range(modes):
+        xi = tuple(int(v) for v in rng.integers(-radius, radius + 1, dim))
+        amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        entries[xi] = amp
+        entries[tuple(-v for v in xi)] = amp.conj()
+    entries[(0,) * dim] = rng.normal(size=dim).astype(complex)
+    return SpectralField.vector(dim, entries, reality=True)
+
+
+@pytest.mark.parametrize("dim,N", [(2, 64), (2, 1024), (3, 64)])
+def test_grid_sup_is_bitwise_dense(dim, N):
+    # 1, 16 and 4 row blocks: the streamed sup |R| is the dense one, bit for bit
+    R = _random_stress(dim, 40 if dim == 2 else 20, 30 if N > 64 else 12, seed=N + dim)
+    dense = math.sqrt(float(np.max(np.sum(fields.sample(R, N) ** 2, axis=0))))
+    assert _grid_sup(R, N) == dense
+
+
+@pytest.mark.parametrize("dim,stage", [(2, 0), (3, 0), (2, 1)])
+def test_amplitudes_match_dense_solve(dim, stage, request):
+    # the stress of stage `stage` cut off as build_increment cuts it for the
+    # next stage (2D stage 1: 277 coefficients, a 512^2 grid)
+    R, basis, params, spec, kernel = _stage_stress(dim)
+    if stage:
+        _, st1, _ = request.getfixturevalue("stage1")
+        R, lam, eps = st1.R, 4096, 5.0 / 12.0  # the default run's second stage
+    else:
+        lam, eps = params.stage_lam(1), params.stage_eps(1)
+    cutoff = max(2.0, round(lam**eps) * params.basis_norm / 2.0)
+    out = amplitudes(R, basis, params, spec, kernel, stress_cutoff=cutoff)
+    info = out[basis.omega[0]][1]
+    rmax, dense = _dense_amplitudes(R.weighted(R.radii() <= cutoff), basis, info)
+    assert info["R_max"] == rmax
+    for k in basis.omega:
+        a, ref = out[k][0], dense[k]
+        assert np.array_equal(a.freqs, ref.freqs)
+        assert np.max(np.abs(a.amps - ref.amps)) <= 1e-13 * ref.max_amp()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_amplitudes_margin_guard(dim):
+    # at four times eps_Omega the Gamma^2 coefficients leave the margin: the
+    # guard raises before the square root of a negative number is taken
+    R, basis, params, spec, kernel = _stage_stress(dim)
+    wide = dataclasses.replace(basis, eps_omega=4 * basis.eps_omega)
+    with pytest.raises(ValueError, match="fell below the margin"):
+        amplitudes(R, wide, params, spec, kernel, stress_cutoff=2.0)
 
 
 @pytest.fixture(scope="module")
