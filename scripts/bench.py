@@ -32,7 +32,6 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("ipm2d-sparse-l256", "ipm2d-grid-l1024", "ipm3d-l128")
 SIDES = ("parent", "change")
 
 
@@ -107,7 +106,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--change", required=True, help="git revision of the change side")
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
+    parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
     parser.add_argument("--seed", type=int, required=True, help="seed of pair 0; pair i uses seed + i")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=3.0, help="--seconds of each run.py call")
@@ -120,18 +119,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees = {side: checkout(getattr(args, side), Path(tmp) / side) for side in SIDES}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        for workload in args.workloads:
+        for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed + pair), "--seconds", str(args.seconds), "--trace", str(args.trace)]
-                    proc = subprocess.run(argv, cwd=trees[side], env=env, capture_output=True, text=True)
+                    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed + pair), "--seconds", str(args.seconds), "--trace", str(args.trace)]
+                    proc = subprocess.run(cmd, cwd=trees[side], env=env, capture_output=True, text=True)
                     got_host, result = parse_output(proc.stdout)
                     host = host or got_host
-                    if run_failed(proc.returncode, result):
-                        failed += 1
-                        print(f"{workload} pair {pair} {side}: failed\n{proc.stderr}", file=sys.stderr)
+                    bad = run_failed(proc.returncode, result)
+                    failed += bad
+                    print(f"{workload} pair {pair} {side}: exit {proc.returncode}" + (f", failed\n{proc.stderr}" if bad else ""), file=sys.stderr)
                     records.append({"workload": workload, "pair": pair, "side": side, "result": result})
-                    print(f"{workload} pair {pair} {side}: exit {proc.returncode}", file=sys.stderr)
     summary = {
         "host": host,
         "parent": args.parent,

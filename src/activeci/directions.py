@@ -162,7 +162,7 @@ def estimate_eps_omega(even_inv: np.ndarray, margin: float) -> float:
     """Largest ball radius around k* on which all solved coefficients stay
     above the margin, times a 1/2 safety factor.
 
-    The coefficient map v -> c(v) is linear (c = E^{-1} v with c(k*) = 1), so
+    The coefficient map v -> c(v) is affine (c = E^{-1} v with c(k*) = 1), so
     the minimum over the ball is attained on the boundary in closed form:
     min_k c_k = 1 - eps * ||row_k(E^{-1})||.
     """

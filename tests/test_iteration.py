@@ -173,7 +173,7 @@ def _dense_amplitudes(R, basis, info):
 
 
 def _stage_stress(dim):
-    """A stage's cut-off stress in 2D (basis (4,3),(4,-3), lambda1 256) and
+    """The base state's stress in 2D (basis (4,3),(4,-3), lambda1 256) or
     3D (the benchmark's basis, lambda1 128), with what amplitudes needs."""
     if dim == 2:
         m = ipm2d()
