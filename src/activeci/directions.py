@@ -10,7 +10,7 @@ near k* = sum of even parts as positive combinations sum_k Gamma_k^2
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -62,13 +62,14 @@ class DirectionBasis:
     eps_omega: float
     gamma_margin: float
     common_norm: int
-    even_inv: np.ndarray  # E^{-1}, E's columns the even parts: c(v) = E^{-1} v
+    # E^{-1}, formed once from even_parts (E's columns): c(v) = E^{-1} v
+    even_inv: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.omega = [tuple(int(c) for c in k) for k in self.omega]
         self.even_parts = np.asarray(self.even_parts, dtype=float)
         self.k_star = np.asarray(self.k_star, dtype=float)
-        self.even_inv = np.asarray(self.even_inv, dtype=float)
+        self.even_inv = np.linalg.inv(self.even_parts.T)
 
 
 def find_arc(m: Multiplier, resolution: int = 720):
@@ -206,18 +207,17 @@ def build_basis(m: Multiplier, supplied=None, margin: float = DEFAULT_GAMMA_MARG
     k_star = ep.sum(axis=0)
     if np.linalg.norm(k_star) <= 1e-10:
         raise DegenerateBasis("k* vanishes")
-    inv = np.linalg.inv(ep.T)  # the one inverse: E's columns are the even parts
-    eps = estimate_eps_omega(inv, margin)
-    return DirectionBasis(
+    basis = DirectionBasis(
         dim=m.dim,
         omega=omega,
         even_parts=ep,
         k_star=k_star,
-        eps_omega=eps,
+        eps_omega=math.nan,  # set below from the basis's one inverse
         gamma_margin=margin,
         common_norm=int(round(common)),
-        even_inv=inv,
     )
+    basis.eps_omega = estimate_eps_omega(basis.even_inv, margin)
+    return basis
 
 
 def gamma_coefficients(basis: DirectionBasis, v):
