@@ -1,17 +1,16 @@
 """Sparse spectral fields on the torus T^d = [0,1]^d with exact frequency
 bookkeeping.
 
-A field is a finite map from integer lattice frequencies to complex
-amplitudes.  All construction fields (slabs, increments, products of few
-modes) are supported on a handful of balls or lines in frequency space, so a
-field stores only its nonzero coefficients: an (K, d) int64 array of
-frequencies in lexicographic order and the amplitudes in the same order, both
-read-only.  Every operation works on these arrays and returns a new field;
+A field is a real function: a finite map from integer lattice frequencies to
+complex amplitudes with a Hermitian spectrum.  All construction fields (slabs,
+increments, products of few modes) are supported on a handful of balls or
+lines in frequency space, so a field stores only its nonzero coefficients: an
+(K, d) int64 array of frequencies in lexicographic order and the amplitudes in
+the same order, both read-only.  Every operation works on these arrays and returns a new field;
 filters and multipliers go through one coefficientwise weighting,
 :meth:`SpectralField.weighted`.  Dense arrays appear only in large products
 (cluster boxes) and in ``sample``/``analyze``, the grid round trip of the
-amplitudes.  Every field put on a grid is real: sampling and analysis take
-real fields and real grids only.
+amplitudes, which take and give real grids.
 
 L^p and Besov quadrature streams the grid instead: ``_sample_rows`` runs the
 inverse DFT along axis 0 only on the lines that hold a coefficient, then
@@ -28,7 +27,6 @@ the cluster pairs' results in cluster-pair order.
 
 from __future__ import annotations
 
-import json
 import math
 from types import MappingProxyType
 from typing import NamedTuple
@@ -57,8 +55,6 @@ __all__ = [
     "divergence",
     "save_snapshot",
     "load_snapshot",
-    "field_to_snapshot",
-    "field_from_snapshot",
 ]
 
 PRUNE_REL = 1e-15
@@ -119,7 +115,8 @@ def _unique_keys(keys):
 
 
 class SpectralField:
-    """Finite map from lattice frequencies to complex amplitudes.
+    """Real field: a finite map from lattice frequencies to complex
+    amplitudes with a Hermitian spectrum, f(-xi) = conj f(xi).
 
     ``freqs`` holds the frequencies, an (K, d) int64 array in lexicographic
     order without repeats; ``amps`` the amplitudes in the same order, shape
@@ -129,16 +126,16 @@ class SpectralField:
     ``_norms`` memoize grid quadrature results, keyed by ``(p, N)`` with
     p = inf for the sup norm.
 
-    ``reality`` marks a real-valued field (Hermitian spectrum).  Operations
-    carry it from their operands; only :meth:`from_entries` and the builders
-    over it test it: they derive it when not told and check it when told
-    True.  ``analyze`` takes it from real samples and ``field_from_snapshot``
-    from the saved flag, both unchecked.
+    Being real is an invariant, not a flag.  :meth:`from_entries`, the
+    builders over it and :func:`load_snapshot` check it on entries from
+    outside (ValueError); every operation keeps it by construction, as
+    products, real weights and scalings, 2 pi i xi derivatives and real
+    symbols do.  The raw constructor trusts its caller.
     """
 
-    __slots__ = ("dim", "rank", "freqs", "amps", "reality", "_max_freq", "_norms")
+    __slots__ = ("dim", "rank", "freqs", "amps", "_max_freq", "_norms")
 
-    def __init__(self, dim, rank, freqs, amps, reality):
+    def __init__(self, dim, rank, freqs, amps):
         """Wrap sorted, repeat-free arrays as given; :meth:`from_entries`
         takes raw entries."""
         self.dim = int(dim)
@@ -147,47 +144,43 @@ class SpectralField:
         self.amps = np.asarray(amps, dtype=complex).reshape((-1,) + (self.dim,) * self.rank)
         self.freqs.flags.writeable = False
         self.amps.flags.writeable = False
-        self.reality = bool(reality)
         self._max_freq = None
         self._norms = {}
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def _summed(cls, dim, rank, freqs, amps, reality):
+    def _summed(cls, dim, rank, freqs, amps):
         """Field of raw entries in any order, repeated frequencies summed in
-        entry order, pruned; ``reality`` as given."""
+        entry order, pruned."""
         freqs = np.asarray(freqs, dtype=np.int64).reshape(-1, dim)
         amps = np.asarray(amps, dtype=complex).reshape((len(freqs),) + (dim,) * rank)
         uniq, inv = _unique_keys(freqs)
         # -0.0 is the exact additive identity: a lone entry is kept bitwise
         sums = np.full((len(uniq),) + amps.shape[1:], complex(-0.0, -0.0))
         np.add.at(sums, inv, amps)
-        return cls(dim, rank, uniq, sums, reality).pruned()
+        return cls(dim, rank, uniq, sums).pruned()
 
     @classmethod
-    def from_entries(cls, dim, rank, freqs, amps, reality=None):
-        """Field of raw entries as in :meth:`_summed`.  ``reality`` None
-        derives the flag from :meth:`is_hermitian`, True is checked by it
-        (ValueError), False is taken as given."""
-        f = cls._summed(dim, rank, freqs, amps, False)
-        if reality is None:
-            reality = f.is_hermitian()
-        elif reality and not f.is_hermitian():
-            raise ValueError("entries marked real do not form a Hermitian spectrum")
-        return cls(dim, rank, f.freqs, f.amps, True) if reality else f
+    def from_entries(cls, dim, rank, freqs, amps):
+        """Field of raw entries as in :meth:`_summed`; ValueError unless they
+        form a Hermitian spectrum (:meth:`is_hermitian`)."""
+        f = cls._summed(dim, rank, freqs, amps)
+        if not f.is_hermitian():
+            raise ValueError("entries do not form a Hermitian spectrum")
+        return f
 
     @classmethod
-    def scalar(cls, dim, entries, reality=None):
-        return cls.from_entries(dim, 0, list(entries), list(entries.values()), reality)
+    def scalar(cls, dim, entries):
+        return cls.from_entries(dim, 0, list(entries), list(entries.values()))
 
     @classmethod
-    def vector(cls, dim, entries, reality=None):
-        return cls.from_entries(dim, 1, list(entries), list(entries.values()), reality)
+    def vector(cls, dim, entries):
+        return cls.from_entries(dim, 1, list(entries), list(entries.values()))
 
     @classmethod
     def zero(cls, dim, rank=0):
-        return cls(dim, rank, (), (), reality=True)
+        return cls(dim, rank, (), ())
 
     # -- basic queries ----------------------------------------------------
 
@@ -204,7 +197,7 @@ class SpectralField:
         return MappingProxyType(dict(zip(map(tuple, self.freqs.tolist()), self.amps)))
 
     def component(self, i):
-        return SpectralField(self.dim, 0, self.freqs, self.amps[:, i], self.reality).pruned()
+        return SpectralField(self.dim, 0, self.freqs, self.amps[:, i]).pruned()
 
     def radii(self):
         """Euclidean |xi| of each stored frequency."""
@@ -251,7 +244,7 @@ class SpectralField:
         if self.is_zero():
             return self
         keep = _above(self._magnitudes(), rel)
-        return SpectralField(self.dim, self.rank, self.freqs[keep], self.amps[keep], self.reality)
+        return SpectralField(self.dim, self.rank, self.freqs[keep], self.amps[keep])
 
     def weighted(self, w):
         """Coefficientwise product with real weights ``w``, one per stored
@@ -261,13 +254,12 @@ class SpectralField:
         keep = w != 0
         freqs, amps = self.freqs[keep], self.amps[keep]
         if w.dtype == bool:
-            return SpectralField(self.dim, self.rank, freqs, amps, self.reality)
+            return SpectralField(self.dim, self.rank, freqs, amps)
         w = w[keep].reshape((-1,) + (1,) * self.rank)
-        return SpectralField(self.dim, self.rank, freqs, w * amps, self.reality).pruned()
+        return SpectralField(self.dim, self.rank, freqs, w * amps).pruned()
 
-    def scaled(self, c):
-        reality = self.reality and (np.imag(c) == 0)
-        return SpectralField(self.dim, self.rank, self.freqs, c * self.amps, reality)
+    def scaled(self, c: float):
+        return SpectralField(self.dim, self.rank, self.freqs, float(c) * self.amps)
 
     def __add__(self, other):
         if not isinstance(other, SpectralField):
@@ -279,22 +271,16 @@ class SpectralField:
             self.rank,
             np.concatenate((self.freqs, other.freqs)),
             np.concatenate((self.amps, other.amps)),
-            self.reality and other.reality,
         )
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
-    def shifted(self, shift):
-        """Modulation: multiply by e^{2 pi i shift . x}, i.e. translate spectrum."""
-        freqs = self.freqs + np.asarray(shift, dtype=np.int64)
-        return SpectralField(self.dim, self.rank, freqs, self.amps, reality=False)
-
     def modulated(self, shift):
         """Product with 2 cos(2 pi shift . x): the spectrum translated by
-        +shift plus by -shift.  Real when the field is."""
-        both = self.shifted(shift) + self.shifted(np.negative(shift))
-        return SpectralField(self.dim, self.rank, both.freqs, both.amps, self.reality)
+        +shift plus by -shift, summed in that order."""
+        freqs = np.concatenate((self.freqs + shift, self.freqs - shift))
+        return SpectralField._summed(self.dim, self.rank, freqs, np.concatenate((self.amps, self.amps)))
 
     def find(self, queries):
         """Index of each frequency row of ``queries`` in the storage, -1
@@ -337,8 +323,6 @@ def _sample_rows(field: SpectralField, N: int):
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
-    if not field.reality:
-        raise ValueError("only real fields are sampled")
     d = field.dim
     last = N // 2 + 1
     freqs = field.freqs % N
@@ -368,22 +352,19 @@ def _sample_rows(field: SpectralField, N: int):
 
 
 def sample(field: SpectralField, N: int) -> np.ndarray:
-    """Exact samples of a real field at the N^d grid points, shape (N,)*d
-    for a scalar and (d,) + (N,)*d for a vector field, for callers that need
-    the whole grid (each direction's Gamma^2 coefficients in
-    ``amplitudes``); the norms and ``amplitudes``' sup |R| stream
-    :func:`_sample_rows` instead.
+    """Exact samples of a scalar field at the N^d grid points, shape (N,)*d,
+    for callers that need the whole grid (each direction's Gamma^2
+    coefficients in ``amplitudes``); the norms and ``amplitudes``' sup |R|
+    stream :func:`_sample_rows` instead.
 
     Wrapping frequencies mod N leaves grid-point values exact because
     e^{2 pi i xi j / N} only depends on xi mod N; only coefficient recovery
     requires an unaliased grid.
     """
-    comps = [field.component(c) for c in range(field.dim)] if field.rank else [field]
-    out = np.empty((len(comps),) + (N,) * field.dim)
-    for grid, comp in zip(out, comps):
-        for i, block in _sample_rows(comp, N):
-            grid[i : i + len(block)] = block
-    return out if field.rank else out[0]
+    out = np.empty((N,) * field.dim)
+    for i, block in _sample_rows(field, N):
+        out[i : i + len(block)] = block
+    return out
 
 
 def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
@@ -426,7 +407,7 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
             mirror = centered[on]
             mirror[:, ax] = N // 2
             centered = np.concatenate((centered, mirror))
-    return SpectralField._summed(dim, 0, centered, amps, True)
+    return SpectralField._summed(dim, 0, centered, amps)
 
 
 # -- products -------------------------------------------------------------
@@ -616,7 +597,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
         mask = _above(np.abs(amps).max(axis=1))
         keys, amps = keys[mask], amps[mask]
     freqs = lo + (keys[:, None] // strides) % span
-    return SpectralField(f.dim, g.rank, freqs, amps, f.reality and g.reality)
+    return SpectralField(f.dim, g.rank, freqs, amps)
 
 
 # -- calculus -------------------------------------------------------------
@@ -636,7 +617,7 @@ def gradient(f: SpectralField) -> SpectralField:
     if f.rank != 0:
         raise ValueError("gradient of scalar fields only")
     amps = 2j * np.pi * f.freqs * f.amps[:, None]
-    return SpectralField(f.dim, 1, f.freqs, amps, f.reality).pruned()
+    return SpectralField(f.dim, 1, f.freqs, amps).pruned()
 
 
 def divergence(u: SpectralField) -> SpectralField:
@@ -644,7 +625,7 @@ def divergence(u: SpectralField) -> SpectralField:
     if u.rank != 1:
         raise ValueError("divergence of vector fields only")
     amps = 2j * np.pi * (u.freqs * u.amps).sum(axis=1)
-    return SpectralField(u.dim, 0, u.freqs, amps, u.reality).pruned()
+    return SpectralField(u.dim, 0, u.freqs, amps).pruned()
 
 
 def divergence_defect(u: SpectralField) -> float:
@@ -751,8 +732,6 @@ def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> di
     N^d grid: one pass per distinct grid serves all its exponents, and the
     values are memoized on the field.
     """
-    if not f.reality:
-        raise ValueError("L^p norms are defined for real fields here")
     if f.rank == 1:
         raise ValueError("scalar fields only")
     if any(p < 1 for p in ps):
@@ -826,43 +805,32 @@ def besov_norm(
 
 # -- snapshots ------------------------------------------------------------
 
-SNAPSHOT_VERSION = 1
-
-
-def field_to_snapshot(f: SpectralField) -> dict:
-    """JSON-ready dict of a field: one row per frequency in sorted order, the
-    frequency followed by the real and imaginary part of each component."""
-    width = 2 * (f.dim if f.rank else 1)
-    parts = f.amps.view(np.float64).reshape(len(f), width).tolist()  # -0.0 kept
-    entries = [xi + a for xi, a in zip(f.freqs.tolist(), parts)]
-    return {
-        "version": SNAPSHOT_VERSION,
-        "d": f.dim,
-        "rank": f.rank,
-        "reality": f.reality,
-        "entries": entries,
-    }
-
-
-def field_from_snapshot(data: dict) -> SpectralField:
-    if data.get("version") != SNAPSHOT_VERSION:
-        raise ValueError(f"unsupported snapshot version {data.get('version')!r}")
-    d = int(data["d"])
-    rank = int(data["rank"])
-    width = 2 * (d if rank else 1)
-    rows = np.array(data["entries"], dtype=float).reshape(-1, d + width)
-    amps = np.ascontiguousarray(rows[:, d:]).view(complex)
-    # the flag is the saved field's own, carried through the operations that
-    # built it; its +-xi amplitudes may differ by roundoff, so it is not rechecked
-    return SpectralField._summed(d, rank, rows[:, :d], amps, bool(data["reality"]))
+SNAPSHOT_VERSION = 2
 
 
 def save_snapshot(f: SpectralField, path) -> None:
-    with open(path, "w") as fh:
-        # json.dumps takes the C encoder; json.dump never does
-        fh.write(json.dumps(field_to_snapshot(f), sort_keys=True))
+    """Write ``f`` as an uncompressed ``.npz`` archive at exactly ``path``:
+    ``version``, the (K, d) int64 ``freqs`` and the complex ``amps``, (K,)
+    for a scalar and (K, d) for a vector field."""
+    with open(path, "wb") as fh:  # a file object: numpy appends no suffix
+        np.savez(fh, version=np.int64(SNAPSHOT_VERSION), freqs=f.freqs, amps=f.amps)
 
 
 def load_snapshot(path) -> SpectralField:
-    with open(path) as fh:
-        return field_from_snapshot(json.load(fh))
+    """The field :func:`save_snapshot` wrote; ValueError for another format
+    or version, and for entries that do not form a Hermitian spectrum."""
+    with open(path, "rb") as fh:
+        try:
+            data = np.load(fh, allow_pickle=False)
+            version, freqs, amps = data["version"], data["freqs"], data["amps"]
+        except (OSError, EOFError, KeyError, IndexError, ValueError) as exc:
+            raise ValueError(f"{path} is not a snapshot archive: {exc}") from exc
+    if version.shape or version != SNAPSHOT_VERSION:
+        raise ValueError(f"unsupported snapshot version {version.tolist()!r}")
+    typed = (freqs.dtype, amps.dtype) == (np.int64, complex) and freqs.ndim == 2
+    if not typed or amps.shape not in (freqs.shape[:1], freqs.shape):
+        raise ValueError(
+            f"snapshot arrays {freqs.dtype}{freqs.shape}, {amps.dtype}{amps.shape} are not "
+            "(K, d) int64 freqs with (K,) or (K, d) complex amps"
+        )
+    return SpectralField.from_entries(freqs.shape[1], amps.ndim - 1, freqs, amps)

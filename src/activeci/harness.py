@@ -170,7 +170,7 @@ def build_test_functions(d: int, seed: int) -> TestFunctionSet:
     members = []
     for xi in singles:
         neg = tuple(-c for c in xi)
-        f = SpectralField.scalar(d, {xi: 0.5, neg: 0.5}, reality=True)
+        f = SpectralField.scalar(d, {xi: 0.5, neg: 0.5})
         members.append((f"mode{xi}", f, math.sqrt(sum(c * c for c in xi))))
     rng = random.Random(seed)  # private: the global generator stays untouched
     for idx in range(2):
@@ -182,7 +182,7 @@ def build_test_functions(d: int, seed: int) -> TestFunctionSet:
             amp = complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) / 2.0
             freqs += [xi, -xi]
             amps += [amp, amp.conjugate()]
-        f = SpectralField.from_entries(d, 0, freqs, amps, reality=True)
+        f = SpectralField.from_entries(d, 0, freqs, amps)
         members.append((f"band{idx}", f, f.max_freq))
     return TestFunctionSet(members)
 
@@ -395,11 +395,11 @@ def run(config: RunConfig) -> int:
         weak = weak_form_test(st, psis, params)
         stage_dir = os.path.join(config.out, f"stage-{st.q}")
         os.makedirs(stage_dir, exist_ok=True)
-        save_snapshot(st.theta, os.path.join(stage_dir, "theta.json"))
-        save_snapshot(st.u, os.path.join(stage_dir, "u.json"))
-        save_snapshot(st.R, os.path.join(stage_dir, "R.json"))
+        save_snapshot(st.theta, os.path.join(stage_dir, "theta.npz"))
+        save_snapshot(st.u, os.path.join(stage_dir, "u.npz"))
+        save_snapshot(st.R, os.path.join(stage_dir, "R.npz"))
         if st.increments:
-            save_snapshot(st.increments[-1].w, os.path.join(stage_dir, "w.json"))
+            save_snapshot(st.increments[-1].w, os.path.join(stage_dir, "w.npz"))
         stages.append(
             {
                 "q": st.q,

@@ -293,7 +293,7 @@ def _base_fields(A: float, params: IterationParams, m: Multiplier):
     d = params.d
     e1 = tuple([1] + [0] * (d - 1))
     ne1 = tuple(-c for c in e1)
-    theta = SpectralField.scalar(d, {e1: A / 2.0, ne1: A / 2.0}, reality=True)
+    theta = SpectralField.scalar(d, {e1: A / 2.0, ne1: A / 2.0})
     u = apply_T(m, theta)
     R = multiply(theta, u) - fractional_laplacian(gradient(theta), params.gamma - 2.0)
     return theta, u, R
@@ -431,8 +431,8 @@ def amplitudes(
     shared = {"S": S, "R_max": rmax, "prefactor": pref, "trunc_radius": trunc, "grid_N": N}
     out = {}
     for k, row, mean in zip(basis.omega, rows, means):
-        coeff = SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1), True)
-        grid = sample(coeff + SpectralField(d, 0, origin, [mean], True), N)
+        coeff = SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1))
+        grid = sample(coeff + SpectralField(d, 0, origin, [mean]), N)
         cmin = float(grid.min())
         if cmin < basis.gamma_margin * (1 - 1e-9):
             raise ValueError(

@@ -131,10 +131,11 @@ def apply_T(m: Multiplier, theta: SpectralField) -> SpectralField:
         raise ValueError("drift operator acts on scalar fields")
     if theta.dim != m.dim:
         raise ValueError("dimension mismatch")
+    if not m.claims["real_output"]:
+        raise ValueError(f"symbol {m.name!r} does not claim a real output")
     keep = theta.freqs.any(axis=1)
     freqs = theta.freqs[keep]
-    reality = theta.reality and m.claims["real_output"]
-    return SpectralField(m.dim, 1, freqs, m(freqs) * theta.amps[keep, None], reality).pruned()
+    return SpectralField(m.dim, 1, freqs, m(freqs) * theta.amps[keep, None]).pruned()
 
 
 # largest imaginary part a claimed-real even part may carry

@@ -168,9 +168,7 @@ def slab_fourier(spec: SlabSpec, mode_cap: int | None = None) -> SpectralField:
     amp = spec.lam ** ((spec.eps - 1.0) / 2.0)
     c = amp * np.array([spec.profile.fhat(step * n) for n in range(1, mode_cap + 1)], dtype=complex)
     xi = np.outer(spec.harmonic_step * np.arange(1, mode_cap + 1), spec.k)
-    return SpectralField.from_entries(
-        len(spec.k), 0, np.concatenate((xi, -xi)), np.concatenate((c, c.conj())), reality=True
-    )
+    return SpectralField.from_entries(len(spec.k), 0, np.concatenate((xi, -xi)), np.concatenate((c, c.conj())))
 
 
 def slab_physical(spec: SlabSpec, x) -> float:

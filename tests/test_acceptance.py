@@ -248,7 +248,7 @@ def test_criterion_08_oscillation_cancellation(basis, sweep):
     profile = build_profile("odd-bump")
     params = make_params(basis, lambda1=256, qmax=1, grid_budget=8192)
     Rbar = np.array([0.3, -0.7])
-    R = SpectralField.vector(2, {(0, 0): Rbar.astype(complex)}, reality=True)
+    R = SpectralField.vector(2, {(0, 0): Rbar.astype(complex)})
     frozen_state = IterationState(
         q=0,
         theta=SpectralField.scalar(2, {}),

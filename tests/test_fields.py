@@ -16,8 +16,6 @@ from activeci.fields import (
     besov_norm,
     divergence,
     divergence_defect,
-    field_from_snapshot,
-    field_to_snapshot,
     fractional_laplacian,
     gradient,
     load_snapshot,
@@ -38,9 +36,7 @@ from activeci.kernels import ShellKernel
 def cos_field(freq, amp=1.0):
     """Real field amp*cos(2 pi freq . x) as a hermitian coefficient pair."""
     neg = tuple(-c for c in freq)
-    return SpectralField.scalar(
-        len(freq), {freq: amp / 2.0, neg: amp / 2.0}, reality=True
-    )
+    return SpectralField.scalar(len(freq), {freq: amp / 2.0, neg: amp / 2.0})
 
 
 def vector_of(comps):
@@ -67,33 +63,35 @@ def hermitian_scalars(draw):
         neg = tuple(-c for c in xi)
         coeffs[xi] = coeffs.get(xi, 0.0) + a / 2.0
         coeffs[neg] = coeffs.get(neg, 0.0) + np.conj(a) / 2.0
-    return SpectralField.scalar(2, coeffs, reality=True)
+    return SpectralField.scalar(2, coeffs)
 
 
 # -- construction and algebra ---------------------------------------------
 
 
 def test_scalar_vector_ranks():
-    f = SpectralField.scalar(2, {(1, 0): 1.0})
-    v = SpectralField.vector(2, {(1, 0): np.array([1.0, 2.0])})
+    f = SpectralField.scalar(2, {(1, 0): 1.0, (-1, 0): 1.0})
+    v = SpectralField.vector(2, {(1, 0): np.array([1.0, 2.0]), (-1, 0): np.array([1.0, 2.0])})
     assert f.rank == 0 and v.rank == 1
     assert np.allclose(v.component(0).coefficient((1, 0)), 1.0)
     assert np.allclose(v.component(1).coefficient((1, 0)), 2.0)
 
 
-def test_add_sub_scaled_shifted():
+def test_add_sub_scaled_modulated():
     f = cos_field((1, 0))
     g = cos_field((1, 0), amp=-1.0)
     assert (f + g).pruned().is_zero()
     assert (f - f).pruned().is_zero()
     h = f.scaled(3.0)
     assert abs(h.coefficient((1, 0)) - 1.5) < 1e-15
-    sh = f.shifted((2, 1))
-    assert set(sh.coeffs) == {(3, 1), (1, 1)}
+    with pytest.raises(TypeError):
+        f.scaled(1j)  # a complex factor would break the invariant
+    sh = f.modulated((2, 1))
+    assert set(sh.coeffs) == {(3, 1), (1, 1), (-1, -1), (-3, -1)}
 
 
 def test_max_freq_and_amp():
-    f = SpectralField.scalar(2, {(3, 4): 2.0, (1, 0): 5.0})
+    f = SpectralField.scalar(2, {(3, 4): 2.0, (-3, -4): 2.0, (1, 0): 5.0, (-1, 0): 5.0})
     assert f.max_freq == 5.0
     assert list(f.max_axis_freq()) == [3, 4]
     assert f.max_amp() == 5.0
@@ -108,65 +106,64 @@ def test_hermitian_detection(f):
 def test_hermitian_missing_partner_counts_as_zero():
     # an unpaired coefficient below rtol times the largest is roundoff
     tiny = SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (2, 0): 1e-14})
-    assert len(tiny) == 3 and tiny.is_hermitian() and tiny.reality
-    big = SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (2, 0): 1e-12})
-    assert not big.is_hermitian() and not big.reality
+    assert len(tiny) == 3 and tiny.is_hermitian()
+    # the raw constructor trusts its caller, so it can hold what is not real
+    big = SpectralField(2, 0, [[-1, 0], [1, 0], [2, 0]], [1, 1, 1e-12])
+    assert not big.is_hermitian()
     v = SpectralField.vector(2, {(1, 0): [1, 2j], (-1, 0): [1, -2j], (0, 3): [1e-14, 0]})
     assert v.is_hermitian()
-    assert not SpectralField.vector(2, {(1, 0): [1, 2j], (-1, 0): [1, 2j]}).is_hermitian()
+    assert not SpectralField(2, 1, [[-1, 0], [1, 0]], [[1, 2j], [1, 2j]]).is_hermitian()
 
 
-def test_raw_builders_check_a_reality_claim():
-    with pytest.raises(ValueError, match="Hermitian"):
-        SpectralField.scalar(2, {(1, 0): 1.0}, reality=True)
-    with pytest.raises(ValueError, match="Hermitian"):
-        SpectralField.vector(2, {(1, 0): [1, 1j], (-1, 0): [1, 1j]}, reality=True)
-    assert not SpectralField.scalar(2, {(1, 0): 0.5, (-1, 0): 0.5}, reality=False).reality
-
-
-def test_snapshot_keeps_its_saved_reality_flag():
-    # a real field's +-xi amplitudes may differ by roundoff far above 1e-13
-    # of its largest one, after a cancellation; the saved flag is kept as is
-    f = SpectralField.scalar(2, {(1, 0): 1e-11, (-1, 0): 1.2e-11, (3, 0): 1.0, (-3, 0): 1.0})
-    data = field_to_snapshot(f)
-    for flag in (True, False):
-        data["reality"] = flag
-        g = field_from_snapshot(data)
-        assert g.reality is flag and field_to_snapshot(g) == data
+def test_builders_reject_non_hermitian_spectra():
+    builds = [
+        lambda: SpectralField.scalar(2, {(1, 0): 1.0}),
+        lambda: SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (2, 0): 1e-12}),
+        lambda: SpectralField.scalar(2, {(1, 0): 1j, (-1, 0): 1j}),
+        lambda: SpectralField.vector(2, {(1, 0): [1, 1j], (-1, 0): [1, 1j]}),
+        lambda: SpectralField.from_entries(1, 0, [[2], [-2]], [1.0, 2.0]),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="Hermitian"):
+            build()
 
 
 def test_storage_is_sorted_read_only_arrays():
-    f = SpectralField.scalar(2, {(1, 0): 2.0, (-1, 3): 1j, (-1, -2): 0.5})
+    f = SpectralField.scalar(2, {(1, 0): 2.0, (-1, 3): 1j, (-1, -2): 0.5, (-1, 0): 2.0, (1, 2): 0.5, (1, -3): -1j})
     freqs, amps = f.freqs, f.amps
-    assert freqs.tolist() == [[-1, -2], [-1, 3], [1, 0]]
-    assert amps.tolist() == [0.5, 1j, 2.0]
-    v = SpectralField.vector(3, {(0, 0, 1): [1, 2, 3]})
+    assert freqs.tolist() == [[-1, -2], [-1, 0], [-1, 3], [1, -3], [1, 0], [1, 2]]
+    assert amps.tolist() == [0.5, 2.0, 1j, -1j, 2.0, 0.5]
+    v = SpectralField.vector(3, {(0, 0, 1): [1, 2, 3], (0, 0, -1): [1, 2, 3]})
     for arr, value in ((f.freqs, 7), (f.amps, 7.0), (v.freqs, 7), (v.amps, 7.0)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = value
     with pytest.raises(TypeError):
         f.coeffs[(1, 0)] = 3.0
-    assert f.coeffs == {(-1, -2): 0.5, (-1, 3): 1j, (1, 0): 2.0}
+    assert f.coeffs == {(-1, -2): 0.5, (-1, 0): 2.0, (-1, 3): 1j, (1, -3): -1j, (1, 0): 2.0, (1, 2): 0.5}
 
 
 def test_from_entries_sums_repeats_in_entry_order():
-    f = SpectralField.from_entries(1, 0, [[2], [-1], [2], [2]], [1e16, 3.0, 1.0, -1e16])
-    # (1e16 + 1) rounds back to 1e16, so entry order decides the sum at 2
+    xi = [[2], [-2], [-1], [1], [2], [-2], [2], [-2]]
+    f = SpectralField.from_entries(1, 0, xi, [1e16, 1e16, 3.0, 3.0, 1.0, 1.0, -1e16, -1e16])
+    # (1e16 + 1) rounds back to 1e16, so entry order decides the sum at +-2
     assert f.coefficient((2,)) == 0.0 and f.coefficient((-1,)) == 3.0
-    g = SpectralField.from_entries(1, 0, [[2], [2], [2]], [1e16, -1e16, 1.0])
+    g = SpectralField.from_entries(1, 0, [[2], [-2]] * 3, [1e16, 1e16, -1e16, -1e16, 1.0, 1.0])
     assert g.coefficient((2,)) == 1.0
     # a lone entry keeps its signed zeros
-    h = SpectralField.from_entries(1, 0, [[1], [3]], [complex(-0.0, 1.0), 2.0])
+    h = SpectralField.from_entries(
+        1, 0, [[1], [-1], [3], [-3]], [complex(-0.0, 1.0), complex(-0.0, -1.0), 2.0, 2.0]
+    )
     assert math.copysign(1.0, h.coefficient((1,)).real) == -1.0
 
 
 def test_modulated_is_real_cosine_product():
     g = cos_field((1, 2), amp=0.8) + SpectralField.scalar(2, {(0, 0): 0.3})
     m = g.modulated((5, -1))
-    assert m.reality and m.is_hermitian()
-    both = g.shifted((5, -1)) + g.shifted((-5, 1))
-    assert not both.reality
-    assert m.freqs.tolist() == both.freqs.tolist() and np.array_equal(m.amps, both.amps)
+    assert m.is_hermitian()
+    # the spectrum translated by +shift, then by -shift, summed in that order
+    both = np.concatenate((g.freqs + (5, -1), g.freqs - (5, -1)))
+    both = SpectralField.from_entries(2, 0, both, np.concatenate((g.amps, g.amps)))
+    assert m.freqs.tolist() == both.freqs.tolist() and m.amps.tobytes() == both.amps.tobytes()
     x = np.arange(8) / 8
     X1, X2 = np.meshgrid(x, x, indexing="ij")
     cosine = 2 * np.cos(2 * np.pi * (5 * X1 - X2))
@@ -176,7 +173,7 @@ def test_modulated_is_real_cosine_product():
 def test_weighted_restricts_or_weights():
     f = cos_field((1, 0)) + cos_field((3, 4), amp=2.0)
     inner = f.weighted(f.radii() < 2)
-    assert inner.freqs.tolist() == [[-1, 0], [1, 0]] and inner.reality
+    assert inner.freqs.tolist() == [[-1, 0], [1, 0]] and inner.is_hermitian()
     w = np.where(f.radii() < 2, 0.0, 0.5)
     outer = f.weighted(w)
     assert outer.freqs.tolist() == [[-3, -4], [3, 4]]
@@ -224,7 +221,7 @@ def random_hermitian(rng, dim, n, radius, centre=None):
         neg = tuple(-c for c in xi)
         coeffs[xi] = coeffs.get(xi, 0.0) + amp / 2.0
         coeffs[neg] = coeffs.get(neg, 0.0) + np.conj(amp) / 2.0
-    return SpectralField.scalar(dim, coeffs, reality=True)
+    return SpectralField.scalar(dim, coeffs)
 
 
 def product_cases(rng):
@@ -258,7 +255,7 @@ def brute_product(f, g):
 def test_multiply_matches_brute_force():
     for f, g in product_cases(np.random.default_rng(11)):
         fg = multiply(f, g)
-        assert fg.rank == g.rank and fg.reality
+        assert fg.rank == g.rank and fg.is_hermitian()
         oracle = brute_product(f, g)
         scale = max(float(np.max(np.abs(v))) for v in oracle.values())
         assert set(fg.coeffs) <= set(oracle)
@@ -275,7 +272,9 @@ def test_multiply_prunes_each_vector_component():
         2,
         {
             (0, 5): np.array([1.0, 1.0], dtype=complex),
+            (0, -5): np.array([1.0, 1.0], dtype=complex),
             (3, 3): np.array([1.0, 1e-17], dtype=complex),
+            (-3, -3): np.array([1.0, 1e-17], dtype=complex),
         },
     )
     fg = multiply(f, g)
@@ -290,7 +289,7 @@ def test_multiply_box_path_matches_pair_path(monkeypatch):
     monkeypatch.setattr(fields, "_DIRECT_PAIR_CAP", 0)
     for (f, g), fg in zip(cases, pair):
         box = multiply(f, g)
-        assert box.reality and box.rank == g.rank and set(box.coeffs) == set(fg.coeffs)
+        assert box.is_hermitian() and box.rank == g.rank and set(box.coeffs) == set(fg.coeffs)
         diff = (box - fg).pruned(rel=0.0)
         assert diff.is_zero() or diff.max_amp() < 1e-13 * fg.max_amp()
 
@@ -348,7 +347,6 @@ def test_multiply_scalar_vector():
     v = SpectralField.vector(
         2,
         {(0, 1): np.array([1.0, 2.0]) / 2.0, (0, -1): np.array([1.0, 2.0]) / 2.0},
-        reality=True,
     )
     fv = multiply(f, v)
     assert fv.rank == 1
@@ -369,22 +367,16 @@ def test_multiply_scalar_vector():
 )
 def test_sample_analyze_roundtrip(f):
     g = analyze(sample(f, 16))
-    assert g.reality and g.dim == f.dim
+    assert g.is_hermitian() and g.dim == f.dim
     diff = (f - g).pruned(rel=1e-13)
     assert diff.is_zero() or diff.max_amp() < 1e-13
 
 
 def test_grid_layer_takes_real_fields_only():
-    f = SpectralField.scalar(2, {(1, 0): 1.0, (2, 3): 0.5j})
-    assert not f.reality
-    for call in (lambda: sample(f, 8), lambda: lp_norms(f, (1.0,), 8)):
-        with pytest.raises(ValueError, match="real"):
-            call()
     with pytest.raises(ValueError, match="real"):
         analyze(np.ones((8, 8), dtype=complex))
-    v = vector_of([cos_field((1, 0)), cos_field((0, 2))])
     with pytest.raises(ValueError, match="scalar"):
-        analyze(sample(v, 8))  # shape (2, 8, 8)
+        analyze(np.ones((2, 8, 8)))  # the shape of two components' grids
 
 
 @pytest.mark.parametrize(
@@ -398,7 +390,7 @@ def test_analyze_real_grid_with_nyquist_content(values):
     # for even N a Nyquist-line coefficient is split evenly over -N/2 and
     # +N/2, so the spectrum is Hermitian
     g = analyze(values)
-    assert g.reality and g.is_hermitian()
+    assert g.is_hermitian()
     nyq = (2,) + (0,) * (values.ndim - 1)
     assert abs(g.coefficient(nyq) - 0.5) < 1e-15
     assert abs(g.coefficient(tuple(-c for c in nyq)) - 0.5) < 1e-15
@@ -492,7 +484,7 @@ def test_sample_real_fft_wraps_last_axis():
 
 def test_sample_real_fft_nyquist_column():
     # last-axis index N/2 is its own conjugate partner: both modes land there
-    f = SpectralField.scalar(2, {(1, 4): 0.3 - 0.8j, (-1, -4): 0.3 + 0.8j}, reality=True)
+    f = SpectralField.scalar(2, {(1, 4): 0.3 - 0.8j, (-1, -4): 0.3 + 0.8j})
     f = f + cos_field((3, 4), amp=0.5) + cos_field((0, 4))
     vals = sample(f, 8)
     assert vals.dtype == np.float64
@@ -535,13 +527,16 @@ def test_sample_real_bitwise_dense_irfftn(dim, N, radius):
 
 
 def test_sample_vector_field():
+    # a vector field is sampled one component at a time
     f = random_hermitian(np.random.default_rng(2), 2, 10, 6)
     g = random_hermitian(np.random.default_rng(3), 2, 10, 6)
     v = vector_of([f, g])
-    vals = sample(v, 16)
-    assert vals.shape == (2, 16, 16) and vals.dtype == np.float64
-    assert np.array_equal(vals[0], sample(v.component(0), 16))
-    assert np.array_equal(vals[1], sample(v.component(1), 16))
+    with pytest.raises(ValueError, match="scalar fields only"):
+        sample(v, 16)
+    for comp, want in zip((v.component(0), v.component(1)), (f, g)):
+        vals = sample(comp, 16)
+        assert vals.shape == (16, 16) and vals.dtype == np.float64
+        assert np.allclose(vals, direct_samples(want, 16).real, atol=1e-12)
 
 
 STREAM_PS = (1.0, 4.0 / 3.0, 1.5, 2.0, math.inf)
@@ -632,7 +627,7 @@ def test_norms_sample_each_grid_once(monkeypatch):
     assert grids == Counter({16: 1, 32: 1})
     assert besov == [2.0 ** (2 * alpha) * lp[math.inf].norm for alpha in (-0.1, -0.5, -0.9)]
     # one p at a time on a fresh field gives the same values
-    fresh = SpectralField.scalar(2, dict(f.coeffs), reality=True)
+    fresh = SpectralField.scalar(2, dict(f.coeffs))
     assert {p: lp_norm_detailed(fresh, p, 256) for p in ps} == lp
 
 
@@ -770,42 +765,87 @@ def test_besov_norm_single_shell():
 
 def test_snapshot_roundtrip(tmp_path):
     f = cos_field((3, 2), amp=1.25) + cos_field((1, 1), amp=-0.5)
-    path = tmp_path / "f.json"
+    path = tmp_path / "f"
     save_snapshot(f, path)
+    assert [p.name for p in tmp_path.iterdir()] == ["f"]  # at the exact path: no .npz added
     g = load_snapshot(path)
-    assert g.dim == f.dim and g.rank == f.rank and g.reality == f.reality
-    diff = (f - g).pruned(rel=1e-15)
-    assert diff.is_zero() or diff.max_amp() < 1e-15
+    assert g.dim == f.dim and g.rank == f.rank
+    assert g.freqs.tobytes() == f.freqs.tobytes() and g.amps.tobytes() == f.amps.tobytes()
 
 
 @pytest.mark.parametrize(
     "f",
     [
-        SpectralField.scalar(2, {(1, 0): complex(-0.0, 1.5), (-2, 3): 0.25 - 0.0j}),
-        SpectralField.vector(3, {(1, -2, 3): [1 + 2j, complex(-0.0, -0.5), 3.0], (0, 0, 1): [0, 1j, -1]}),
+        SpectralField.scalar(
+            2, {(1, 0): complex(-0.0, 1.5), (-1, 0): complex(-0.0, -1.5), (-2, 3): 0.25 - 0.0j, (2, -3): 0.25}
+        ),
+        SpectralField.vector(
+            3,
+            {
+                (1, -2, 3): [1 + 2j, complex(-0.0, -0.5), 3.0],
+                (-1, 2, -3): [1 - 2j, complex(-0.0, 0.5), 3.0],
+                (0, 0, 1): [0, 1j, -1],
+                (0, 0, -1): [0, -1j, -1],
+            },
+        ),
         SpectralField.zero(2, 1),
     ],
 )
 def test_snapshot_bytes_per_entry_rows(tmp_path, f):
-    # each row: the frequency, then re and im of every component, -0.0 kept
-    rows = [
-        list(xi) + [v for c in np.atleast_1d(f.coeffs[xi]) for v in (float(c.real), float(c.imag))]
-        for xi in sorted(f.coeffs)
-    ]
-    expect = {"version": 1, "d": f.dim, "rank": f.rank, "reality": f.reality, "entries": rows}
-    save_snapshot(f, tmp_path / "f.json")
-    text = (tmp_path / "f.json").read_text()
-    assert text == json.dumps(expect, sort_keys=True)
-    assert "-0.0" in text or f.is_zero()
+    # the archive holds one frequency row and one amplitude row per entry,
+    # bit for bit (-0.0 kept), and loads back bitwise
+    save_snapshot(f, tmp_path / "f.npz")
+    with np.load(tmp_path / "f.npz", allow_pickle=False) as data:
+        assert sorted(data.files) == ["amps", "freqs", "version"]
+        assert data["version"] == 2 and data["freqs"].dtype == np.int64
+        assert data["freqs"].shape == (len(f), f.dim)
+        assert data["amps"].shape == (len(f),) + (f.dim,) * f.rank
+        assert data["freqs"].tobytes() == f.freqs.tobytes()
+        assert data["amps"].tobytes() == f.amps.tobytes()
+    parts = f.amps.view(np.float64)
+    assert (np.signbit(parts) & (parts == 0)).any() or f.is_zero()
+    g = load_snapshot(tmp_path / "f.npz")
+    assert (g.dim, g.rank) == (f.dim, f.rank)
+    assert g.freqs.tobytes() == f.freqs.tobytes() and g.amps.tobytes() == f.amps.tobytes()
 
 
-def test_snapshot_dict_stable():
+def test_snapshot_dict_stable(tmp_path):
+    # a loaded snapshot saves back to the same bytes
     f = cos_field((1, 0))
-    assert field_to_snapshot(f) == field_to_snapshot(field_from_snapshot(field_to_snapshot(f)))
+    save_snapshot(f, tmp_path / "a.npz")
+    save_snapshot(load_snapshot(tmp_path / "a.npz"), tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def _archive(path, **members):
+    with open(path, "wb") as fh:
+        np.savez(fh, **members)
+    return path
+
+
+def test_load_snapshot_rejects_bad_archives(tmp_path):
+    freqs = np.array([[-1, 0], [1, 0]])
+    amps = np.array([0.5, 0.5], dtype=complex)
+    v1 = tmp_path / "v1.json"  # the JSON rows of format version 1
+    v1.write_text(json.dumps({"version": 1, "d": 2, "rank": 0, "reality": True, "entries": [[1, 0, 1.0, 0.0]]}))
+    bad = [
+        v1,
+        _archive(tmp_path / "v3.npz", version=3, freqs=freqs, amps=amps),
+        _archive(tmp_path / "object.npz", version=2, freqs=freqs, amps=amps.astype(object)),
+        _archive(tmp_path / "float.npz", version=2, freqs=freqs * 1.0, amps=amps),
+        _archive(tmp_path / "short.npz", version=2, freqs=freqs, amps=amps[:1]),
+        _archive(tmp_path / "missing.npz", version=2, freqs=freqs),
+        _archive(tmp_path / "skew.npz", version=2, freqs=freqs, amps=amps * [1, 1j]),
+    ]
+    for path in bad:
+        with pytest.raises(ValueError):
+            load_snapshot(path)
+    good = _archive(tmp_path / "good.npz", version=2, freqs=freqs, amps=amps)
+    assert load_snapshot(good).coeffs == {(-1, 0): 0.5, (1, 0): 0.5}
 
 
 def test_dim_mismatch_raises():
-    f = SpectralField.scalar(2, {(1, 0): 1.0})
-    g = SpectralField.scalar(3, {(1, 0, 0): 1.0})
+    f = cos_field((1, 0))
+    g = cos_field((1, 0, 0))
     with pytest.raises(ValueError):
         f + g

@@ -101,19 +101,19 @@ def test_test_functions_deterministic():
         assert fa.coeffs == fb.coeffs
         assert ra == rb
     for _, f, _ in a.members[-2:]:
-        assert f.reality and 0 < np.abs(f.freqs).max() <= 6
+        assert f.is_hermitian() and 0 < np.abs(f.freqs).max() <= 6
     c = build_test_functions(2, seed=1)
     assert a.members[-1][1].coeffs != c.members[-1][1].coeffs
 
 
 def test_pairing_oracle():
     # integral of cos(2 pi x1)^2 = 1/2
-    f = SpectralField.scalar(2, {(1, 0): 0.5, (-1, 0): 0.5}, reality=True)
+    f = SpectralField.scalar(2, {(1, 0): 0.5, (-1, 0): 0.5})
     signed, gross = pairing(f, f)
     assert abs(signed - 0.5) < 1e-15
     assert abs(gross - 0.5) < 1e-15
     # orthogonal modes pair to zero
-    g = SpectralField.scalar(2, {(0, 1): 0.5, (0, -1): 0.5}, reality=True)
+    g = SpectralField.scalar(2, {(0, 1): 0.5, (0, -1): 0.5})
     assert pairing(f, g)[0] == 0.0
 
 
@@ -151,7 +151,7 @@ def two_stages(request):
 
 def fresh(f):
     """The same field without its memoized quadratures."""
-    return SpectralField(f.dim, f.rank, f.freqs, f.amps, f.reality)
+    return SpectralField(f.dim, f.rank, f.freqs, f.amps)
 
 
 def brute_shell_scan(stage, bundle, kernel):
@@ -234,10 +234,10 @@ def test_run_artifacts_exist(fast_run):
         assert os.path.exists(os.path.join(out, name)), name
     for q in (0, 1):
         stage = os.path.join(out, f"stage-{q}")
-        assert os.path.exists(os.path.join(stage, "theta.json"))
-        assert os.path.exists(os.path.join(stage, "u.json"))
-        assert os.path.exists(os.path.join(stage, "R.json"))
-    assert os.path.exists(os.path.join(out, "stage-1", "w.json"))
+        assert os.path.exists(os.path.join(stage, "theta.npz"))
+        assert os.path.exists(os.path.join(stage, "u.npz"))
+        assert os.path.exists(os.path.join(stage, "R.npz"))
+    assert os.path.exists(os.path.join(out, "stage-1", "w.npz"))
 
 
 def test_report_structure(fast_run):
@@ -265,35 +265,33 @@ def test_timing_records_peak_rss_and_reports_rerun_identically(fast_run, tmp_pat
         timing = json.load(fh)
     assert timing["peak_rss_mb"] > 0
     assert run(fast_config(tmp_path)) == 0
-    for name in ("report.json", "history.json"):
-        with open(os.path.join(out, name), "rb") as a, open(tmp_path / name, "rb") as b:
-            assert a.read() == b.read(), name
+    snapshots = sorted(p.relative_to(out).as_posix() for p in out.glob("stage-*/*.npz"))
+    assert snapshots == sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("stage-*/*.npz"))
+    assert len(snapshots) == 7  # theta, u, R at stages 0 and 1, and w
+    for name in ["report.json", "history.json"] + snapshots:
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
     assert "rss" not in (tmp_path / "report.json").read_text()
 
 
-def test_report_snapshot_roundtrip(fast_run):
-    from activeci.fields import load_snapshot
-    from activeci.fields import divergence_defect, field_to_snapshot
+def test_report_snapshot_roundtrip(fast_run, tmp_path):
+    from activeci.fields import load_snapshot, save_snapshot
 
     _, out = fast_run
-    u = load_snapshot(os.path.join(out, "stage-1", "u.json"))
-    assert divergence_defect(u) <= 1e-13
-    for stage in ("stage-0", "stage-1"):
-        for name in ("theta", "u", "R", "w"):
-            path = os.path.join(out, stage, name + ".json")
-            if os.path.exists(path):
-                with open(path) as fh:
-                    saved = json.load(fh)
-                assert field_to_snapshot(load_snapshot(path)) == saved
+    u = load_snapshot(out / "stage-1" / "u.npz")
+    assert u.rank == 1 and divergence_defect(u) <= 1e-13
+    paths = sorted(out.glob("stage-*/*.npz"))
+    assert len(paths) == 7
+    for path in paths:
+        # each snapshot passes the Hermitian check and saves back bitwise
+        save_snapshot(load_snapshot(path), tmp_path / "again.npz")
+        assert (tmp_path / "again.npz").read_bytes() == path.read_bytes(), path
 
 
 def dealias_grid(path, p, budget):
     """``[grid_N, resolved]`` by the dealias rule for |f|^p: the smallest
     power of two >= 2 ceil(p) band + 1, band the largest |xi_i| of the saved
     field, capped at the budget."""
-    with open(path) as fh:
-        snap = json.load(fh)
-    band = max(abs(c) for row in snap["entries"] for c in row[: snap["d"]])
+    band = int(np.abs(fields.load_snapshot(path).freqs).max())
     want = 1 << (2 * math.ceil(p) * band).bit_length()
     return [min(want, budget), want <= budget]
 
@@ -304,12 +302,12 @@ def test_report_quadrature_grids(fast_run):
         stage = json.load(fh)["stages"][1]
     w_lp = stage["history"]["w_lp"]
     assert set(w_lp) == {"1.0", "1.3333333333333333", "1.5", "2.0"}
-    w_path = os.path.join(out, "stage-1", "w.json")
+    w_path = os.path.join(out, "stage-1", "w.npz")
     grids = {p: [rec["grid_N"], rec["resolved"]] for p, rec in w_lp.items()}
     assert grids == {p: dealias_grid(w_path, float(p), 8192) for p in w_lp}
     assert grids["2.0"] == [2048, True]  # band 286: 4 * 286 + 1 points
     item5 = stage["items"]["item5"]
-    theta_path = os.path.join(out, "stage-1", "theta.json")
+    theta_path = os.path.join(out, "stage-1", "theta.npz")
     assert [item5["grid_N"], item5["resolved"]] == dealias_grid(theta_path, 1.0, 8192)
 
 

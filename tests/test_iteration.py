@@ -111,7 +111,7 @@ def test_base_state_invariants(setup, params):
 def test_amplitudes_constant_stress(setup, params):
     m, basis, kernel, profile = setup
     Rbar = np.array([0.2, -0.5])
-    R = SpectralField.vector(2, {(0, 0): Rbar.astype(complex)}, reality=True)
+    R = SpectralField.vector(2, {(0, 0): Rbar.astype(complex)})
     spec = SlabSpec(k=(4, 3), lam=256, eps=1.0 / 8.0, profile=profile)
     a, info = amplitudes(R, basis, params, spec, kernel)[(4, 3)]
     # constant stress -> constant amplitude, value (S eps/|R|)^{-1/2} Gamma
@@ -158,7 +158,7 @@ def _dense_amplitudes(R, basis, info):
     Gamma^2 coefficients by a LAPACK solve at every point, then the square
     root, prefactor, analysis and truncation of each direction."""
     N, d = info["grid_N"], basis.dim
-    grid = fields.sample(R, N)
+    grid = np.stack([fields.sample(R.component(c), N) for c in range(d)])
     flat = grid.reshape(d, -1)
     rmax = float(np.sqrt(np.max(np.sum(flat**2, axis=0))))
     coeffs = np.linalg.solve(
@@ -196,14 +196,15 @@ def _random_stress(dim, modes, radius, seed):
         entries[xi] = amp
         entries[tuple(-v for v in xi)] = amp.conj()
     entries[(0,) * dim] = rng.normal(size=dim).astype(complex)
-    return SpectralField.vector(dim, entries, reality=True)
+    return SpectralField.vector(dim, entries)
 
 
 @pytest.mark.parametrize("dim,N", [(2, 64), (2, 1024), (3, 64)])
 def test_grid_sup_is_bitwise_dense(dim, N):
     # 1, 16 and 4 row blocks: the streamed sup |R| is the dense one, bit for bit
     R = _random_stress(dim, 40 if dim == 2 else 20, 30 if N > 64 else 12, seed=N + dim)
-    dense = math.sqrt(float(np.max(np.sum(fields.sample(R, N) ** 2, axis=0))))
+    grids = [fields.sample(R.component(c), N) for c in range(dim)]
+    dense = math.sqrt(float(np.max(np.sum(np.stack(grids) ** 2, axis=0))))
     assert _grid_sup(R, N) == dense
 
 

@@ -77,7 +77,6 @@ def test_apply_T_drops_mean_and_keeps_reality():
     theta = SpectralField.scalar(
         2,
         {(0, 0): 3.0, (1, 2): 1.0 + 0.5j, (-1, -2): 1.0 - 0.5j},
-        reality=True,
     )
     u = apply_T(m, theta)
     assert (0, 0) not in u.coeffs
@@ -88,12 +87,21 @@ def test_apply_T_drops_mean_and_keeps_reality():
 
 def test_apply_T_rejects_vectors_and_dim_mismatch():
     m = ipm2d()
-    vec = SpectralField.vector(2, {(1, 0): np.array([1.0, 0.0])})
-    with pytest.raises(ValueError):
+    vec = SpectralField.vector(2, {(1, 0): np.array([1.0, 0.0]), (-1, 0): np.array([1.0, 0.0])})
+    with pytest.raises(ValueError, match="scalar"):
         apply_T(m, vec)
-    theta3 = SpectralField.scalar(3, {(1, 0, 0): 1.0})
-    with pytest.raises(ValueError):
+    theta3 = SpectralField.scalar(3, {(1, 0, 0): 1.0, (-1, 0, 0): 1.0})
+    with pytest.raises(ValueError, match="dimension"):
         apply_T(m, theta3)
+
+
+def test_apply_T_rejects_a_symbol_without_real_output():
+    from activeci.multipliers import Multiplier
+
+    m = Multiplier(2, ipm2d().symbol, "complex", claims={"real_output": False})
+    theta = SpectralField.scalar(2, {(1, 2): 1.0, (-1, -2): 1.0})
+    with pytest.raises(ValueError, match="real output"):
+        apply_T(m, theta)
 
 
 def test_apply_T_commutes_with_fractional_laplacian():
@@ -103,7 +111,6 @@ def test_apply_T_commutes_with_fractional_laplacian():
     theta = SpectralField.scalar(
         2,
         {(1, 2): 1.0 + 0.5j, (-1, -2): 1.0 - 0.5j, (3, 0): 0.2, (-3, 0): 0.2},
-        reality=True,
     )
     a = apply_T(m, fractional_laplacian(theta, 0.7))
     b = fractional_laplacian(apply_T(m, theta), 0.7)
@@ -252,7 +259,7 @@ def test_apply_T_calls_the_symbol_once():
         return ipm2d().symbol(xi)
 
     theta = SpectralField.scalar(
-        2, {(0, 0): 1.0, (1, 2): 1.0, (-1, -2): 1.0, (3, 0): 0.5, (-3, 0): 0.5}, reality=True
+        2, {(0, 0): 1.0, (1, 2): 1.0, (-1, -2): 1.0, (3, 0): 0.5, (-3, 0): 0.5}
     )
     u = apply_T(Multiplier(2, sym, "counted"), theta)
     assert calls == [(4, 2)]
