@@ -8,9 +8,9 @@ Each revision is extracted with ``git archive`` into a fresh temporary
 directory, so neither side starts with a ``__pycache__``.  Pair i runs
 ``perfbench/run.py --seed <seed + i>`` of both checkouts, one after the
 other, each for the ``run_seconds`` of BENCHMARK.json; the parent goes
-first in even pairs and the change first in odd ones.  The children run
-without ``PYTHONDONTWRITEBYTECODE``, so both sides cache their bytecode
-alike.
+first in even pairs and the change first in odd ones.  The children keep
+the caller's environment, ``PYTHONDONTWRITEBYTECODE`` included, so both
+sides compile or cache their bytecode alike.
 
 The output holds the host facts ``run.py`` prints and, per workload and
 metric, each side's median, q1 and q3 and the pairs the change won (better
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
@@ -112,7 +111,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON summary path")
     args = parser.parse_args(argv)
 
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
     records, host, failed = [], None, 0
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees = {side: checkout(getattr(args, side), Path(tmp) / side) for side in SIDES}
@@ -121,7 +119,7 @@ def main(argv=None) -> int:
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
                     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(args.seed + pair), "--seconds", str(spec["run_seconds"]), "--trace", str(args.trace)]
-                    proc = subprocess.run(cmd, cwd=trees[side], env=env, capture_output=True, text=True)
+                    proc = subprocess.run(cmd, cwd=trees[side], capture_output=True, text=True)
                     got_host, result = parse_output(proc.stdout)
                     host = host or got_host
                     bad = run_failed(proc.returncode, result)

@@ -24,7 +24,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="JSON config file (keys of RunConfig)")
     parser.add_argument("--gamma", type=float, help="dissipation exponent in (0, 2]")
     parser.add_argument("--s", type=float, help="negative-Sobolev certification index")
-    parser.add_argument("--dim", type=int, help="spatial dimension")
+    parser.add_argument("--dim", type=int, dest="d", help="spatial dimension")
     parser.add_argument("--b0", type=int, help="intermittency offset exponent")
     parser.add_argument("--qmax", type=int, help="number of iteration stages")
     parser.add_argument("--lambda1", type=int, help="first stage frequency (power of 2)")
@@ -46,19 +46,8 @@ def config_from_args(argv=None) -> RunConfig:
             data = json.load(fh)
         if not isinstance(data, dict):
             raise ConfigError(f"{args.config}: the top level is not a JSON object")
-    overrides = {
-        "gamma": args.gamma,
-        "s": args.s,
-        "d": args.dim,
-        "b0": args.b0,
-        "qmax": args.qmax,
-        "lambda1": args.lambda1,
-        "grid_budget": args.grid_budget,
-        "out": args.out,
-        "multiplier": args.multiplier,
-        "seed": args.seed,
-    }
-    data.update({k: v for k, v in overrides.items() if v is not None})
+    # every flag's dest is its RunConfig key
+    data.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
     return RunConfig(**data)
 
 

@@ -27,7 +27,6 @@ from .directions import DirectionBasis
 from .fields import (
     Quadrature,
     SpectralField,
-    SupportError,
     _next_pow2,
     _sample_rows,
     analyze,
@@ -119,10 +118,12 @@ class IterationState:
     interactions: list = dc_field(default_factory=list)
     # oscillation_diagnostics of the increment that made this stage; None at q = 0
     diagnostics: dict | None = None
-    # measured by the state check: |mean theta|, the divergence defect of u,
-    # the product theta u and the L^1 quadrature of theta
+    # measured by _measure_state: |mean theta|, the divergence defect of u,
+    # the relative drift gap |u - T theta|, the product theta u and the L^1
+    # quadrature of theta
     theta_mean: float | None = None
     div_u: float | None = None
+    drift_rel: float | None = None
     theta_u: SpectralField | None = None
     theta_L1: Quadrature | None = None
 
@@ -132,7 +133,6 @@ class PerturbationBundle:
     stage: int
     lam: int
     eps: float
-    sigma: int
     per_k: dict  # k -> {w_k, amp_info, mode_cap}
     w: SpectralField
     Tw: SpectralField
@@ -265,23 +265,17 @@ def residual_defect(theta, u, R, gamma) -> tuple:
     return ((lhs - rhs).max_amp() / scale if scale else 0.0), theta_u
 
 
-def _check_state(state: IterationState, params: IterationParams, m: Multiplier) -> float:
-    """Raise unless the state obeys the exact invariants; returns the
-    relaxed-equation residual defect and keeps the other measurements it took
-    (|mean theta|, the divergence defect of u, the product theta u) on the
-    state, together with the L^1 quadrature of theta."""
+def _measure_state(state: IterationState, params: IterationParams, m: Multiplier) -> float:
+    """Measure the exact invariants of the state without judging them; the
+    certificate does that.  Returns the relaxed-equation residual defect and
+    keeps the other measurements on the state: |mean theta|, the divergence
+    defect of u, the drift gap |u - T theta| relative to max |u|, the product
+    theta u and the L^1 quadrature of theta."""
     state.theta_mean = abs(mean_part(state.theta))
-    if state.theta_mean != 0.0:
-        raise ValueError("theta must be mean-free")
     state.div_u = divergence_defect(state.u)
-    if state.div_u > 1e-13:
-        raise ValueError(f"u not divergence free: defect {state.div_u:.3g}")
-    diff = (state.u - apply_T(m, state.theta)).max_amp()
-    if diff > 1e-12 * max(state.u.max_amp(), 1e-300):
-        raise ValueError(f"u != T theta: {diff:.3g}")
+    gap = (state.u - apply_T(m, state.theta)).max_amp()
+    state.drift_rel = gap / max(state.u.max_amp(), 1e-300)
     defect, state.theta_u = residual_defect(state.theta, state.u, state.R, params.gamma)
-    if defect > 1e-10:
-        raise ValueError(f"relaxed-equation residual {defect:.3g} exceeds 1e-10")
     state.theta_L1 = lp_norm_detailed(state.theta, 1.0, params.grid_budget)
     return defect
 
@@ -318,7 +312,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
     else:
         raise ValueError("could not normalize the base stress below 1")
     state = IterationState(q=0, theta=theta, u=u, R=R)
-    defect = _check_state(state, params, m)
+    defect = _measure_state(state, params, m)
     state.norm_history.append(
         {
             "q": 0,
@@ -338,9 +332,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
 # -- amplitudes -----------------------------------------------------------
 
 
-def harmonic_weight_sum(
-    spec: SlabSpec, knorm: int, lam: int, kernel: ShellKernel
-) -> float:
+def harmonic_weight_sum(spec: SlabSpec, knorm: int, kernel: ShellKernel) -> float:
     """Discrete weight sum S = sum_{n != 0} lam^{eps-1} |phihat(lam^{eps-1}
     n)|^2 Khat(lam^eps n k / lam)^2.
 
@@ -410,7 +402,7 @@ def amplitudes(
         R = R.weighted(R.radii() <= stress_cutoff)
         if R.is_zero():
             raise ZeroStress("stress has no content below the cutoff")
-    S = harmonic_weight_sum(spec, basis.common_norm, spec.lam, kernel)
+    S = harmonic_weight_sum(spec, basis.common_norm, kernel)
     if S <= 0.0:
         raise ZeroStress(
             f"no slab harmonic survives the low-pass at lam={spec.lam}, "
@@ -528,19 +520,7 @@ def build_increment(
         }
         w = w + w_k
 
-    if w.is_zero():
-        degenerate = True
-    else:
-        mag = w.radii()
-        out = (mag < lam * (1 - 1e-12)) | (mag > (12.0 / 7.0) * lam * (1 + 1e-12))
-        if out.any():
-            i = int(np.argmax(out))
-            raise SupportError(
-                f"increment mode {tuple(w.freqs[i].tolist())} (|xi| = {mag[i]:.1f}) "
-                f"outside the annulus [{lam}, {12 * lam / 7:.1f}]"
-            )
-        if abs(mean_part(w)) != 0.0:
-            raise SupportError("increment acquired a mean")
+    degenerate = degenerate or w.is_zero()
 
     # one quadrature pass for every norm of w used later: the report's
     # exponents, item 4's exponents and the sup behind its Besov norms (w
@@ -552,7 +532,6 @@ def build_increment(
         stage=stage,
         lam=lam,
         eps=eps,
-        sigma=sigma,
         per_k=per_k,
         w=w,
         Tw=Tw,
@@ -602,7 +581,7 @@ def step(
         increments=state.increments + [bundle],
         diagnostics=diagnostics,
     )
-    defect = _check_state(new_state, params, m)
+    defect = _measure_state(new_state, params, m)
 
     ms = -params.s
     prev = state.norm_history[-1]["R_Hs"]

@@ -1,6 +1,7 @@
 """End-to-end harness: config, multiplier gating, weak form, artifacts, CLI."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import activeci
-from activeci import fields, harness
+from activeci import fields, harness, iteration
 from activeci.cli import config_from_args, main
 from activeci.directions import build_basis
 from activeci.fields import (
@@ -170,6 +171,17 @@ def brute_shell_scan(stage, bundle, kernel):
     }
 
 
+def brute_drift(theta, u, m):
+    """max |u(xi) - m(xi) theta(xi)| over the frequencies of either field,
+    relative to the largest |u(xi)|."""
+    th, uc = theta.coeffs, u.coeffs
+    gaps = [
+        np.linalg.norm(uc.get(xi, 0.0) - (m(xi) * th.get(xi, 0.0) if any(xi) else 0.0))
+        for xi in set(th) | set(uc)
+    ]
+    return max(gaps) / max(np.linalg.norm(v) for v in uc.values())
+
+
 def test_certify_items_agrees_with_brute_force(two_stages):
     params, kernel, states, bundles = two_stages
     ms, budget = -params.s, params.grid_budget
@@ -178,6 +190,7 @@ def test_certify_items_agrees_with_brute_force(two_stages):
         incs = list(enumerate(bundles[: st.q], start=1))
         assert report["item1"]["theta_mean"] == abs(mean_part(st.theta))
         assert report["item1"]["div_u_rel"] == divergence_defect(st.u)
+        assert report["item1"]["drift_rel"] == pytest.approx(brute_drift(st.theta, st.u, ipm2d()), abs=1e-15)
         assert report["item3"]["R_Hs"] == sobolev_norm(st.R, ms)
         l1 = lp_norm_detailed(fresh(st.theta), 1.0, budget)
         assert [report["item5"][k] for k in ("theta_L1", "quad_err", "grid_N", "resolved")] == list(l1)
@@ -325,11 +338,12 @@ def test_cli_overrides(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"qmax": 1, "lambda1": 512}))
     config = config_from_args(
-        ["--config", str(cfg), "--lambda1", "256", "--out", str(tmp_path / "o")]
+        ["--config", str(cfg), "--lambda1", "256", "--out", str(tmp_path / "o"), "--dim", "3", "--grid-budget", "512"]
     )
     assert config.qmax == 1
     assert config.lambda1 == 256  # flag wins over file
     assert config.out == str(tmp_path / "o")
+    assert (config.d, config.grid_budget) == (3, 512)
 
 
 def test_cli_bad_config_exits_2(tmp_path, capsys):
@@ -420,6 +434,68 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("stage-0"))  # no stage ran
+
+
+def _patch_increment(monkeypatch, change):
+    """build_increment returns its bundle with the fields ``change`` gives."""
+    original = iteration.build_increment
+
+    def mutated(*args, **kwargs):
+        bundle = original(*args, **kwargs)
+        return dataclasses.replace(bundle, **change(bundle))
+
+    monkeypatch.setattr(iteration, "build_increment", mutated)
+
+
+def _off_residual(monkeypatch):
+    # R_O misses 1e-6 of w Tw: the residual identity breaks
+    _patch_increment(monkeypatch, lambda b: {"wTw": b.wTw.scaled(1 + 1e-6)})
+
+
+def _off_drift(monkeypatch):
+    # the stress is booked with a drift increment 1e-6 off T w: the residual
+    # identity holds, but u != T theta
+    def change(b):
+        Tw = b.Tw.scaled(1 + 1e-6)
+        return {"Tw": Tw, "wTw": multiply(b.w, Tw)}
+
+    _patch_increment(monkeypatch, change)
+
+
+def _off_shell(monkeypatch):
+    # a mode of g at 4 lam leaves w's shell after modulation
+    original = iteration.low_pass
+
+    def leaky(f, lam, kernel):
+        far = (4 * lam,) + (0,) * (f.dim - 1)
+        return original(f, lam, kernel) + SpectralField.scalar(f.dim, {far: 1e-3, tuple(-c for c in far): 1e-3})
+
+    monkeypatch.setattr(iteration, "low_pass", leaky)
+
+
+@pytest.mark.parametrize(
+    "mutation, failed",
+    [(_off_residual, "item2, weak_form"), (_off_drift, "item1"), (_off_shell, "item6")],
+    ids=["residual", "drift", "shell"],
+)
+def test_failed_stage_exits_1_with_its_report(tmp_path, capsys, monkeypatch, mutation, failed):
+    # a stage that fails certification stops the run: exit 1, every artifact
+    # of the stages so far, no later stage and one stderr line
+    mutation(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["--qmax", "2", "--lambda1", "256", "--grid-budget", "4096", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"stage 1 failed certification: {failed}\n"
+    report = json.loads((out / "report.json").read_text())
+    assert report["exact_pass"] is False
+    assert [st["q"] for st in report["stages"]] == [0, 1]
+    assert report["stages"][0]["items"]["exact_pass"] is True
+    stage = report["stages"][1]
+    verdicts = {item: stage["items"][item]["pass"] for item in ("item1", "item2", "item6")}
+    verdicts["weak_form"] = stage["weak_form"]["all_pass"]
+    assert ", ".join(name for name, ok in verdicts.items() if not ok) == failed
+    for name in ("history.json", "scaling.csv", "cancellation.csv", "timing.json", "stage-1/w.npz"):
+        assert (out / name).exists(), name
+    assert not (out / "stage-2").exists()
 
 
 def test_cli_rejects_odd_multiplier(tmp_path):
