@@ -12,7 +12,8 @@ first in even pairs and the change first in odd ones.  The children keep
 the caller's environment, ``PYTHONDONTWRITEBYTECODE`` included, so both
 sides compile or cache their bytecode alike.
 
-The output holds the host facts ``run.py`` prints and, per workload and
+The output holds the host facts ``run.py`` prints, each side's line total
+under ``src/`` and ``scripts/`` (what ``wc -l`` sums) and, per workload and
 metric, each side's median, q1 and q3 and the pairs the change won (better
 in the metric's direction of BENCHMARK.json; ties count for neither).
 Exits 1 if any run failed: a non-zero exit, no result line, or a result
@@ -93,6 +94,11 @@ def run_failed(rc: int, result) -> bool:
     return rc != 0 or result is None or not result.get("correct")
 
 
+def count_lines(tree: Path) -> int:
+    """Newlines in every file under ``src/`` and ``scripts/`` of a tree."""
+    return sum(f.read_bytes().count(b"\n") for d in ("src", "scripts") for f in (tree / d).rglob("*") if f.is_file())
+
+
 def checkout(rev: str, dest: Path) -> Path:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True, check=True).stdout
     dest.mkdir(parents=True)
@@ -115,6 +121,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees = {side: checkout(getattr(args, side), Path(tmp) / side) for side in SIDES}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
+        lines = {side: count_lines(tree) for side, tree in trees.items()}
         for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
             for pair in range(args.pairs):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
@@ -132,6 +139,7 @@ def main(argv=None) -> int:
         "change": args.change,
         "settings": {"seeds": [args.seed, args.seed + args.pairs - 1], "pairs": args.pairs, "seconds": spec["run_seconds"], "trace": args.trace},
         "runs": {"attempted": len(records), "failed": failed},
+        "lines": lines,
         "workloads": summarize(records, spec["per_layer" if args.trace else "end_to_end"]),
     }
     Path(args.out).write_text(json.dumps(summary, indent=1) + "\n")

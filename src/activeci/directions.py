@@ -56,6 +56,7 @@ class NegativeCoefficient(ValueError):
 @dataclass
 class DirectionBasis:
     dim: int
+    multiplier: Multiplier  # the symbol whose even parts these are
     omega: list  # d lattice direction tuples
     even_parts: np.ndarray  # (d, d), row i = m(k_i) + m(-k_i)
     k_star: np.ndarray
@@ -209,6 +210,7 @@ def build_basis(m: Multiplier, supplied=None, margin: float = DEFAULT_GAMMA_MARG
         raise DegenerateBasis("k* vanishes")
     basis = DirectionBasis(
         dim=m.dim,
+        multiplier=m,
         omega=omega,
         even_parts=ep,
         k_star=k_star,

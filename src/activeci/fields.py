@@ -6,11 +6,15 @@ complex amplitudes with a Hermitian spectrum.  All construction fields (slabs,
 increments, products of few modes) are supported on a handful of balls or
 lines in frequency space, so a field stores only its nonzero coefficients: an
 (K, d) int64 array of frequencies in lexicographic order and the amplitudes in
-the same order, both read-only.  Every operation works on these arrays and returns a new field;
-filters and multipliers go through one coefficientwise weighting,
-:meth:`SpectralField.weighted`.  Dense arrays appear only in large products
-(cluster boxes) and in ``sample``/``analyze``, the grid round trip of the
-amplitudes, which take and give real grids.
+the same order, both read-only.  Every operation works on these arrays and
+returns a new field.  Scalar filters (radius cuts, the low-pass and shell
+profiles, fractional Laplacians, dropping the mean) go through one
+coefficientwise weighting, :meth:`SpectralField.weighted`; maps that change
+the rank (``gradient``, ``divergence``, the drift ``apply_T`` and the
+Gamma-row contraction in ``amplitudes``) form their amplitude arrays
+directly.  Dense arrays appear only in large products (cluster boxes) and in
+``sample``/``analyze``, the grid round trip of the amplitudes, which take and
+give real grids.
 
 L^p and Besov quadrature streams the grid instead: ``_sample_rows`` runs the
 inverse DFT along axis 0 only on the lines that hold a coefficient, then

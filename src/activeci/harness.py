@@ -40,7 +40,6 @@ from .iteration import (
     make_params,
     step,
 )
-from .kernels import ShellKernel
 from .multipliers import (
     Multiplier,
     check_claims,
@@ -50,11 +49,10 @@ from .multipliers import (
     mg,
     sqg,
 )
-from .slabs import build_profile, certify_scaling, write_scaling_csv
+from .slabs import certify_scaling, write_scaling_csv
 
 __all__ = [
     "RunConfig",
-    "TestFunctionSet",
     "ConfigError",
     "resolve_multiplier",
     "build_test_functions",
@@ -119,11 +117,6 @@ class RunConfig:
             raise ConfigError(f"gamma_margin = {self.gamma_margin} must lie in (0, 1)")
 
 
-@dataclass
-class TestFunctionSet:
-    members: list  # (label, field, support_radius)
-
-
 _MULTIPLIERS = {"ipm2d": ipm2d, "ipm3d": ipm3d, "sqg": sqg, "mg": mg}
 
 
@@ -159,9 +152,9 @@ def resolve_multiplier(config: RunConfig) -> Multiplier:
     return _checked_multiplier(config)[0]
 
 
-def build_test_functions(d: int, seed: int) -> TestFunctionSet:
-    """Six real single modes at |xi| in {1, 2, 5} plus two seeded random
-    band-limited combinations."""
+def build_test_functions(d: int, seed: int) -> list:
+    """``(label, field, support_radius)`` of six real single modes at |xi| in
+    {1, 2, 5} plus two seeded random band-limited combinations."""
     singles = [
         (1,) + (0,) * (d - 1),
         (0, 1) + (0,) * (d - 2),
@@ -187,7 +180,7 @@ def build_test_functions(d: int, seed: int) -> TestFunctionSet:
             amps += [amp, amp.conjugate()]
         f = SpectralField.from_entries(d, 0, freqs, amps)
         members.append((f"band{idx}", f, f.max_freq))
-    return TestFunctionSet(members)
+    return members
 
 
 def pairing(f: SpectralField, g: SpectralField) -> tuple:
@@ -300,7 +293,7 @@ def certify_items(state: IterationState) -> dict:
     return report
 
 
-def weak_form_test(state: IterationState, psis: TestFunctionSet, params: IterationParams) -> dict:
+def weak_form_test(state: IterationState, psis: list, params: IterationParams) -> dict:
     """Pair the relaxed equation against each band-limited test function.
 
     Identity: -<P_{!=0}(theta u), grad psi> + <theta, Lambda^gamma psi>
@@ -311,7 +304,7 @@ def weak_form_test(state: IterationState, psis: TestFunctionSet, params: Iterati
     """
     theta_u = nonzero_part(state.theta_u)
     results = {}
-    for label, psi, radius in psis.members:
+    for label, psi, radius in psis:
         gpsi = gradient(psi)
         diss, diss_gross = pairing(state.theta, fractional_laplacian(psi, params.gamma))
         transport, transport_gross = pairing(theta_u, gpsi)
@@ -359,7 +352,6 @@ def run(config: RunConfig) -> int:
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {config.out!r}: {exc}") from exc
     m, claims = _checked_multiplier(config)
-    profile = build_profile()
     try:
         basis = build_basis(m, supplied=config.supplied_basis, margin=config.gamma_margin)
         params = make_params(
@@ -374,17 +366,14 @@ def run(config: RunConfig) -> int:
         )
         # the slab table needs no stage, so a bad scaling_eps or scaling_lams
         # stops the run before the first one
-        scaling_rows = certify_scaling(
-            basis.omega[0], profile, list(config.scaling_lams), config.scaling_eps, [1.0, 2.0, math.inf]
-        )
+        scaling_rows = certify_scaling(basis.omega[0], list(config.scaling_lams), config.scaling_eps, [1.0, 2.0, math.inf])
     except ValueError as exc:  # the basis, schedule or slab table the config asks for
         raise ConfigError(str(exc)) from exc
     except TypeError as exc:  # e.g. a string lambda1 or a number as supplied_basis
         raise ConfigError(f"config value of the wrong type: {exc}") from exc
-    kernel = ShellKernel(r=float(params.r))
     psis = build_test_functions(config.d, config.seed)
 
-    state = base_state(params, m, basis)
+    state = base_state(params)
     stages = []
     timing = {"start": t0}
 
@@ -413,7 +402,7 @@ def run(config: RunConfig) -> int:
 
     failed = record_stage(state)
     while not failed and state.q < params.qmax:
-        state, _ = step(state, params, basis, m, kernel, profile)
+        state, _ = step(state, params)
         failed = record_stage(state)
 
     # R-pairing decay across stages per test function
@@ -424,11 +413,11 @@ def run(config: RunConfig) -> int:
         (
             abs(s["weak_form"][label]["R_pairing"])
             for s in stages
-            for label, *_ in psis.members
+            for label, *_ in psis
         ),
         default=0.0,
     )
-    for label, *_ in psis.members:
+    for label, *_ in psis:
         series = [abs(s["weak_form"][label]["R_pairing"]) for s in stages]
         nonzero = [v for v in series if v > floor]
         decay[label] = {

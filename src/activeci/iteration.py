@@ -44,8 +44,8 @@ from .fields import (
     sobolev_norm,
 )
 from .kernels import ShellKernel
-from .multipliers import Multiplier, apply_T
-from .slabs import Profile, SlabSpec, slab_fourier
+from .multipliers import apply_T
+from .slabs import PROFILE, SlabSpec, slab_fourier
 
 __all__ = [
     "IterationParams",
@@ -78,6 +78,12 @@ class ZeroStress(ValueError):
 
 @dataclass
 class IterationParams:
+    """The construction context: the schedule, the basis it was derived
+    from (which keeps its multiplier) and the shell kernel of low-pass radius
+    r.  The kernel is formed from r, so a ``dataclasses.replace`` copy never
+    carries a stale one."""
+
+    basis: DirectionBasis
     d: int
     gamma: float
     s: float
@@ -88,8 +94,11 @@ class IterationParams:
     lam_schedule: list
     eps_schedule: list
     stage_flags: list  # per-stage dict: eps_formula, adapted, degenerate, ...
-    basis_norm: int
     grid_budget: int
+    kernel: ShellKernel = dc_field(init=False)
+
+    def __post_init__(self):
+        self.kernel = ShellKernel(r=float(self.r))
 
     def sigma(self, stage: int) -> int:
         """Integer carrier frequency sigma = c * lam for 1-based stage."""
@@ -159,7 +168,8 @@ def make_params(
     grid_budget: int = 8192,
     lam_step: int = 16,
 ) -> IterationParams:
-    """Derive the full parameter schedule from the direction basis.
+    """Derive the full parameter schedule from the direction basis, and
+    keep the basis with it.
 
     r is the largest power of 2 with r <= (5/14)/|k|; c is the dyadic-odd
     rational (2a+1)/2^b of smallest b inside [1/|k| + r, 12/(7|k|) - r].
@@ -236,6 +246,7 @@ def make_params(
             }
         )
     return IterationParams(
+        basis=basis,
         d=d,
         gamma=gamma,
         s=s,
@@ -246,7 +257,6 @@ def make_params(
         lam_schedule=lam_schedule,
         eps_schedule=eps_schedule,
         stage_flags=stage_flags,
-        basis_norm=knorm,
         grid_budget=grid_budget,
     )
 
@@ -265,7 +275,7 @@ def residual_defect(theta, u, R, gamma) -> tuple:
     return ((lhs - rhs).max_amp() / scale if scale else 0.0), theta_u
 
 
-def _measure_state(state: IterationState, params: IterationParams, m: Multiplier) -> float:
+def _measure_state(state: IterationState, params: IterationParams) -> float:
     """Measure the exact invariants of the state without judging them; the
     certificate does that.  Returns the relaxed-equation residual defect and
     keeps the other measurements on the state: |mean theta|, the divergence
@@ -273,7 +283,7 @@ def _measure_state(state: IterationState, params: IterationParams, m: Multiplier
     theta u and the L^1 quadrature of theta."""
     state.theta_mean = abs(mean_part(state.theta))
     state.div_u = divergence_defect(state.u)
-    gap = (state.u - apply_T(m, state.theta)).max_amp()
+    gap = (state.u - apply_T(params.basis.multiplier, state.theta)).max_amp()
     state.drift_rel = gap / max(state.u.max_amp(), 1e-300)
     defect, state.theta_u = residual_defect(state.theta, state.u, state.R, params.gamma)
     state.theta_L1 = lp_norm_detailed(state.theta, 1.0, params.grid_budget)
@@ -283,17 +293,17 @@ def _measure_state(state: IterationState, params: IterationParams, m: Multiplier
 # -- base case ------------------------------------------------------------
 
 
-def _base_fields(A: float, params: IterationParams, m: Multiplier):
+def _base_fields(A: float, params: IterationParams):
     d = params.d
     e1 = tuple([1] + [0] * (d - 1))
     ne1 = tuple(-c for c in e1)
     theta = SpectralField.scalar(d, {e1: A / 2.0, ne1: A / 2.0})
-    u = apply_T(m, theta)
+    u = apply_T(params.basis.multiplier, theta)
     R = multiply(theta, u) - fractional_laplacian(gradient(theta), params.gamma - 2.0)
     return theta, u, R
 
 
-def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) -> IterationState:
+def base_state(params: IterationParams) -> IterationState:
     """theta_0 = A cos(2 pi x_1); A halved until ||R_0||_{H^{-s}} < 1.
 
     The stress is the exact residual R_0 = theta_0 u_0 - Lambda^{gamma-2}
@@ -304,7 +314,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
     """
     A = 1.0
     for _ in range(64):
-        theta, u, R = _base_fields(A, params, m)
+        theta, u, R = _base_fields(A, params)
         R_Hs = sobolev_norm(R, -params.s)
         if R_Hs < 1.0:
             break
@@ -312,7 +322,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
     else:
         raise ValueError("could not normalize the base stress below 1")
     state = IterationState(q=0, theta=theta, u=u, R=R)
-    defect = _measure_state(state, params, m)
+    defect = _measure_state(state, params)
     state.norm_history.append(
         {
             "q": 0,
@@ -332,7 +342,7 @@ def base_state(params: IterationParams, m: Multiplier, basis: DirectionBasis) ->
 # -- amplitudes -----------------------------------------------------------
 
 
-def harmonic_weight_sum(spec: SlabSpec, knorm: int, kernel: ShellKernel) -> float:
+def harmonic_weight_sum(spec: SlabSpec, params: IterationParams) -> float:
     """Discrete weight sum S = sum_{n != 0} lam^{eps-1} |phihat(lam^{eps-1}
     n)|^2 Khat(lam^eps n k / lam)^2.
 
@@ -341,13 +351,14 @@ def harmonic_weight_sum(spec: SlabSpec, knorm: int, kernel: ShellKernel) -> floa
     constant-amplitude cancellation identity exact at any finite lam.
     """
     step = spec.lam ** (spec.eps - 1.0)
+    knorm = params.basis.common_norm
     total = 0.0
     n = 1
     while True:
-        weight = float(kernel.lowpass(np.array([step * n * knorm]))[0])
+        weight = float(params.kernel.lowpass(np.array([step * n * knorm]))[0])
         if weight == 0.0:
             break
-        total += 2.0 * step * abs(spec.profile.fhat(step * n)) ** 2 * weight**2
+        total += 2.0 * step * abs(PROFILE.fhat(step * n)) ** 2 * weight**2
         n += 1
     return total
 
@@ -368,18 +379,16 @@ def _grid_sup(R: SpectralField, N: int) -> float:
 
 def amplitudes(
     R: SpectralField,
-    basis: DirectionBasis,
     params: IterationParams,
     spec: SlabSpec,
-    kernel: ShellKernel,
     stress_cutoff: float | None = None,
 ) -> dict:
     """Amplitude fields a_{k,q} = (S eps_Omega / ||R||_inf)^{-1/2} Gamma_k(k*
     - eps_Omega R(x)/||R||_inf) for every direction k of the basis,
     re-analyzed and truncated in frequency.
 
-    Returns ``{k: (field, info)}``.  ``spec`` gives lam, eps and the profile,
-    which all directions share.  ||R||_inf is taken as the grid maximum of
+    Returns ``{k: (field, info)}``.  ``spec`` gives lam and eps, which all
+    directions share.  ||R||_inf is taken as the grid maximum of
     |R| on the evaluation grid itself, which guarantees the Gamma arguments
     stay in the admissible ball pointwise; it is streamed through row blocks
     of R's components, so no d N^d grid is held.  The coefficient map is
@@ -402,7 +411,8 @@ def amplitudes(
         R = R.weighted(R.radii() <= stress_cutoff)
         if R.is_zero():
             raise ZeroStress("stress has no content below the cutoff")
-    S = harmonic_weight_sum(spec, basis.common_norm, kernel)
+    basis = params.basis
+    S = harmonic_weight_sum(spec, params)
     if S <= 0.0:
         raise ZeroStress(
             f"no slab harmonic survives the low-pass at lam={spec.lam}, "
@@ -447,16 +457,16 @@ def amplitudes(
 # -- increment ------------------------------------------------------------
 
 
-def _shell_scan(w: SpectralField, stage: int, lam: int, kernel: ShellKernel) -> dict:
+def _shell_scan(w: SpectralField, stage: int, params: IterationParams) -> dict:
     """Item 6's exact scan: is every frequency of the increment inside the
     dyadic shell j = log2 lam and on its plateau?"""
     if w.is_zero():
         return {"stage": stage, "degenerate": True, "pass": True}
-    j = lam.bit_length() - 1
+    j = params.stage_lam(stage).bit_length() - 1
     lo, hi = 2.0**j, (12.0 / 7.0) * 2.0**j
     mags = w.radii()
     inside = bool(np.all((mags >= lo - 1e-9) & (mags <= hi + 1e-9)))
-    plateau = bool(np.all(kernel.shell_weight(w.freqs, j) == 1.0))
+    plateau = bool(np.all(params.kernel.shell_weight(w.freqs, j) == 1.0))
     return {
         "stage": stage,
         "shell_index": j,
@@ -466,14 +476,8 @@ def _shell_scan(w: SpectralField, stage: int, lam: int, kernel: ShellKernel) -> 
     }
 
 
-def build_increment(
-    state: IterationState,
-    params: IterationParams,
-    basis: DirectionBasis,
-    m: Multiplier,
-    kernel: ShellKernel,
-    profile: Profile,
-) -> PerturbationBundle:
+def build_increment(state: IterationState, params: IterationParams) -> PerturbationBundle:
+    basis = params.basis
     stage = state.q + 1
     lam = params.stage_lam(stage)
     eps = params.stage_eps(stage)
@@ -483,15 +487,14 @@ def build_increment(
     w = SpectralField.zero(params.d, 0)
     degenerate = False
     # amplitudes only target stress below half the slab-harmonic spacing
-    spacing = round(lam**eps) * params.basis_norm
+    spacing = round(lam**eps) * basis.common_norm
     cutoff = max(2.0, spacing / 2.0)
-    shared_spec = SlabSpec(k=basis.omega[0], lam=lam, eps=eps, profile=profile)
     try:
-        amps = amplitudes(state.R, basis, params, shared_spec, kernel, stress_cutoff=cutoff)
+        amps = amplitudes(state.R, params, SlabSpec(k=basis.omega[0], lam=lam, eps=eps), stress_cutoff=cutoff)
     except ZeroStress:
         amps = {}
     for k in basis.omega:
-        spec = SlabSpec(k=k, lam=lam, eps=eps, profile=profile)
+        spec = SlabSpec(k=k, lam=lam, eps=eps)
         if k not in amps:
             degenerate = True
             per_k[k] = {
@@ -506,13 +509,13 @@ def build_increment(
         # before the product is exact, not an approximation
         reach = rlam + a.max_freq
         sig_step = round(lam**eps)
-        cap_needed = int(reach // (sig_step * params.basis_norm)) + 1
+        cap_needed = int(reach // (sig_step * basis.common_norm)) + 1
         rho = slab_fourier(spec, cap_needed)
         rho_t = rho.weighted(rho.radii() < reach)
-        g = low_pass(multiply(a, rho_t), lam, kernel)
+        g = low_pass(multiply(a, rho_t), lam, params.kernel)
         w_k = g.modulated([sigma * c for c in k])
         # highest slab harmonic actually kept; sets the diagnostics split scale
-        kept_cap = int(np.round(rho_t.radii() / (sig_step * params.basis_norm)).max(initial=0))
+        kept_cap = int(np.round(rho_t.radii() / (sig_step * basis.common_norm)).max(initial=0))
         per_k[k] = {
             "w_k": w_k,
             "amp_info": info,
@@ -527,7 +530,7 @@ def build_increment(
     # sits on one shell plateau, so P_j w = w); all 0 when w vanishes
     ps = set(LP_EXPONENTS) | {p for _, p in ITEM4_PAIRS} | {math.inf}
     norms = lp_norms(w, sorted(ps), params.grid_budget)
-    Tw = apply_T(m, w)
+    Tw = apply_T(basis.multiplier, w)
     return PerturbationBundle(
         stage=stage,
         lam=lam,
@@ -538,21 +541,14 @@ def build_increment(
         wTw=multiply(w, Tw),
         degenerate=degenerate,
         w_norms=norms,
-        shell=_shell_scan(w, stage, lam, kernel),
+        shell=_shell_scan(w, stage, params),
     )
 
 
 # -- step -----------------------------------------------------------------
 
 
-def step(
-    state: IterationState,
-    params: IterationParams,
-    basis: DirectionBasis,
-    m: Multiplier,
-    kernel: ShellKernel,
-    profile: Profile,
-) -> tuple:
+def step(state: IterationState, params: IterationParams) -> tuple:
     """Advance one stage; returns (new_state, bundle).
 
     Each measurement of the new stage is taken once, while the stage is
@@ -561,9 +557,9 @@ def step(
     itself, last in ``increments``) and the new row and column of the
     interaction matrix.
     """
-    bundle = build_increment(state, params, basis, m, kernel, profile)
+    bundle = build_increment(state, params)
     # taken before R_O, R_N and R_D exist, so its products add nothing to their peak
-    diagnostics = oscillation_diagnostics(bundle, state, params, basis, m)
+    diagnostics = oscillation_diagnostics(bundle, state, params)
     w, Tw, wTw = bundle.w, bundle.Tw, bundle.wTw
     theta1 = state.theta + w
     u1 = state.u + Tw
@@ -581,7 +577,7 @@ def step(
         increments=state.increments + [bundle],
         diagnostics=diagnostics,
     )
-    defect = _measure_state(new_state, params, m)
+    defect = _measure_state(new_state, params)
 
     ms = -params.s
     prev = state.norm_history[-1]["R_Hs"]
@@ -612,7 +608,7 @@ def step(
             entry["w_lp"][str(p)] = {**rec._asdict(), "ratio": rec.norm / target}
         for alpha in BESOV_ALPHAS:
             entry["w_besov"][str(alpha)] = besov_norm(
-                w, alpha, kernel, params.grid_budget
+                w, alpha, params.kernel, params.grid_budget
             )
     new_state.norm_history.append(entry)
 
@@ -628,13 +624,7 @@ def step(
 # -- diagnostics ----------------------------------------------------------
 
 
-def oscillation_diagnostics(
-    bundle: PerturbationBundle,
-    state: IterationState,
-    params: IterationParams,
-    basis: DirectionBasis,
-    m: Multiplier,
-) -> dict:
+def oscillation_diagnostics(bundle: PerturbationBundle, state: IterationState, params: IterationParams) -> dict:
     """Split w Tw into the diagonal low-frequency cancellation part, the
     diagonal high-frequency remainder, and off-diagonal cross terms; measure
     how well the low part cancels the stress.
@@ -649,13 +639,13 @@ def oscillation_diagnostics(
         harmonic weight sum makes vanish to roundoff.
     """
     ms = -params.s
-    knorm = params.basis_norm
+    basis = params.basis
     cap = max((rec["mode_cap"] for rec in bundle.per_k.values()), default=0)
     sig_step = round(bundle.lam**bundle.eps)
-    mu = sig_step * max(cap, 1) * knorm * 2
+    mu = sig_step * max(cap, 1) * basis.common_norm * 2
 
     w_k = {k: rec["w_k"] for k, rec in bundle.per_k.items() if not rec["w_k"].is_zero()}
-    Tw_k = {k: apply_T(m, wk) for k, wk in w_k.items()}
+    Tw_k = {k: apply_T(basis.multiplier, wk) for k, wk in w_k.items()}
     diag = SpectralField.zero(params.d, 1)
     for k, wk in w_k.items():
         diag = diag + multiply(wk, Tw_k[k])
@@ -687,7 +677,7 @@ def oscillation_diagnostics(
     report["mean_cancellation_rel"] = None
     if infos:
         target = (infos[0]["R_max"] / basis.eps_omega) * basis.k_star
-        achieved = np.asarray(mean_part(state.R + bundle.wTw), dtype=complex)
+        achieved = np.asarray(mean_part(state.R) + mean_part(bundle.wTw), dtype=complex)
         scale = float(np.linalg.norm(target))
         if scale > 0:
             report["mean_cancellation_rel"] = float(np.linalg.norm(achieved - target)) / scale

@@ -29,6 +29,7 @@ import numpy as np
 from .fields import SpectralField
 
 __all__ = [
+    "PROFILE",
     "Profile",
     "SlabSpec",
     "TailTooFat",
@@ -53,7 +54,6 @@ _NODES = np.arange(1, TRAP_N) / TRAP_N
 class Profile:
     """Smooth odd L2-normalized bump supported in (-1, 1)."""
 
-    kind: str
     norm_const: float
     _fhat_cache: dict = field(default_factory=dict, repr=False)
     _samples: np.ndarray = field(init=False, repr=False)
@@ -91,16 +91,18 @@ class Profile:
         return self._fhat_cache[key]
 
 
-def build_profile(kind: str = "odd-bump") -> Profile:
-    """Construct the default profile C sin(pi x) exp(-1/(1-x^2)), C fixed by
-    L2 normalization with the trapezoid rule (exact for the same reason as
-    ``Profile.fhat``: the mass is the transform of phi^2 at t = 0)."""
-    if kind != "odd-bump":
-        raise ValueError(f"unknown profile kind {kind!r}")
-    # phi^2 is even: twice the interior sum over (0, 1)
-    phi2 = np.sin(np.pi * _NODES) ** 2 * np.exp(-2.0 / (1.0 - _NODES**2))
-    mass = 2.0 / TRAP_N * float(np.sum(phi2))
-    return Profile(kind=kind, norm_const=1.0 / math.sqrt(mass))
+# L2 mass of sin(pi x) exp(-1/(1-x^2)) by the trapezoid rule, exact for the
+# same reason as ``Profile.fhat`` (the mass is the transform of phi^2 at
+# t = 0); phi^2 is even, so it is twice the interior sum over (0, 1)
+_MASS = 2.0 / TRAP_N * float(np.sum(np.sin(np.pi * _NODES) ** 2 * np.exp(-2.0 / (1.0 - _NODES**2))))
+# the one slab profile C sin(pi x) exp(-1/(1-x^2)), C fixed by L2 normalization;
+# every slab shares its fhat cache, which holds a function of t alone
+PROFILE = Profile(norm_const=1.0 / math.sqrt(_MASS))
+
+
+def build_profile() -> Profile:
+    """The slab profile, ``PROFILE``: every slab uses it."""
+    return PROFILE
 
 
 @dataclass
@@ -108,7 +110,6 @@ class SlabSpec:
     k: tuple
     lam: int
     eps: float
-    profile: Profile
 
     def __post_init__(self):
         self.k = tuple(int(c) for c in self.k)
@@ -142,7 +143,7 @@ def _choose_cap(spec: SlabSpec, tol: float = 1e-12, hard_cap: int = 20000) -> in
     mags = []
     n = 1
     while n <= hard_cap:
-        mag = abs(spec.profile.fhat(step * n))
+        mag = abs(PROFILE.fhat(step * n))
         mags.append(mag)
         kept += mag
         # super-polynomial decay: once the last few terms are tiny relative to
@@ -166,7 +167,7 @@ def slab_fourier(spec: SlabSpec, mode_cap: int | None = None) -> SpectralField:
         mode_cap = _choose_cap(spec)
     step = spec.lam ** (spec.eps - 1.0)
     amp = spec.lam ** ((spec.eps - 1.0) / 2.0)
-    c = amp * np.array([spec.profile.fhat(step * n) for n in range(1, mode_cap + 1)], dtype=complex)
+    c = amp * np.array([PROFILE.fhat(step * n) for n in range(1, mode_cap + 1)], dtype=complex)
     xi = np.outer(spec.harmonic_step * np.arange(1, mode_cap + 1), spec.k)
     return SpectralField.from_entries(len(spec.k), 0, np.concatenate((xi, -xi)), np.concatenate((c, c.conj())))
 
@@ -182,7 +183,7 @@ def slab_physical(spec: SlabSpec, x) -> float:
     total = 0.0
     amp = spec.lam ** ((1.0 - spec.eps) / 2.0)
     for n in range(n_lo, n_hi + 1):
-        total += amp * float(spec.profile(np.array([t + spacing * n]))[0])
+        total += amp * float(PROFILE(np.array([t + spacing * n]))[0])
     return total
 
 
@@ -202,7 +203,7 @@ def _line_norm(spec: SlabSpec, p: float, pts_per_copy: int = 256) -> float:
     # phi(lam t); integrate that copy on a fine grid and replicate
     copies = spec.harmonic_step  # lam^eps copies tile the circle
     u = np.linspace(-1.0, 1.0, 2 * pts_per_copy, endpoint=False)
-    vals = amp * spec.profile(u)
+    vals = amp * PROFILE(u)
     if np.isinf(p):
         return float(np.max(np.abs(vals)))
     du = (u[1] - u[0]) / spec.lam  # dt = du / lam
@@ -210,7 +211,7 @@ def _line_norm(spec: SlabSpec, p: float, pts_per_copy: int = 256) -> float:
     return (copies * integral_one_copy) ** (1.0 / p)
 
 
-def certify_scaling(k, profile: Profile, lam_list, eps: float, p_list) -> list:
+def certify_scaling(k, lam_list, eps: float, p_list) -> list:
     """Measure ||rho||_{L^p} across scales and fit log-log slopes against the
     target exponent (1-eps)(1/2 - 1/p).  Returns report rows; deviations are
     entries, never errors.  ValueError when fewer than two frequencies are
@@ -222,7 +223,7 @@ def certify_scaling(k, profile: Profile, lam_list, eps: float, p_list) -> list:
         pf = float(p)
         norms = []
         for lam in lam_list:
-            spec = SlabSpec(k=k, lam=lam, eps=eps, profile=profile)
+            spec = SlabSpec(k=k, lam=lam, eps=eps)
             norms.append(_line_norm(spec, pf))
         logs_l = np.log2(np.asarray(lam_list, dtype=float))
         logs_n = np.log2(np.asarray(norms))

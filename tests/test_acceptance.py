@@ -21,7 +21,6 @@ from activeci.directions import build_basis, gamma_coefficients
 from activeci.fields import sobolev_norm
 from activeci.harness import RunConfig, run
 from activeci.iteration import make_params
-from activeci.kernels import ShellKernel
 from activeci.multipliers import ipm2d
 from activeci.slabs import SlabSpec, build_profile, certify_scaling, slab_fourier, slab_physical
 
@@ -101,8 +100,7 @@ def test_criterion_01_gamma_reconstruction(basis):
 
 def test_criterion_02_slab_scaling():
     t0 = time.monotonic()
-    profile = build_profile("odd-bump")
-    rows = certify_scaling((4, 3), profile, [64, 256, 1024, 4096], 0.5, [1.0, 2.0, math.inf])
+    rows = certify_scaling((4, 3), [64, 256, 1024, 4096], 0.5, [1.0, 2.0, math.inf])
     worst = max(abs(r["deviation"]) for r in rows)
     elapsed = time.monotonic() - t0
     ok = worst <= 0.05 and elapsed < 60.0
@@ -115,7 +113,7 @@ def test_criterion_02_slab_scaling():
 
 
 def test_criterion_03_series_physical_agreement(sweep):
-    profile = build_profile("odd-bump")
+    profile = build_profile()
     rng = np.random.default_rng(3)
     reports, _ = sweep
     shipped = [
@@ -127,7 +125,7 @@ def test_criterion_03_series_physical_agreement(sweep):
     phi_max = float(np.max(np.abs(profile(grid))))
     worst = 0.0
     for lam, eps in shipped:
-        spec = SlabSpec(k=(4, 3), lam=lam, eps=eps, profile=profile)
+        spec = SlabSpec(k=(4, 3), lam=lam, eps=eps)
         f = slab_fourier(spec)
         pts = rng.uniform(0.0, 1.0, size=(100, 2))
         # relative to the slab's sup: sample points may all miss the thin slabs
@@ -243,9 +241,6 @@ def test_criterion_08_oscillation_cancellation(basis, sweep):
     from activeci.fields import SpectralField, multiply
     from activeci.iteration import IterationState, build_increment
 
-    m = ipm2d()
-    kernel = ShellKernel()
-    profile = build_profile("odd-bump")
     params = make_params(basis, lambda1=256, qmax=1, grid_budget=8192)
     Rbar = np.array([0.3, -0.7])
     R = SpectralField.vector(2, {(0, 0): Rbar.astype(complex)})
@@ -255,7 +250,7 @@ def test_criterion_08_oscillation_cancellation(basis, sweep):
         u=SpectralField.vector(2, {}),
         R=R,
     )
-    bundle = build_increment(frozen_state, params, basis, m, kernel, profile)
+    bundle = build_increment(frozen_state, params)
     wTw = multiply(bundle.w, bundle.Tw)
     mean_new = np.real((R + wTw).coefficient((0, 0)))
     target = (np.linalg.norm(Rbar) / basis.eps_omega) * basis.k_star

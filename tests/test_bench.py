@@ -75,3 +75,18 @@ def test_summarize_skips_pairs_with_a_failed_side():
     out = bench.summarize(records, SPEC)["w"]["wall_s"]
     assert out["pairs"] == 1 and out["change_wins"] == 1
     assert out["parent"] == {"median": 0.7, "q1": 0.7, "q3": 0.7}
+
+
+def test_count_lines_sums_src_and_scripts(tmp_path):
+    def tree(name, files):
+        root = tmp_path / name
+        for rel, text in files.items():
+            (root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (root / rel).write_text(text)
+        return root
+
+    parent = tree("parent", {"src/pkg/a.py": "1\n2\n3\n", "scripts/s.py": "1\n2\n", "tests/t.py": "1\n" * 50, "README.md": "1\n"})
+    # a file without a final newline counts as wc -l counts it: by its newlines
+    change = tree("change", {"src/pkg/a.py": "1\n", "src/pkg/sub/b.py": "1\n2\n3\n4", "scripts/s.py": ""})
+    assert bench.count_lines(parent) == 5
+    assert bench.count_lines(change) == 4

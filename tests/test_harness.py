@@ -38,7 +38,6 @@ from activeci.harness import (
 from activeci.iteration import ITEM4_PAIRS, base_state, make_params, step
 from activeci.kernels import ShellKernel
 from activeci.multipliers import ipm2d
-from activeci.slabs import build_profile
 
 
 def fast_config(out, **kw):
@@ -97,14 +96,14 @@ def test_test_functions_deterministic():
     a = build_test_functions(2, seed=0)
     assert random.getstate() == state  # a private generator
     b = build_test_functions(2, seed=0)
-    assert [m[0] for m in a.members] == [m[0] for m in b.members]
-    for (la, fa, ra), (lb, fb, rb) in zip(a.members, b.members):
+    assert [m[0] for m in a] == [m[0] for m in b]
+    for (la, fa, ra), (lb, fb, rb) in zip(a, b):
         assert fa.coeffs == fb.coeffs
         assert ra == rb
-    for _, f, _ in a.members[-2:]:
+    for _, f, _ in a[-2:]:
         assert f.is_hermitian() and 0 < np.abs(f.freqs).max() <= 6
     c = build_test_functions(2, seed=1)
-    assert a.members[-1][1].coeffs != c.members[-1][1].coeffs
+    assert a[-1][1].coeffs != c[-1][1].coeffs
 
 
 def test_pairing_oracle():
@@ -122,7 +121,7 @@ def test_weak_form_on_base_state():
     m = ipm2d()
     basis = build_basis(m, supplied=((4, 3), (4, -3)))
     params = make_params(basis, qmax=1)
-    st = base_state(params, m, basis)
+    st = base_state(params)
     psis = build_test_functions(2, seed=0)
     res = weak_form_test(st, psis, params)
     assert res["all_pass"]
@@ -141,10 +140,10 @@ def two_stages(request):
     m = ipm2d()
     basis = build_basis(m, supplied=((4, 3), (4, -3)))
     params = make_params(basis, lambda1=lambda1, qmax=2, grid_budget=1024, lam_step=lam_step)
-    kernel, profile = ShellKernel(r=float(params.r)), build_profile()
-    states, bundles = [base_state(params, m, basis)], []
+    kernel = ShellKernel(r=float(params.r))  # the brute-force checks' own
+    states, bundles = [base_state(params)], []
     for _ in range(2):
-        st, bundle = step(states[-1], params, basis, m, kernel, profile)
+        st, bundle = step(states[-1], params)
         states.append(st)
         bundles.append(bundle)
     return params, kernel, states, bundles

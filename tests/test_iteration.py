@@ -1,5 +1,6 @@
 """Stage construction: parameter schedule, base case, increment, cancellation."""
 
+import copy
 import dataclasses
 import math
 from fractions import Fraction
@@ -30,9 +31,8 @@ from activeci.iteration import (
     residual_defect,
     step,
 )
-from activeci.kernels import ShellKernel
 from activeci.multipliers import apply_T, ipm2d, ipm3d
-from activeci.slabs import SlabSpec, build_profile
+from activeci.slabs import SlabSpec
 
 SUPPLIED = ((4, 3), (4, -3))
 
@@ -41,19 +41,17 @@ SUPPLIED = ((4, 3), (4, -3))
 def setup():
     m = ipm2d()
     basis = build_basis(m, supplied=SUPPLIED)
-    kernel = ShellKernel()
-    profile = build_profile("odd-bump")
-    return m, basis, kernel, profile
+    return m, basis
 
 
 @pytest.fixture(scope="module")
 def params(setup):
-    _, basis, _, _ = setup
+    _, basis = setup
     return make_params(basis, lambda1=256, qmax=1, grid_budget=8192)
 
 
 def test_parameter_schedule_frozen(setup):
-    _, basis, _, _ = setup
+    _, basis = setup
     p = make_params(basis, lambda1=256, qmax=2, grid_budget=8192)
     # |k| = 5: r = largest 2^-b <= 5/70 = 1/14 -> 1/16
     assert p.r == Fraction(1, 16)
@@ -69,27 +67,27 @@ def test_parameter_schedule_frozen(setup):
 
 
 def test_degenerate_stage_flagged(setup):
-    _, basis, _, _ = setup
+    _, basis = setup
     p = make_params(basis, lambda1=64, qmax=1, grid_budget=8192)
     # r*lam = 4 < |k| = 5: no harmonic can survive the low-pass
     assert p.stage_flags[0]["degenerate"]
 
 
 def test_s_constraint_enforced(setup):
-    _, basis, _, _ = setup
+    _, basis = setup
     with pytest.raises(ValueError):
         make_params(basis, s=1.0, gamma=1.0)  # s <= d/2
 
 
 def test_budget_enforced(setup):
-    _, basis, _, _ = setup
+    _, basis = setup
     with pytest.raises(ValueError):
         make_params(basis, lambda1=256, qmax=2, grid_budget=2048)
 
 
 def test_base_state_invariants(setup, params):
-    m, basis, _, _ = setup
-    st = base_state(params, m, basis)
+    _, basis = setup
+    st = base_state(params)
     assert st.q == 0
     assert mean_part(st.theta) == 0.0
     assert sobolev_norm(st.R, -params.s) < 1.0
@@ -102,18 +100,22 @@ def test_base_state_invariants(setup, params):
     # at gamma 1.5 the amplitude is halved once; A and delta go to the base
     # history entry and leave the schedule as it was
     p = make_params(basis, gamma=1.5, lambda1=256, qmax=1)
-    schedule = dataclasses.asdict(p)
-    entry = base_state(p, m, basis).norm_history[0]
-    assert dataclasses.asdict(p) == schedule
+
+    def schedule():
+        return {f.name: getattr(p, f.name) for f in dataclasses.fields(p) if f.name not in ("basis", "kernel")}
+
+    before = copy.deepcopy(schedule())
+    entry = base_state(p).norm_history[0]
+    assert schedule() == before
     assert (entry["A"], entry["delta"]) == (0.5, 0.125)
 
 
 def test_amplitudes_constant_stress(setup, params):
-    m, basis, kernel, profile = setup
+    _, basis = setup
     Rbar = np.array([0.2, -0.5])
     R = SpectralField.vector(2, {(0, 0): Rbar.astype(complex)})
-    spec = SlabSpec(k=(4, 3), lam=256, eps=1.0 / 8.0, profile=profile)
-    a, info = amplitudes(R, basis, params, spec, kernel)[(4, 3)]
+    spec = SlabSpec(k=(4, 3), lam=256, eps=1.0 / 8.0)
+    a, info = amplitudes(R, params, spec)[(4, 3)]
     # constant stress -> constant amplitude, value (S eps/|R|)^{-1/2} Gamma
     assert set(a.coeffs) == {(0, 0)}
     assert info["R_max"] == pytest.approx(float(np.linalg.norm(Rbar)))
@@ -125,11 +127,10 @@ def test_amplitudes_constant_stress(setup, params):
     assert abs(a.coefficient((0, 0)) - expect) < 1e-13 * abs(expect)
 
 
-def test_amplitudes_zero_stress_raises(setup, params):
-    m, basis, kernel, profile = setup
-    spec = SlabSpec(k=(4, 3), lam=256, eps=1.0 / 8.0, profile=profile)
+def test_amplitudes_zero_stress_raises(params):
+    spec = SlabSpec(k=(4, 3), lam=256, eps=1.0 / 8.0)
     with pytest.raises(ZeroStress):
-        amplitudes(SpectralField.vector(2, {}), basis, params, spec, kernel)
+        amplitudes(SpectralField.vector(2, {}), params, spec)
 
 
 def test_amplitudes_3d_hold_few_grids():
@@ -140,11 +141,11 @@ def test_amplitudes_3d_hold_few_grids():
     m = ipm3d()
     basis = build_basis(m, supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
     params = make_params(basis, d=3, lambda1=128, qmax=1, grid_budget=128)
-    R = base_state(params, m, basis).R
-    spec = SlabSpec(k=basis.omega[0], lam=128, eps=params.stage_eps(1), profile=build_profile())
+    R = base_state(params).R
+    spec = SlabSpec(k=basis.omega[0], lam=128, eps=params.stage_eps(1))
     tracemalloc.start()
     try:
-        out = amplitudes(R, basis, params, spec, ShellKernel(r=float(params.r)), stress_cutoff=2.0)
+        out = amplitudes(R, params, spec, stress_cutoff=2.0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -174,7 +175,8 @@ def _dense_amplitudes(R, basis, info):
 
 def _stage_stress(dim):
     """The base state's stress in 2D (basis (4,3),(4,-3), lambda1 256) or
-    3D (the benchmark's basis, lambda1 128), with what amplitudes needs."""
+    3D (the benchmark's basis, lambda1 128), with its schedule and the
+    first stage's slab spec."""
     if dim == 2:
         m = ipm2d()
         basis = build_basis(m, supplied=SUPPLIED)
@@ -183,8 +185,8 @@ def _stage_stress(dim):
         m = ipm3d()
         basis = build_basis(m, supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
         params = make_params(basis, d=3, lambda1=128, qmax=1, grid_budget=128)
-    spec = SlabSpec(k=basis.omega[0], lam=params.stage_lam(1), eps=params.stage_eps(1), profile=build_profile())
-    return base_state(params, m, basis).R, basis, params, spec, ShellKernel(r=float(params.r))
+    spec = SlabSpec(k=basis.omega[0], lam=params.stage_lam(1), eps=params.stage_eps(1))
+    return base_state(params).R, params, spec
 
 
 def _random_stress(dim, modes, radius, seed):
@@ -212,14 +214,15 @@ def test_grid_sup_is_bitwise_dense(dim, N):
 def test_amplitudes_match_dense_solve(dim, stage, request):
     # the stress of stage `stage` cut off as build_increment cuts it for the
     # next stage (2D stage 1: 277 coefficients, a 512^2 grid)
-    R, basis, params, spec, kernel = _stage_stress(dim)
+    R, params, spec = _stage_stress(dim)
+    basis = params.basis
     if stage:
         _, st1, _ = request.getfixturevalue("stage1")
         R, lam, eps = st1.R, 4096, 5.0 / 12.0  # the default run's second stage
     else:
         lam, eps = params.stage_lam(1), params.stage_eps(1)
-    cutoff = max(2.0, round(lam**eps) * params.basis_norm / 2.0)
-    out = amplitudes(R, basis, params, spec, kernel, stress_cutoff=cutoff)
+    cutoff = max(2.0, round(lam**eps) * basis.common_norm / 2.0)
+    out = amplitudes(R, params, spec, stress_cutoff=cutoff)
     info = out[basis.omega[0]][1]
     rmax, dense = _dense_amplitudes(R.weighted(R.radii() <= cutoff), basis, info)
     assert info["R_max"] == rmax
@@ -233,17 +236,16 @@ def test_amplitudes_match_dense_solve(dim, stage, request):
 def test_amplitudes_margin_guard(dim):
     # at four times eps_Omega the Gamma^2 coefficients leave the margin: the
     # guard raises before the square root of a negative number is taken
-    R, basis, params, spec, kernel = _stage_stress(dim)
-    wide = dataclasses.replace(basis, eps_omega=4 * basis.eps_omega)
+    R, params, spec = _stage_stress(dim)
+    wide = dataclasses.replace(params.basis, eps_omega=4 * params.basis.eps_omega)
     with pytest.raises(ValueError, match="fell below the margin"):
-        amplitudes(R, wide, params, spec, kernel, stress_cutoff=2.0)
+        amplitudes(R, dataclasses.replace(params, basis=wide), spec, stress_cutoff=2.0)
 
 
 @pytest.fixture(scope="module")
-def stage1(setup, params):
-    m, basis, kernel, profile = setup
-    st0 = base_state(params, m, basis)
-    st1, bundle = step(st0, params, basis, m, kernel, profile)
+def stage1(params):
+    st0 = base_state(params)
+    st1, bundle = step(st0, params)
     return st0, st1, bundle
 
 
@@ -270,7 +272,7 @@ def test_stage_one_contracts(stage1, params):
 
 
 def test_stage_invariants_after_step(stage1, setup, params):
-    m, _, _, _ = setup
+    m, _ = setup
     _, st1, _ = stage1
     assert mean_part(st1.theta) == 0.0
     assert residual_defect(st1.theta, st1.u, st1.R, params.gamma)[0] <= 1e-10
@@ -278,29 +280,27 @@ def test_stage_invariants_after_step(stage1, setup, params):
     assert diff <= 1e-12 * st1.u.max_amp()
 
 
-def test_step_keeps_its_bundle_and_diagnostics(stage1, setup, params):
-    m, basis, _, _ = setup
+def test_step_keeps_its_bundle_and_diagnostics(stage1, params):
     st0, st1, bundle = stage1
     assert st0.increments == [] and st0.diagnostics is None
     assert st1.increments[-1] is bundle
-    assert st1.diagnostics == oscillation_diagnostics(bundle, st0, params, basis, m)
+    assert st1.diagnostics == oscillation_diagnostics(bundle, st0, params)
 
 
 def first_stage_3d():
-    m = ipm3d()
-    basis = build_basis(m, supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
+    basis = build_basis(ipm3d(), supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
     params = make_params(basis, d=3, lambda1=128, qmax=1, grid_budget=128)
-    st0 = base_state(params, m, basis)
-    _, bundle = step(st0, params, basis, m, ShellKernel(r=float(params.r)), build_profile())
-    return m, basis, params, st0, bundle
+    st0 = base_state(params)
+    _, bundle = step(st0, params)
+    return params, st0, bundle
 
 
-def test_oscillation_diagnostics_cancellation(stage1, setup, params):
-    m, basis, _, _ = setup
+def test_oscillation_diagnostics_cancellation(stage1, params):
     st0, _, bundle = stage1
-    cases = [(m, basis, params, st0, bundle), first_stage_3d()]
-    for m, basis, p, st0, bundle in cases:
-        d = oscillation_diagnostics(bundle, st0, p, basis, m)
+    cases = [(params, st0, bundle), first_stage_3d()]
+    for p, st0, bundle in cases:
+        basis = p.basis
+        d = oscillation_diagnostics(bundle, st0, p)
         assert d["ratio"] < 1.0
         # each w_k lies within r lam of +-sigma k, so w_a T w_b (a != b) sits
         # at least lam (c min |k_a +- k_b| - 2 r) from the origin
@@ -318,10 +318,10 @@ def test_oscillation_diagnostics_cancellation(stage1, setup, params):
 
 
 def test_degenerate_stage_zero_increment(setup):
-    m, basis, kernel, profile = setup
+    _, basis = setup
     p = make_params(basis, lambda1=64, qmax=1, grid_budget=8192)
-    st0 = base_state(p, m, basis)
-    st1, bundle = step(st0, p, basis, m, kernel, profile)
+    st0 = base_state(p)
+    st1, bundle = step(st0, p)
     assert bundle.degenerate
     assert bundle.w.is_zero()
     assert st1.norm_history[-1]["ratio"] == pytest.approx(1.0)
@@ -343,3 +343,21 @@ def test_carrier_separation(stage1, params):
             if np.linalg.norm(xiv - sign * cvec) <= reach + 1e-9
         )
         assert close == 1
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_params_are_the_construction_context(dim):
+    # the default 2-D basis, built from the symbol, and the 3-D workload basis
+    if dim == 2:
+        m = ipm2d()
+        params = make_params(build_basis(m))
+    else:
+        m = ipm3d()
+        basis = build_basis(m, supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
+        params = make_params(basis, d=3, lambda1=128, qmax=1, grid_budget=128)
+    assert params.basis.multiplier is m
+    assert params.kernel.r == float(params.r)
+    # a copy with another r gets its own kernel; the original keeps its own
+    wide = dataclasses.replace(params, r=Fraction(1, 8))
+    assert wide.kernel.r == 0.125
+    assert params.kernel.r == float(params.r) != 0.125

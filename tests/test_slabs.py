@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from activeci.slabs import (
+    PROFILE,
     TRAP_N,
     Profile,
     SlabSpec,
@@ -22,7 +23,7 @@ from activeci.slabs import (
 
 @pytest.fixture(scope="module")
 def profile():
-    return build_profile("odd-bump")
+    return build_profile()
 
 
 def test_profile_normalization_and_oddness(profile):
@@ -67,7 +68,7 @@ def test_fhat_oracle_against_direct_quadrature(profile):
     with pytest.raises(ValueError):
         profile.fhat(TRAP_N / 2 + 1)
     # a negative t computed first is the conjugate of the positive one
-    fresh = build_profile("odd-bump")
+    fresh = Profile(norm_const=profile.norm_const)
     assert abs(fresh.fhat(-0.9) - np.conj(profile.fhat(0.9))) < 1e-15
     # oddness: fhat(0) = 0, fhat(-t) = conj(fhat(t)) = -fhat(t) (imaginary)
     assert abs(profile.fhat(0.0)) < 1e-12
@@ -75,19 +76,19 @@ def test_fhat_oracle_against_direct_quadrature(profile):
     assert abs(np.real(profile.fhat(0.7))) < 1e-12
 
 
-def test_slabspec_validation(profile):
+def test_slabspec_validation():
     with pytest.raises(ValueError):
-        SlabSpec(k=(4, 3), lam=100, eps=0.5, profile=profile)  # not pow2
+        SlabSpec(k=(4, 3), lam=100, eps=0.5)  # not pow2
     with pytest.raises(ValueError):
-        SlabSpec(k=(4, 3), lam=256, eps=0.3, profile=profile)  # lam^eps not int
+        SlabSpec(k=(4, 3), lam=256, eps=0.3)  # lam^eps not int
     with pytest.raises(ValueError):
-        SlabSpec(k=(4, 3), lam=2, eps=1.0, profile=profile)  # no disjointness
-    spec = SlabSpec(k=(4, 3), lam=256, eps=0.5, profile=profile)
+        SlabSpec(k=(4, 3), lam=2, eps=1.0)  # no disjointness
+    spec = SlabSpec(k=(4, 3), lam=256, eps=0.5)
     assert spec.harmonic_step == 16
 
 
-def test_slab_mean_free_and_support(profile):
-    spec = SlabSpec(k=(4, 3), lam=64, eps=0.5, profile=profile)
+def test_slab_mean_free_and_support():
+    spec = SlabSpec(k=(4, 3), lam=64, eps=0.5)
     f = slab_fourier(spec, mode_cap=40)
     assert (0, 0) not in f.coeffs
     assert f.is_hermitian()
@@ -98,11 +99,11 @@ def test_slab_mean_free_and_support(profile):
         assert xi[0] % (step * spec.k[0]) == 0
 
 
-def test_poisson_summation_agreement(profile):
+def test_poisson_summation_agreement():
     # Fourier-series values match the direct translated-profile sum
     rng = np.random.default_rng(42)
     for lam, eps in [(64, 0.5), (256, 0.5), (256, 0.25)]:
-        spec = SlabSpec(k=(4, 3), lam=lam, eps=eps, profile=profile)
+        spec = SlabSpec(k=(4, 3), lam=lam, eps=eps)
         f = slab_fourier(spec)
         pts = rng.uniform(0.0, 1.0, size=(20, 2))
         scale = max(abs(slab_physical(spec, x)) for x in pts)
@@ -116,19 +117,17 @@ def test_poisson_summation_agreement(profile):
             assert abs(series - direct) / scale < 1e-8
 
 
-def test_l2_norm_is_scale_invariant(profile):
+def test_l2_norm_is_scale_invariant():
     # ||rho||_{L^2} = ||phi||_{L^2([-1,1])} = 1 at every (lam, eps)
     from activeci.slabs import _line_norm
 
     for lam, eps in [(64, 0.5), (1024, 0.5), (4096, 0.25)]:
-        spec = SlabSpec(k=(4, 3), lam=lam, eps=eps, profile=profile)
+        spec = SlabSpec(k=(4, 3), lam=lam, eps=eps)
         assert abs(_line_norm(spec, 2.0) - 1.0) < 1e-3
 
 
-def test_certified_scaling_slopes(profile):
-    rows = certify_scaling(
-        (4, 3), profile, [64, 256, 1024, 4096], 0.5, [1.0, 2.0, np.inf]
-    )
+def test_certified_scaling_slopes():
+    rows = certify_scaling((4, 3), [64, 256, 1024, 4096], 0.5, [1.0, 2.0, np.inf])
     by_p = {}
     for row in rows:
         by_p[row["p"]] = row
@@ -139,8 +138,8 @@ def test_certified_scaling_slopes(profile):
         assert abs(row["deviation"]) < 0.05
 
 
-def test_scaling_csv_roundtrip(tmp_path, profile):
-    rows = certify_scaling((4, 3), profile, [64, 256], 0.5, [2.0])
+def test_scaling_csv_roundtrip(tmp_path):
+    rows = certify_scaling((4, 3), [64, 256], 0.5, [2.0])
     path = tmp_path / "scaling.csv"
     write_scaling_csv(rows, path)
     text = path.read_text().splitlines()
@@ -151,10 +150,23 @@ def test_scaling_csv_roundtrip(tmp_path, profile):
 @pytest.mark.parametrize(
     "lam,eps", [(64, 0.5), (256, 0.5), (256, 0.25), (1024, 0.5)]
 )
-def test_parseval_slab(lam, eps, profile=None):
-    prof = build_profile("odd-bump")
-    spec = SlabSpec(k=(4, 3), lam=lam, eps=eps, profile=prof)
+def test_parseval_slab(lam, eps):
+    spec = SlabSpec(k=(4, 3), lam=lam, eps=eps)
     f = slab_fourier(spec)
     coeff_l2 = math.sqrt(sum(abs(a) ** 2 for a in f.coeffs.values()))
     # Parseval: series L^2 equals ||phi||_{L^2} = 1 up to the spectral tail
     assert abs(coeff_l2 - 1.0) < 1e-6
+
+
+def test_build_profile_is_the_slab_profile():
+    # one profile: build_profile returns it, and slab_fourier reads it
+    profile = build_profile()
+    assert profile is build_profile() is PROFILE
+    spec = SlabSpec(k=(4, 3), lam=256, eps=0.5)
+    f = slab_fourier(spec, mode_cap=8)
+    # a profile of the same constant, with a cache of its own, gives the same bits
+    own = Profile(norm_const=profile.norm_const)
+    step, amp = spec.lam ** (spec.eps - 1.0), spec.lam ** ((spec.eps - 1.0) / 2.0)
+    for n in range(1, 9):
+        xi = tuple(n * spec.harmonic_step * c for c in spec.k)
+        assert f.coefficient(xi) == amp * own.fhat(step * n)
