@@ -15,7 +15,8 @@ sides compile or cache their bytecode alike.
 The output holds the host facts ``run.py`` prints, each side's line total
 under ``src/`` and ``scripts/`` (what ``wc -l`` sums) and, per workload and
 metric, each side's median, q1 and q3 and the pairs the change won (better
-in the metric's direction of BENCHMARK.json; ties count for neither).
+in the metric's direction of BENCHMARK.json; ties count for neither).  Each
+end-to-end metric also gets a verdict, see ``verdict``.
 Exits 1 if any run failed: a non-zero exit, no result line, or a result
 that is not correct.
 """
@@ -56,9 +57,26 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(entry: dict, better: str, bound: float) -> str:
+    """``"gain"`` when the change won at least 9/10 of the pairs and its
+    median beats the parent's by more than the parent's q3 - q1;
+    ``"worse"`` when its median is worse than the parent's by more than
+    ``bound`` times the parent's median; else ``"within_bound"``."""
+    parent, change = entry["parent"], entry["change"]
+    gap = parent["median"] - change["median"]  # > 0: the change is better
+    if better != "lower":
+        gap = -gap
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and gap > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "worse"
+    return "within_bound"
+
+
 def summarize(records: list, spec: list) -> dict:
     """Per workload and metric of ``spec`` (BENCHMARK.json's metric list):
-    each side's spread and the pairs the change won.  ``records`` holds one
+    each side's spread, the pairs the change won and, for a metric with a
+    ``bound`` (the end-to-end ones), its verdict.  ``records`` holds one
     ``{"workload", "pair", "side", "result"}`` per run, ``result`` None for
     a run without a result line; a pair counts only if both sides have the
     metric."""
@@ -78,7 +96,7 @@ def summarize(records: list, spec: list) -> dict:
             if not pairs:
                 continue
             sign = 1 if m["better"] == "lower" else -1
-            metrics[m["name"]] = {
+            entry = metrics[m["name"]] = {
                 "unit": m["unit"],
                 "better": m["better"],
                 "pairs": len(pairs),
@@ -86,6 +104,8 @@ def summarize(records: list, spec: list) -> dict:
                 "parent": _spread([p for p, _ in pairs]),
                 "change": _spread([c for _, c in pairs]),
             }
+            if "bound" in m:
+                entry["verdict"] = verdict(entry, m["better"], m["bound"])
         out[workload] = metrics
     return out
 

@@ -13,13 +13,14 @@ coefficientwise weighting, :meth:`SpectralField.weighted`; maps that change
 the rank (``gradient``, ``divergence``, the drift ``apply_T`` and the
 Gamma-row contraction in ``amplitudes``) form their amplitude arrays
 directly.  Dense arrays appear only in large products (cluster boxes) and in
-``sample``/``analyze``, the grid round trip of the amplitudes, which take and
-give real grids.
+``_analyze_rows``' half spectrum.
 
-L^p and Besov quadrature streams the grid instead: ``_sample_rows`` runs the
-inverse DFT along axis 0 only on the lines that hold a coefficient, then
-finishes a few rows at a time, and ``lp_norms`` reduces each row block as it
-comes.  The N^d grid is never held in memory.
+Grids are streamed in row blocks instead: ``_sample_rows`` runs the inverse
+DFT along axis 0 only on the lines that hold a coefficient, then finishes a
+few rows at a time, and ``lp_norms`` reduces each row block as it comes.  Its
+adjoint ``_analyze_rows`` takes row blocks of samples through the forward
+DFT into the half spectrum, the one N^d-sized array of the amplitudes' grid
+round trip.  ``sample`` and ``analyze`` wrap the two for a whole real grid.
 
 Products are exact convolutions of the coefficient arrays.  The engine packs
 frequencies into int64 keys, decomposes each operand's support into
@@ -347,19 +348,20 @@ def _sample_rows(field: SpectralField, N: int):
     out = np.empty((rows,) + (N,) * (d - 1))
     for i in range(0, N, rows):
         n = min(rows, N - i)
-        spec[:n, occupied] = lines[i : i + n]  # the other columns stay zero
+        if d > 2:  # the last block's middle-axis transforms filled every column
+            spec[:n] = 0
+        spec[:n, occupied] = lines[i : i + n]
         block = spec[:n].reshape((n,) + tail)
         for ax in range(1, d - 1):
-            block = np.fft.ifft(block, axis=ax, norm="forward")
+            np.fft.ifft(block, axis=ax, norm="forward", out=block)
         np.fft.irfft(block, N, axis=-1, norm="forward", out=out[:n])
         yield i, out[:n]
 
 
 def sample(field: SpectralField, N: int) -> np.ndarray:
     """Exact samples of a scalar field at the N^d grid points, shape (N,)*d,
-    for callers that need the whole grid (each direction's Gamma^2
-    coefficients in ``amplitudes``); the norms and ``amplitudes``' sup |R|
-    stream :func:`_sample_rows` instead.
+    for callers that need the whole grid; no step of a run does: the norms
+    and ``amplitudes`` stream :func:`_sample_rows` instead.
 
     Wrapping frequencies mod N leaves grid-point values exact because
     e^{2 pi i xi j / N} only depends on xi mod N; only coefficient recovery
@@ -371,34 +373,52 @@ def sample(field: SpectralField, N: int) -> np.ndarray:
     return out
 
 
-def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
-    """Recover the sparse coefficient map of a real scalar field from its
-    samples at x = j/N, j in {0..N-1}^d: a real (N,)*d array.
+def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
+    """The adjoint of :func:`_sample_rows`: recover the sparse coefficient
+    map of a real scalar field from its samples at x = j/N, j in
+    {0..N-1}^d, given as ``(i, block)`` row blocks that cover axis 0 once, in
+    order.
 
-    Only the half spectrum, last index 0..N//2, is transformed (rfftn's
-    passes, bit for bit); each kept coefficient with 0 < last index < N/2
-    also stands at -xi as its exact conjugate.  The spectrum is Hermitian
-    once each coefficient on a Nyquist line (-N/2 on some axis, even N) is
-    split evenly over -N/2 and +N/2 on that axis; the N-grid samples stay
-    the same.
+    Only the half spectrum, last index 0..N//2, is held.  Each block goes
+    through ``rfft`` along the last axis into its rows of the half spectrum
+    and through the middle axes in place there; axis 0 is transformed in
+    place once every row is in.  These are ``rfftn``'s passes, and every
+    line goes through the same 1-D transform, so the spectrum is bitwise
+    ``rfftn``'s.  A 1-D field's blocks are gathered first, since axis 0 is
+    its last axis.  The prune scale and the kept indices are taken a slab of
+    rows at a time, so no magnitude array of the whole spectrum exists.
+
+    Each kept coefficient with 0 < last index < N/2 also stands at -xi as
+    its exact conjugate.  The spectrum is Hermitian once each coefficient on
+    a Nyquist line (-N/2 on some axis, even N) is split evenly over -N/2 and
+    +N/2 on that axis; the N-grid samples stay the same.
     """
-    values = np.asarray(values)
-    if np.iscomplexobj(values):
-        raise ValueError("only real grids are analyzed")
-    dim, N = values.ndim, values.shape[0]
-    if values.shape != (N,) * dim:
-        raise ValueError(f"samples of shape {values.shape} are not one scalar N^d grid")
-    # rfftn's passes, last axis first, the complex ones in place
-    arr = np.fft.rfft(values.astype(float, copy=False), axis=-1)
-    for ax in reversed(range(dim - 1)):
-        np.fft.fft(arr, axis=ax, out=arr)
-    arr /= N**dim
-    mags = np.abs(arr)
-    scale = mags.max()
+    half = np.empty((N,) * (dim - 1) + (N // 2 + 1,), dtype=complex)
+    if dim == 1:
+        values = np.empty(N)
+        for i, block in blocks:
+            values[i : i + len(block)] = block
+        np.fft.rfft(values, out=half)
+    else:
+        for i, block in blocks:
+            rows = half[i : i + len(block)]
+            np.fft.rfft(block, axis=-1, out=rows)
+            for ax in reversed(range(1, dim - 1)):
+                np.fft.fft(rows, axis=ax, out=rows)
+        np.fft.fft(half, axis=0, out=half)
+    half /= N**dim
+    step = max(1, _BLOCK_POINTS // (half.size // len(half)))
+    slabs = range(0, len(half), step)
+    scale = max(float(np.abs(half[i : i + step]).max()) for i in slabs)
     if scale == 0.0:
         return SpectralField.zero(dim, 0)
-    idx = np.argwhere(mags > rel * scale)
-    amps = arr[tuple(idx.T)]
+    idx = []
+    for i in slabs:
+        hits = np.argwhere(np.abs(half[i : i + step]) > rel * scale)
+        hits[:, 0] += i
+        idx.append(hits)
+    idx = np.concatenate(idx)
+    amps = half[tuple(idx.T)]
     mirrored = (idx[:, -1] > 0) & (2 * idx[:, -1] < N)
     idx = np.concatenate((idx, -idx[mirrored] % N))
     amps = np.concatenate((amps, amps[mirrored].conj()))
@@ -406,12 +426,28 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
     for ax in range(dim if N % 2 == 0 else 0):
         on = centered[:, ax] == -N // 2
         if on.any():
-            half = amps[on] / 2
-            amps = np.concatenate((np.where(on, amps / 2, amps), half))
+            split = amps[on] / 2
+            amps = np.concatenate((np.where(on, amps / 2, amps), split))
             mirror = centered[on]
             mirror[:, ax] = N // 2
             centered = np.concatenate((centered, mirror))
     return SpectralField._summed(dim, 0, centered, amps)
+
+
+def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
+    """Recover the sparse coefficient map of a real scalar field from its
+    samples at x = j/N, j in {0..N-1}^d: a real (N,)*d array, fed to
+    :func:`_analyze_rows` in row blocks of about ``_BLOCK_POINTS`` points.
+    """
+    values = np.asarray(values)
+    if np.iscomplexobj(values):
+        raise ValueError("only real grids are analyzed")
+    dim, N = values.ndim, values.shape[0]
+    if values.shape != (N,) * dim:
+        raise ValueError(f"samples of shape {values.shape} are not one scalar N^d grid")
+    values = values.astype(float, copy=False)
+    rows = max(1, _BLOCK_POINTS // values[0].size)
+    return _analyze_rows(dim, N, ((i, values[i : i + rows]) for i in range(0, N, rows)), rel)
 
 
 # -- products -------------------------------------------------------------

@@ -337,6 +337,11 @@ def _dump(data, path):
         fh.write("\n")
 
 
+def _peak_rss_mb() -> float:
+    # ru_maxrss is in KiB on Linux; MB = 10^6 bytes
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+
+
 def run(config: RunConfig) -> int:
     """Execute the full default pipeline; returns the exit status.
 
@@ -375,7 +380,8 @@ def run(config: RunConfig) -> int:
 
     state = base_state(params)
     stages = []
-    timing = {"start": t0}
+    # the peak after each stage's record, so a run shows which stage set it
+    timing = {"start": t0, "stage_peak_rss_mb": []}
 
     def record_stage(st) -> list:
         """Certify and save the stage; returns the names of its failed checks."""
@@ -397,6 +403,7 @@ def run(config: RunConfig) -> int:
                 "history": st.norm_history[-1],
             }
         )
+        timing["stage_peak_rss_mb"].append(_peak_rss_mb())
         failed = [item for item in ("item1", "item2", "item6") if not cert[item]["pass"]]
         return failed + ([] if weak["all_pass"] else ["weak_form"])
 
@@ -480,8 +487,7 @@ def run(config: RunConfig) -> int:
     _dump(report, os.path.join(config.out, "report.json"))
     _dump({"history": state.norm_history}, os.path.join(config.out, "history.json"))
     timing["elapsed_s"] = time.time() - t0
-    # ru_maxrss is in KiB on Linux; MB = 10^6 bytes
-    timing["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+    timing["peak_rss_mb"] = _peak_rss_mb()
     _dump(timing, os.path.join(config.out, "timing.json"))
     if not failed:
         return 0

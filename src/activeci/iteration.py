@@ -27,9 +27,9 @@ from .directions import DirectionBasis
 from .fields import (
     Quadrature,
     SpectralField,
+    _analyze_rows,
     _next_pow2,
     _sample_rows,
-    analyze,
     besov_norm,
     divergence,
     divergence_defect,
@@ -40,7 +40,6 @@ from .fields import (
     lp_norms,
     mean_part,
     multiply,
-    sample,
     sobolev_norm,
 )
 from .kernels import ShellKernel
@@ -159,7 +158,7 @@ def _harmonic_survives(lam: int, j: int, knorm: int, r: Fraction) -> bool:
 
 def make_params(
     basis: DirectionBasis,
-    d: int = 2,
+    d: int | None = None,
     gamma: float = 1.0,
     s: float = 2.0,
     b0: int = 2,
@@ -177,8 +176,13 @@ def make_params(
     (lam = 2^e) is the largest value not exceeding the offset formula
     1 - 2^{-q-b0} for which the first slab harmonic survives the low-pass.
     Stages where no harmonic can survive are flagged degenerate (the
-    increment is identically zero there).
+    increment is identically zero there).  The dimension is the basis's; a
+    ``d`` that differs from it is a ``ValueError``.
     """
+    if d is None:
+        d = basis.dim
+    elif d != basis.dim:
+        raise ValueError(f"d = {d} differs from the basis dimension {basis.dim}")
     if s <= d / 2 + max(gamma - 1.0, 0.0):
         raise ValueError(
             f"s = {s} violates s > d/2 + max(gamma-1, 0) = "
@@ -370,11 +374,29 @@ def _grid_sup(R: SpectralField, N: int) -> float:
     largest |R| of the sampled grid; no block outlives the call."""
     sq = 0.0
     for blocks in zip(*(_sample_rows(R.component(c), N) for c in range(R.dim))):
-        squares = blocks[0][1] ** 2
+        squares = np.square(blocks[0][1], out=blocks[0][1])
         for _, block in blocks[1:]:
-            squares += block**2
+            squares += np.square(block, out=block)
         sq = max(sq, float(squares.max()))
     return math.sqrt(sq)
+
+
+def _amplitude_rows(samples, pref: float, margin: float):
+    """The row blocks of one direction's Gamma^2 coefficients, each turned
+    into the amplitude in place (square root, prefactor) as it passes.  Once
+    the running min falls below the margin, no block is passed on: the min
+    is finished over the remaining blocks and a ``ValueError`` gives the
+    grid's min, so no root of a value below the margin is taken."""
+    cmin = math.inf
+    for i, block in samples:
+        cmin = min(cmin, float(block.min()))
+        if cmin < margin * (1 - 1e-9):
+            for _, rest in samples:
+                cmin = min(cmin, float(rest.min()))
+            raise ValueError(f"amplitude coefficient {cmin:.3g} fell below the margin {margin}")
+        np.sqrt(block, out=block)
+        block *= pref
+        yield i, block
 
 
 def amplitudes(
@@ -394,10 +416,11 @@ def amplitudes(
     of R's components, so no d N^d grid is held.  The coefficient map is
     affine, c = E^{-1} k* - (eps_Omega/||R||_inf) E^{-1} R(x), so each
     direction's Gamma_k^2 coefficient is a real scalar field with an exact
-    spectrum: that field is sampled on one N^d grid, checked against the
-    margin, turned into the amplitude in place (square root, prefactor),
-    re-analyzed and truncated, and its grid released before the next
-    direction.
+    spectrum.  Its samples are streamed too: each row block is checked
+    against the margin, turned into the amplitude in place (square root,
+    prefactor) and transformed into the half spectrum by ``_analyze_rows``,
+    which is then pruned and truncated.  That half spectrum is the only
+    N^d-sized array, one direction at a time.
 
     ``stress_cutoff``: when set, the amplitudes target only the stress below
     that frequency.  The squared amplitude is affine in the stress, so the
@@ -434,17 +457,8 @@ def amplitudes(
     out = {}
     for k, row, mean in zip(basis.omega, rows, means):
         coeff = SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1))
-        grid = sample(coeff + SpectralField(d, 0, origin, [mean]), N)
-        cmin = float(grid.min())
-        if cmin < basis.gamma_margin * (1 - 1e-9):
-            raise ValueError(
-                f"amplitude coefficient {cmin:.3g} fell below the margin "
-                f"{basis.gamma_margin}"
-            )
-        np.sqrt(grid, out=grid)
-        grid *= pref
-        a_full = analyze(grid)
-        del grid  # so that the next direction's grid does not join it
+        samples = _sample_rows(coeff + SpectralField(d, 0, origin, [mean]), N)
+        a_full = _analyze_rows(d, N, _amplitude_rows(samples, pref, basis.gamma_margin))
         inside = a_full.radii() <= trunc
         a = a_full.weighted(inside)
         mass = np.abs(a_full.amps) ** 2

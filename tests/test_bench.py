@@ -90,3 +90,40 @@ def test_count_lines_sums_src_and_scripts(tmp_path):
     change = tree("change", {"src/pkg/a.py": "1\n", "src/pkg/sub/b.py": "1\n2\n3\n4", "scripts/s.py": ""})
     assert bench.count_lines(parent) == 5
     assert bench.count_lines(change) == 4
+
+
+def _records(pairs, name="wall_s"):
+    """One record per side and pair from ``(parent, change)`` values of one metric."""
+    return [
+        {"workload": "w", "pair": i, "side": side, "result": {"metrics": {name: {"value": v}}}}
+        for i, values in enumerate(pairs)
+        for side, v in zip(bench.SIDES, values)
+    ]
+
+
+PARENT = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, q3 - q1 = 0.045
+
+
+@pytest.mark.parametrize(
+    "change,expect",
+    [
+        ([p - 0.1 for p in PARENT], "gain"),  # 10/10 wins, gap 0.1
+        ([p - 0.1 for p in PARENT[:9]] + [1.10], "gain"),  # 9/10 wins
+        ([p - 0.1 for p in PARENT[:8]] + [1.09, 1.10], "within_bound"),  # 8/10 wins
+        ([p - 0.01 for p in PARENT], "within_bound"),  # 10/10 wins, gap below q3 - q1
+        ([1.2 * p for p in PARENT], "within_bound"),  # 0.209 worse, bound 0.261
+        ([1.3 * p for p in PARENT], "worse"),  # 0.314 worse
+    ],
+)
+def test_verdict_of_an_end_to_end_metric(change, expect):
+    out = bench.summarize(_records(list(zip(PARENT, change))), SPEC)["w"]["wall_s"]
+    assert out["verdict"] == expect
+
+
+def test_verdict_follows_the_direction_and_skips_per_layer_metrics():
+    higher = _records([(p, p + 0.1) for p in PARENT], name="score")
+    assert bench.summarize(higher, SPEC)["w"]["score"]["verdict"] == "gain"
+    lower = _records([(p, 0.7 * p) for p in PARENT], name="score")
+    assert bench.summarize(lower, SPEC)["w"]["score"]["verdict"] == "worse"
+    layer = [{"name": "wall_s", "unit": "s", "better": "lower"}]
+    assert "verdict" not in bench.summarize(_records([(p, p - 0.1) for p in PARENT]), layer)["w"]["wall_s"]

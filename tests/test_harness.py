@@ -276,6 +276,10 @@ def test_timing_records_peak_rss_and_reports_rerun_identically(fast_run, tmp_pat
     with open(os.path.join(out, "timing.json")) as fh:
         timing = json.load(fh)
     assert timing["peak_rss_mb"] > 0
+    # one reading per stage directory, never decreasing, none above the run's peak
+    per_stage = timing["stage_peak_rss_mb"]
+    assert len(per_stage) == len(list(out.glob("stage-*"))) == 2
+    assert per_stage == sorted(per_stage) and per_stage[-1] <= timing["peak_rss_mb"]
     assert run(fast_config(tmp_path)) == 0
     snapshots = sorted(p.relative_to(out).as_posix() for p in out.glob("stage-*/*.npz"))
     assert snapshots == sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("stage-*/*.npz"))
@@ -535,7 +539,7 @@ def test_cli_lets_memory_error_propagate(tmp_path, monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("amplitude grid")
 
-    monkeypatch.setattr(iteration, "sample", exhausted)
+    monkeypatch.setattr(iteration, "_analyze_rows", exhausted)
     with pytest.raises(MemoryError, match="amplitude grid"):
         main(["--qmax", "1", "--lambda1", "256", "--grid-budget", "256", "--out", str(tmp_path)])
     assert (tmp_path / "stage-0").is_dir()

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,19 @@ def test_s_constraint_enforced(setup):
         make_params(basis, s=1.0, gamma=1.0)  # s <= d/2
 
 
+def test_dimension_comes_from_the_basis(setup):
+    # a d that differs from the basis's is rejected at set-up, not in the
+    # first apply_T
+    _, basis = setup
+    basis3 = build_basis(ipm3d(), supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2)))
+    assert make_params(basis3, lambda1=128, qmax=1, grid_budget=128).d == 3
+    assert make_params(basis, d=2, qmax=1).d == 2
+    with pytest.raises(ValueError, match="d = 2 differs from the basis dimension 3"):
+        make_params(basis3, d=2, lambda1=128, qmax=1, grid_budget=128)
+    with pytest.raises(ValueError, match="d = 3 differs from the basis dimension 2"):
+        make_params(basis, d=3, qmax=1)
+
+
 def test_budget_enforced(setup):
     _, basis = setup
     with pytest.raises(ValueError):
@@ -134,8 +148,8 @@ def test_amplitudes_zero_stress_raises(params):
 
 
 def test_amplitudes_3d_hold_few_grids():
-    # sup |R| is streamed, and each direction holds one real N^d grid (its
-    # Gamma^2 coefficients, then its amplitude) plus analyze's half spectrum
+    # sup |R| and each direction's samples are streamed in row blocks: the
+    # half spectrum of one direction is the only N^d-sized array
     import tracemalloc
 
     m = ipm3d()
@@ -151,7 +165,7 @@ def test_amplitudes_3d_hold_few_grids():
         tracemalloc.stop()
     N = out[basis.omega[0]][1]["grid_N"]
     assert N == 64
-    assert peak < 3.5 * N**3 * 8  # float64 N^3 grids: 2.8 now, 4.6 with the stress grid held
+    assert peak < 2 * N**3 * 8  # float64 N^3 grids: 1.6 now, 2.8 with a real grid and its magnitudes held
 
 
 def _dense_amplitudes(R, basis, info):
@@ -210,18 +224,53 @@ def test_grid_sup_is_bitwise_dense(dim, N):
     assert _grid_sup(R, N) == dense
 
 
-@pytest.mark.parametrize("dim,stage", [(2, 0), (3, 0), (2, 1)])
-def test_amplitudes_match_dense_solve(dim, stage, request):
-    # the stress of stage `stage` cut off as build_increment cuts it for the
-    # next stage (2D stage 1: 277 coefficients, a 512^2 grid)
+def _stage_case(dim, stage, request):
+    """The stress of stage `stage` with the cutoff build_increment applies
+    for the next stage (2D stage 1: 277 coefficients, a 512^2 grid)."""
     R, params, spec = _stage_stress(dim)
-    basis = params.basis
     if stage:
         _, st1, _ = request.getfixturevalue("stage1")
         R, lam, eps = st1.R, 4096, 5.0 / 12.0  # the default run's second stage
     else:
         lam, eps = params.stage_lam(1), params.stage_eps(1)
-    cutoff = max(2.0, round(lam**eps) * basis.common_norm / 2.0)
+    return R, params, spec, max(2.0, round(lam**eps) * params.basis.common_norm / 2.0)
+
+
+def _coefficient_grids(R, basis, info):
+    """Each direction's Gamma^2 coefficients sampled on the whole grid: the
+    stress spectrum times a row of E^-1, plus (E^-1 k*)_k at xi = 0."""
+    N, d = info["grid_N"], basis.dim
+    rows = (-basis.eps_omega / info["R_max"]) * basis.even_inv
+    means = (basis.even_inv * basis.k_star).sum(axis=1)
+    origin = np.zeros((1, d), dtype=np.int64)
+    return [
+        fields.sample(SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1)) + SpectralField(d, 0, origin, [mean]), N)
+        for row, mean in zip(rows, means)
+    ]
+
+
+@pytest.mark.parametrize("dim,stage", [(2, 0), (3, 0), (2, 1)])
+def test_amplitudes_are_bitwise_the_grid_round_trip(dim, stage, request):
+    # the streamed amplitudes equal, bit for bit, each direction's whole
+    # grid taken through the square root, prefactor, analyze and radius cut
+    R, params, spec, cutoff = _stage_case(dim, stage, request)
+    basis = params.basis
+    out = amplitudes(R, params, spec, stress_cutoff=cutoff)
+    info = out[basis.omega[0]][1]
+    for k, grid in zip(basis.omega, _coefficient_grids(R.weighted(R.radii() <= cutoff), basis, info)):
+        a_full = fields.analyze(np.sqrt(grid) * info["prefactor"])
+        inside = a_full.radii() <= info["trunc_radius"]
+        a, got = a_full.weighted(inside), out[k][0]
+        assert got.freqs.tobytes() == a.freqs.tobytes()
+        assert got.amps.tobytes() == a.amps.tobytes()
+        mass = np.abs(a_full.amps) ** 2
+        assert out[k][1]["tail_fraction"] == math.sqrt(mass[~inside].sum() / mass.sum())
+
+
+@pytest.mark.parametrize("dim,stage", [(2, 0), (3, 0), (2, 1)])
+def test_amplitudes_match_dense_solve(dim, stage, request):
+    R, params, spec, cutoff = _stage_case(dim, stage, request)
+    basis = params.basis
     out = amplitudes(R, params, spec, stress_cutoff=cutoff)
     info = out[basis.omega[0]][1]
     rmax, dense = _dense_amplitudes(R.weighted(R.radii() <= cutoff), basis, info)
@@ -235,10 +284,14 @@ def test_amplitudes_match_dense_solve(dim, stage, request):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_amplitudes_margin_guard(dim):
     # at four times eps_Omega the Gamma^2 coefficients leave the margin: the
-    # guard raises before the square root of a negative number is taken
+    # guard raises before the square root of a negative number is taken, and
+    # names the min of the first such direction's whole grid
     R, params, spec = _stage_stress(dim)
+    info = amplitudes(R, params, spec, stress_cutoff=2.0)[params.basis.omega[0]][1]
     wide = dataclasses.replace(params.basis, eps_omega=4 * params.basis.eps_omega)
-    with pytest.raises(ValueError, match="fell below the margin"):
+    grids = _coefficient_grids(R.weighted(R.radii() <= 2.0), wide, info)
+    cmin = next(float(g.min()) for g in grids if g.min() < wide.gamma_margin * (1 - 1e-9))
+    with pytest.raises(ValueError, match=re.escape(f"amplitude coefficient {cmin:.3g} fell below the margin")):
         amplitudes(R, dataclasses.replace(params, basis=wide), spec, stress_cutoff=2.0)
 
 
