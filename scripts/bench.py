@@ -61,15 +61,22 @@ def verdict(entry: dict, better: str, bound: float) -> str:
     """``"gain"`` when the change won at least 9/10 of the pairs and its
     median beats the parent's by more than the parent's q3 - q1;
     ``"worse"`` when its median is worse than the parent's by more than
-    ``bound`` times the parent's median; else ``"within_bound"``."""
+    ``bound`` times the parent's median; ``"unresolved"`` when the parent's
+    q3 - q1 is wider than that bound, so the runs cannot tell a change
+    within it from none, unless the change won every pair; else
+    ``"within_bound"``."""
     parent, change = entry["parent"], entry["change"]
     gap = parent["median"] - change["median"]  # > 0: the change is better
     if better != "lower":
         gap = -gap
-    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and gap > parent["q3"] - parent["q1"]:
+    spread = parent["q3"] - parent["q1"]
+    if 10 * entry["change_wins"] >= 9 * entry["pairs"] and gap > spread:
         return "gain"
-    if -gap > bound * abs(parent["median"]):
+    allowed = bound * abs(parent["median"])
+    if -gap > allowed:
         return "worse"
+    if spread > allowed and entry["change_wins"] < entry["pairs"]:
+        return "unresolved"
     return "within_bound"
 
 

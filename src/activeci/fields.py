@@ -119,6 +119,13 @@ def _unique_keys(keys):
     return keys[new], inv
 
 
+def _upper(freqs, origin=False):
+    """Mask of the frequency rows lexicographically above 0, those whose
+    first nonzero entry is positive, and of the origin if ``origin``."""
+    first = freqs[np.arange(len(freqs)), (freqs != 0).argmax(axis=1)]
+    return first >= 0 if origin else first > 0
+
+
 class SpectralField:
     """Real field: a finite map from lattice frequencies to complex
     amplitudes with a Hermitian spectrum, f(-xi) = conj f(xi).
@@ -131,11 +138,15 @@ class SpectralField:
     ``_norms`` memoize grid quadrature results, keyed by ``(p, N)`` with
     p = inf for the sup norm.
 
-    Being real is an invariant, not a flag.  :meth:`from_entries`, the
-    builders over it and :func:`load_snapshot` check it on entries from
-    outside (ValueError); every operation keeps it by construction, as
-    products, real weights and scalings, 2 pi i xi derivatives and real
-    symbols do.  The raw constructor trusts its caller.
+    Being real is an invariant, not a flag, and it holds exactly: f(-xi) ==
+    conj f(xi) by value at every stored xi, with a real origin, so storage
+    index i mirrors index K-1-i (:meth:`is_exactly_hermitian`).
+    :meth:`from_entries`, the builders over it and :func:`load_snapshot`
+    check entries from outside (ValueError) and then build the lower half as
+    the conjugate of the upper half (:meth:`_mirrored`), as ``multiply`` and
+    ``analyze`` do.  Every other operation keeps the invariant exactly, as
+    sums, real symmetric weights and scalings, 2 pi i xi derivatives and
+    real symbols do.  The raw constructor trusts its caller.
     """
 
     __slots__ = ("dim", "rank", "freqs", "amps", "_max_freq", "_norms")
@@ -169,11 +180,27 @@ class SpectralField:
     @classmethod
     def from_entries(cls, dim, rank, freqs, amps):
         """Field of raw entries as in :meth:`_summed`; ValueError unless they
-        form a Hermitian spectrum (:meth:`is_hermitian`)."""
+        form a Hermitian spectrum (:meth:`is_hermitian`).  The lower half is
+        then rebuilt from the upper half, so the field is exactly Hermitian."""
         f = cls._summed(dim, rank, freqs, amps)
         if not f.is_hermitian():
             raise ValueError("entries do not form a Hermitian spectrum")
-        return f
+        return f._mirrored()
+
+    def _mirrored(self):
+        """The field with this field's upper half (:func:`_upper`), its
+        origin made real, and as lower half the conjugate mirror of the upper
+        half: exactly Hermitian, whatever the stored lower half was."""
+        up, at0 = _upper(self.freqs), ~self.freqs.any(axis=1)
+        freqs, amps = self.freqs[up], self.amps[up]
+        origin = self.amps[at0]
+        origin = np.where(origin.imag == 0, origin, origin.real)
+        return SpectralField(
+            self.dim,
+            self.rank,
+            np.concatenate((-freqs[::-1], self.freqs[at0], freqs)),
+            np.concatenate((amps[::-1].conj(), origin, amps)),
+        )
 
     @classmethod
     def scalar(cls, dim, entries):
@@ -232,6 +259,13 @@ class SpectralField:
     def max_amp(self):
         return float(self._magnitudes().max(initial=0.0))
 
+    def is_exactly_hermitian(self):
+        """f(-xi) == conj f(xi) by value at every stored xi and a real
+        origin: the storage reversed is the storage mirrored."""
+        return np.array_equal(self.freqs[::-1], -self.freqs) and np.array_equal(
+            self.amps[::-1], self.amps.conj()
+        )
+
     def is_hermitian(self, rtol=1e-13):
         """Check f(-xi) == conj(f(xi)) to ``rtol`` times the largest
         amplitude; an absent partner counts as amplitude 0."""
@@ -271,21 +305,26 @@ class SpectralField:
             return NotImplemented
         if other.dim != self.dim or other.rank != self.rank:
             raise ValueError("incompatible fields")
+        # the sum of the origins and upper halves; its mirror is the lower half
+        a, b = (_upper(f.freqs, origin=True) for f in (self, other))
         return SpectralField._summed(
             self.dim,
             self.rank,
-            np.concatenate((self.freqs, other.freqs)),
-            np.concatenate((self.amps, other.amps)),
-        )
+            np.concatenate((self.freqs[a], other.freqs[b])),
+            np.concatenate((self.amps[a], other.amps[b])),
+        )._mirrored()
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def modulated(self, shift):
         """Product with 2 cos(2 pi shift . x): the spectrum translated by
-        +shift plus by -shift, summed in that order."""
+        +shift plus by -shift, summed in that order at the origin and the
+        upper half; the lower half is their conjugate mirror."""
         freqs = np.concatenate((self.freqs + shift, self.freqs - shift))
-        return SpectralField._summed(self.dim, self.rank, freqs, np.concatenate((self.amps, self.amps)))
+        half = _upper(freqs, origin=True)
+        amps = np.concatenate((self.amps, self.amps))
+        return SpectralField._summed(self.dim, self.rank, freqs[half], amps[half])._mirrored()
 
     def find(self, queries):
         """Index of each frequency row of ``queries`` in the storage, -1
@@ -391,7 +430,11 @@ def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
     Each kept coefficient with 0 < last index < N/2 also stands at -xi as
     its exact conjugate.  The spectrum is Hermitian once each coefficient on
     a Nyquist line (-N/2 on some axis, even N) is split evenly over -N/2 and
-    +N/2 on that axis; the N-grid samples stay the same.
+    +N/2 on that axis; the N-grid samples stay the same.  The self-conjugate
+    planes (last index 0 and N/2) hold both halves only up to roundoff, so
+    only the upper half of the result and the origin are kept, and the lower
+    half is rebuilt as their conjugate mirror: the field is exactly
+    Hermitian.
     """
     half = np.empty((N,) * (dim - 1) + (N // 2 + 1,), dtype=complex)
     if dim == 1:
@@ -431,7 +474,8 @@ def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
             mirror = centered[on]
             mirror[:, ax] = N // 2
             centered = np.concatenate((centered, mirror))
-    return SpectralField._summed(dim, 0, centered, amps)
+    half = _upper(centered, origin=True)
+    return SpectralField._summed(dim, 0, centered[half], amps[half])._mirrored()
 
 
 def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
@@ -457,6 +501,9 @@ def _clusters(freqs: np.ndarray, cell: int = 64):
     """Partition frequencies into connected clusters of occupied coarse
     cells, cells being adjacent when their Chebyshev distance is at most 1.
 
+    A frequency's cell is each coordinate rounded to the nearest multiple of
+    ``cell``, halves away from 0, so the cell of -xi is minus the cell of xi
+    and the mirror of a cluster of a symmetric support is a cluster too.
     Clusters come in the lexicographic order of their first cell, each an
     ascending array of indices into ``freqs``.  The cells are labelled with
     array operations: neighbours are found by searching the packed cell keys
@@ -464,7 +511,8 @@ def _clusters(freqs: np.ndarray, cell: int = 64):
     leaves every cell labelled by the first cell of its cluster.
     """
     d = freqs.shape[1]
-    cells, cell_of = _unique_keys(freqs // cell)  # lexicographic: ascending keys
+    cells = np.sign(freqs) * ((np.abs(freqs) + cell // 2) // cell)
+    cells, cell_of = _unique_keys(cells)  # lexicographic: ascending keys
     lo = cells.min(axis=0) - 1
     strides = _strides(cells.max(axis=0) - lo + 2)  # a step of +-1 stays in the box
     keys = (cells - lo) @ strides
@@ -579,6 +627,29 @@ def _sum_by_key(parts):
     return uniq[keep], sums[keep]
 
 
+def _mirrors(clusters, n):
+    """Index of each cluster's mirror cluster, for the clusters of n sorted
+    frequencies whose support is symmetric about 0, on which entry i is the
+    mirror of entry n-1-i."""
+    label = np.empty(n, dtype=np.intp)
+    for c, members in enumerate(clusters):
+        label[members] = c
+    return label[[n - 1 - members[0] for members in clusters]].tolist()
+
+
+def _upper_part(keys, amps, top, self_mirror):
+    """The entries a cluster pair and its mirror pair give at the keys >=
+    top/2, the origin and the upper half of a symmetric product box, where
+    key(-xi) = top - key(xi): the pair's own there, then, unless the pair is
+    its own mirror, its mirror pair's, the conjugates of the pair's entries
+    at the keys <= top/2."""
+    up = keys >= top // 2
+    if self_mirror:
+        return keys[up], amps[up]
+    down = keys <= top // 2
+    return np.concatenate((keys[up], top - keys[down])), np.concatenate((amps[up], amps[down].conj()))
+
+
 def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     """Exact product of two fields (convolution of coefficient maps).
 
@@ -588,9 +659,14 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     vector product is then pruned as a whole.
 
     Frequencies are packed into int64 keys over the product's bounding box.
-    Every cluster pair (see :func:`_clusters`, taken on the whole support of
-    each operand) yields ``(keys, amps)`` arrays for all components at once,
-    and one accumulation per component sums them in cluster-pair order.
+    The operands are exactly Hermitian (ValueError otherwise), so the box is
+    symmetric about 0 and the clusters (see :func:`_clusters`, taken on the
+    whole support of each operand) come in mirror pairs.  Cluster pair
+    (-A, -B) gives the conjugates of pair (A, B) at the negated keys, so one
+    pair per mirror orbit is computed, and its ``(keys, amps)`` arrays and
+    its mirror's at the origin and the upper half of the keys are summed, in
+    cluster-pair order, by one accumulation per component.  The lower half
+    is their conjugate mirror.
     """
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
@@ -598,6 +674,8 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
         f, g = g, f
     if f.rank != 0:
         raise ValueError("vector x vector products are not defined here")
+    if not (f.is_exactly_hermitian() and g.is_exactly_hermitian()):
+        raise ValueError("products take exactly Hermitian operands")
     if f.is_zero() or g.is_zero():
         return SpectralField.zero(f.dim, g.rank)
     ff, af = f.freqs, f.amps
@@ -612,19 +690,24 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     span = (ff.max(axis=0) - lo_f) + (fg.max(axis=0) - lo_g) + 1
     strides = _strides(span)
     lo = lo_f + lo_g
+    top = int((span - 1) @ strides)  # the key of -lo, twice the origin's
     kf, kg = (ff - lo_f) @ strides, (fg - lo_g) @ strides
 
     parts = [[] for _ in range(ag.shape[1])]  # per component, in pair order
-    cl_g = _clusters(fg)
-    for ia in _clusters(ff):
-        for ib in cl_g:
+    cl_f, cl_g = _clusters(ff), _clusters(fg)
+    mir_f, mir_g = _mirrors(cl_f, len(ff)), _mirrors(cl_g, len(fg))
+    for a, ia in enumerate(cl_f):
+        for b, ib in enumerate(cl_g):
+            mirror = (mir_f[a], mir_g[b])
+            if mirror < (a, b):
+                continue  # the pair's entries came with its mirror's
             if len(ia) * len(ib) <= _DIRECT_PAIR_CAP:
                 res = _pair_convolve(kf[ia], af[ia], kg[ib], ag[ib], keep[ib])
             else:
                 res = _box_convolve(ff[ia], af[ia], fg[ib], ag[ib], keep[ib], lo, strides)
             for out, r in zip(parts, res):
                 if r is not None:
-                    out.append(r)
+                    out.append(_upper_part(*r, top, mirror == (a, b)))
 
     comps = [_sum_by_key(out) for out in parts]
     keys = _unique_keys(np.concatenate([k for k, _ in comps]))[0]
@@ -637,7 +720,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
         mask = _above(np.abs(amps).max(axis=1))
         keys, amps = keys[mask], amps[mask]
     freqs = lo + (keys[:, None] // strides) % span
-    return SpectralField(f.dim, g.rank, freqs, amps)
+    return SpectralField(f.dim, g.rank, freqs, amps)._mirrored()
 
 
 # -- calculus -------------------------------------------------------------
@@ -735,25 +818,36 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
     """``{p: (fine, coarse)}``: sum |f|^p (max |f| for p = inf) over the N^d
     grid and over its even subgrid, streamed through :func:`_sample_rows`.
 
-    Each block is made |f| in place and raised to each p in one reused
-    buffer (p = 1 needs none).  Blocks start at even rows, so a block's even
-    rows are even rows of the grid.  The block sums are combined by
-    ``math.fsum``, which does not depend on their order.
+    Each block is made |f| in place, which p = 1 and inf reduce as it is
+    and p = 2 as |f| |f| in one reused buffer.  The block is then made
+    log |f| in place, and every other p is formed as exp(p log |f|) in that
+    buffer.  Blocks start at even rows, so a block's even rows are even rows
+    of the grid.  The block sums are combined by ``math.fsum``, which does
+    not depend on their order.
     """
     even = (slice(None, None, 2),) * f.dim
     parts = {p: ([], []) for p in ps}
+    direct = [p for p in ps if p in (1, 2, math.inf)]
+    logged = [p for p in ps if p not in direct]
+
+    def add(p, values):
+        reduce = np.max if p == math.inf else np.sum
+        parts[p][0].append(reduce(values))
+        parts[p][1].append(reduce(values[even]))
+
     power = None
     for _, block in _sample_rows(f, N):
         vals = np.abs(block, out=block)
-        for p, (fine, coarse) in parts.items():
-            pw = vals
-            if p not in (1, math.inf):
-                if power is None:
-                    power = np.empty_like(vals)
-                pw = np.power(vals, p, out=power[: len(vals)])
-            reduce = np.max if p == math.inf else np.sum
-            fine.append(reduce(pw))
-            coarse.append(reduce(pw[even]))
+        if power is None:
+            power = np.empty_like(vals)
+        pw = power[: len(vals)]
+        for p in direct:
+            add(p, np.multiply(vals, vals, out=pw) if p == 2 else vals)
+        if logged:
+            with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0
+                np.log(vals, out=vals)
+        for p in logged:
+            add(p, np.exp(np.multiply(vals, p, out=pw), out=pw))
     return {
         p: tuple(max(s) if p == math.inf else math.fsum(s) for s in sums)
         for p, sums in parts.items()
@@ -845,20 +939,27 @@ def besov_norm(
 
 # -- snapshots ------------------------------------------------------------
 
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 
 
 def save_snapshot(f: SpectralField, path) -> None:
     """Write ``f`` as an uncompressed ``.npz`` archive at exactly ``path``:
-    ``version``, the (K, d) int64 ``freqs`` and the complex ``amps``, (K,)
-    for a scalar and (K, d) for a vector field."""
+    ``version``, and the rows of the origin and of the frequencies
+    lexicographically above 0, the half that determines a real field: the
+    (K, d) int64 ``freqs`` and the complex ``amps``, (K,) for a scalar and
+    (K, d) for a vector field.  ValueError unless ``f`` is exactly
+    Hermitian, since its lower half would not load back."""
+    if not f.is_exactly_hermitian():
+        raise ValueError("only an exactly Hermitian field is saved as its half spectrum")
+    half = len(f) // 2  # the stored lower half: the rows before the origin or upper half
     with open(path, "wb") as fh:  # a file object: numpy appends no suffix
-        np.savez(fh, version=np.int64(SNAPSHOT_VERSION), freqs=f.freqs, amps=f.amps)
+        np.savez(fh, version=np.int64(SNAPSHOT_VERSION), freqs=f.freqs[half:], amps=f.amps[half:])
 
 
 def load_snapshot(path) -> SpectralField:
-    """The field :func:`save_snapshot` wrote; ValueError for another format
-    or version, and for entries that do not form a Hermitian spectrum."""
+    """The field :func:`save_snapshot` wrote, bit for bit: its lower half is
+    the conjugate mirror of the stored rows.  ValueError for another format
+    or version, and for rows below 0, repeated rows or a non-real origin."""
     with open(path, "rb") as fh:
         try:
             data = np.load(fh, allow_pickle=False)
@@ -873,4 +974,13 @@ def load_snapshot(path) -> SpectralField:
             f"snapshot arrays {freqs.dtype}{freqs.shape}, {amps.dtype}{amps.shape} are not "
             "(K, d) int64 freqs with (K,) or (K, d) complex amps"
         )
-    return SpectralField.from_entries(freqs.shape[1], amps.ndim - 1, freqs, amps)
+    if not _upper(freqs, origin=True).all():
+        raise ValueError("snapshot rows below 0: it stores the origin and the upper half only")
+    uniq, inv = _unique_keys(freqs)
+    if len(uniq) < len(freqs):
+        raise ValueError("snapshot rows repeat a frequency")
+    if np.any(amps[~freqs.any(axis=1)].imag != 0):
+        raise ValueError("snapshot origin is not real")
+    order = np.empty(len(inv), dtype=np.intp)
+    order[inv] = np.arange(len(inv))
+    return SpectralField(freqs.shape[1], amps.ndim - 1, uniq, amps[order])._mirrored()

@@ -102,6 +102,12 @@ def _records(pairs, name="wall_s"):
 
 
 PARENT = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, q3 - q1 = 0.045
+PARENT_WIDE = [1.0 + 0.1 * i for i in range(10)]  # median 1.45, q3 - q1 = 0.45
+
+
+class Wide(list):
+    """Change values to pair with PARENT_WIDE, whose q3 - q1 is wider than
+    the 0.25 bound times its median (0.3625)."""
 
 
 @pytest.mark.parametrize(
@@ -113,10 +119,15 @@ PARENT = [1.0 + 0.01 * i for i in range(10)]  # median 1.045, q3 - q1 = 0.045
         ([p - 0.01 for p in PARENT], "within_bound"),  # 10/10 wins, gap below q3 - q1
         ([1.2 * p for p in PARENT], "within_bound"),  # 0.209 worse, bound 0.261
         ([1.3 * p for p in PARENT], "worse"),  # 0.314 worse
+        (Wide([p - 0.05 for p in PARENT_WIDE[:9]] + [2.0]), "unresolved"),  # 9/10 wins, gap 0.05
+        (Wide([p - 0.05 for p in PARENT_WIDE]), "within_bound"),  # 10/10 wins, gap 0.05
+        (Wide([p + 0.3 for p in PARENT_WIDE]), "unresolved"),  # 0.3 worse, inside the bound
+        (Wide([p + 0.4 for p in PARENT_WIDE]), "worse"),  # 0.4 worse
     ],
 )
 def test_verdict_of_an_end_to_end_metric(change, expect):
-    out = bench.summarize(_records(list(zip(PARENT, change))), SPEC)["w"]["wall_s"]
+    parent = PARENT_WIDE if isinstance(change, Wide) else PARENT
+    out = bench.summarize(_records(list(zip(parent, change))), SPEC)["w"]["wall_s"]
     assert out["verdict"] == expect
 
 

@@ -105,8 +105,14 @@ def test_hermitian_detection(f):
 
 def test_hermitian_missing_partner_counts_as_zero():
     # an unpaired coefficient below rtol times the largest is roundoff
+    # and passes; the lower half is then rebuilt from the upper half, so an
+    # unpaired upper coefficient gains its mirror and an unpaired lower one
+    # is dropped
     tiny = SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (2, 0): 1e-14})
-    assert len(tiny) == 3 and tiny.is_hermitian()
+    assert tiny.coeffs == {(-2, 0): 1e-14, (-1, 0): 1, (1, 0): 1, (2, 0): 1e-14}
+    assert tiny.is_exactly_hermitian()
+    low = SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (-2, 0): 1e-14})
+    assert low.coeffs == {(-1, 0): 1, (1, 0): 1}
     # the raw constructor trusts its caller, so it can hold what is not real
     big = SpectralField(2, 0, [[-1, 0], [1, 0], [2, 0]], [1, 1, 1e-12])
     assert not big.is_hermitian()
@@ -294,10 +300,104 @@ def test_multiply_box_path_matches_pair_path(monkeypatch):
         assert diff.is_zero() or diff.max_amp() < 1e-13 * fg.max_amp()
 
 
+# -- the exact Hermitian invariant -------------------------------------------
+
+
+def assert_exactly_hermitian(f):
+    """f(-xi) == conj f(xi) by value at every stored xi, and a real origin."""
+    coeffs = f.coeffs
+    for xi, a in coeffs.items():
+        mirror = coeffs.get(tuple(-c for c in xi))
+        assert mirror is not None, xi
+        assert np.array_equal(mirror, np.conj(a)), xi
+    assert np.all(np.imag(coeffs.get((0,) * f.dim, 0.0)) == 0)
+    assert f.is_exactly_hermitian()
+
+
+def roundoff_hermitian(rng, dim, n, radius, rank=0):
+    """Entries of a real field whose lower half is the conjugate of the
+    upper half times (1 + 1e-16 noise): Hermitian to roundoff, not exactly."""
+    up = rng.integers(-radius, radius + 1, size=(n, dim))
+    up = up[fields._upper(up)]
+    shape = (len(up),) + (dim,) * rank
+    a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    noise = 1 + 1e-16 * rng.normal(size=shape)
+    origin = np.zeros((1, dim), dtype=np.int64)
+    amps = np.concatenate((a, (a * noise).conj(), np.full((1,) + shape[1:], 0.3 + 1e-17j)))
+    return np.concatenate((up, -up, origin)), amps
+
+
+@pytest.mark.parametrize("dim,N", [(1, 16), (1, 15), (2, 16), (2, 9), (3, 16), (3, 15)])
+def test_analyze_is_exactly_hermitian(dim, N):
+    values = np.random.default_rng(dim + N).normal(size=(N,) * dim)
+    assert_exactly_hermitian(analyze(values))
+
+
+@pytest.mark.parametrize("box", [False, True], ids=["pair", "box"])
+def test_multiply_is_exactly_hermitian(monkeypatch, box):
+    if box:
+        monkeypatch.setattr(fields, "_DIRECT_PAIR_CAP", 0)
+    for f, g in product_cases(np.random.default_rng(5)):
+        assert_exactly_hermitian(f)
+        assert_exactly_hermitian(g)
+        assert_exactly_hermitian(multiply(f, g))
+
+
+def test_builders_and_operations_are_exactly_hermitian():
+    from activeci.multipliers import apply_T, ipm2d, ipm3d, sqg
+
+    rng = np.random.default_rng(9)
+    f = SpectralField.from_entries(2, 0, *roundoff_hermitian(rng, 2, 40, 6))
+    v = SpectralField.from_entries(3, 1, *roundoff_hermitian(rng, 3, 30, 3, rank=1))
+    g = SpectralField.from_entries(2, 0, *roundoff_hermitian(rng, 2, 40, 8))
+    f3 = SpectralField.from_entries(3, 0, *roundoff_hermitian(rng, 3, 30, 3))
+    for h in (f, v, g, f3):
+        assert_exactly_hermitian(h)
+    assert_exactly_hermitian(f.modulated((5, -2)))
+    assert_exactly_hermitian(low_pass(g, 64.0, ShellKernel()))
+    assert_exactly_hermitian(f + g)
+    assert_exactly_hermitian(v - v.scaled(0.5))
+    for m, h in ((ipm2d(), f), (sqg(), f), (ipm3d(), f3)):
+        assert_exactly_hermitian(apply_T(m, h))
+
+
+def test_multiply_computes_one_cluster_pair_per_mirror_orbit(monkeypatch):
+    calls = Counter()
+    for name in ("_pair_convolve", "_box_convolve"):
+        routine = getattr(fields, name)
+
+        def counted(*args, name=name, routine=routine):
+            calls[name] += 1
+            return routine(*args)
+
+        monkeypatch.setattr(fields, name, counted)
+
+    def clusters(field):
+        """(clusters, how many are their own mirror) of the field's support."""
+        sets = [{tuple(x) for x in field.freqs[c]} for c in fields._clusters(field.freqs)]
+        return len(sets), sum(s == {tuple(-c for c in x) for x in s} for s in sets)
+
+    seen = set()
+    for cap, path in ((fields._DIRECT_PAIR_CAP, "_pair_convolve"), (0, "_box_convolve")):
+        monkeypatch.setattr(fields, "_DIRECT_PAIR_CAP", cap)
+        for f, g in product_cases(np.random.default_rng(3)):
+            calls.clear()
+            multiply(f, g)
+            (n_f, own_f), (n_g, own_g) = clusters(f), clusters(g)
+            # (A, B) is its own mirror when A and B are; the rest pair off
+            orbits = (n_f * n_g + own_f * own_g) // 2
+            assert calls == {path: orbits}
+            seen.add(orbits < n_f * n_g)
+    assert True in seen  # mirror pairs were skipped
+
+
 def bfs_clusters(freqs, cell):
     """Reference: breadth-first search over the occupied cells in sorted
     order, neighbours at Chebyshev distance 1, one index list per cluster."""
-    cells = [tuple(c) for c in (freqs // cell).tolist()]
+    # nearest multiple of cell, halves away from 0: the cell of -xi is minus
+    # the cell of xi
+    cells = np.sign(freqs) * np.floor(np.abs(freqs) / cell + 0.5).astype(int)
+    cells = [tuple(c) for c in cells.tolist()]
     occupied = set(cells)
     offsets = list(np.ndindex(*(3,) * freqs.shape[1]))
     label = {}
@@ -412,9 +512,11 @@ def test_analyze_nyquist_line_samples_on_a_finer_grid(transpose):
 
 @pytest.mark.parametrize("dim,N", [(1, 16), (2, 8), (2, 32), (3, 8), (3, 16), (2, 9)])
 def test_analyze_is_bitwise_rfftn(dim, N):
-    # the computed half (last index 0..N/2 mod N) is numpy's rfftn bit for
-    # bit, the other half its exact conjugate; a coefficient with
-    # |xi_i| = N/2 on m axes is that value over 2^m
+    # on the origin and the upper half, a coefficient in the computed half
+    # (last index 0..N/2 mod N) is numpy's rfftn bit for bit, one outside it
+    # the exact conjugate of its mirror's; a coefficient with |xi_i| = N/2 on
+    # m axes is that value over 2^m.  The lower half, the self-conjugate
+    # planes' too, is the exact conjugate mirror of the upper half.
     values = np.random.default_rng(dim * N).normal(size=(N,) * dim)
     ref = np.fft.rfftn(values) / N**dim
     g = analyze(values, rel=0.0)
@@ -425,8 +527,14 @@ def test_analyze_is_bitwise_rfftn(dim, N):
     at = np.where(computed[:, None], g.freqs, -g.freqs) % N
     expect = ref[tuple(at.T)]
     expect = np.where(computed, expect, expect.conj()) / 2.0**halvings
-    assert not computed.all()  # the mirrored half is checked too
-    assert g.amps.tobytes() == expect.tobytes()
+    half = len(g) // 2
+    assert dim == 1 or not computed[half:].all()  # the mirrored entries are checked too
+    assert g.amps[half:].tobytes() == expect[half:].tobytes()
+    assert g.amps[:half].tobytes() == g.amps[half + len(g) % 2 :][::-1].conj().tobytes()
+    assert (g.freqs[::-1] == -g.freqs).all()
+    # the parent's plane entries came from both halves, so the lower ones
+    # differed from the conjugates at roundoff
+    assert expect[:half].tobytes() != g.amps[:half].tobytes()
 
 
 def test_analyze_holds_one_complex_grid():
@@ -775,10 +883,13 @@ def test_besov_norm_single_shell():
 
 
 def test_snapshot_roundtrip(tmp_path):
-    f = cos_field((3, 2), amp=1.25) + cos_field((1, 1), amp=-0.5)
+    f = cos_field((3, 2), amp=1.25) + cos_field((1, 1), amp=-0.5) + SpectralField.scalar(2, {(0, 0): 0.75})
     path = tmp_path / "f"
     save_snapshot(f, path)
     assert [p.name for p in tmp_path.iterdir()] == ["f"]  # at the exact path: no .npz added
+    with np.load(path, allow_pickle=False) as data:
+        assert data["version"] == 3
+        assert data["freqs"].tolist() == [[0, 0], [1, 1], [3, 2]]  # the origin and the upper half
     g = load_snapshot(path)
     assert g.dim == f.dim and g.rank == f.rank
     assert g.freqs.tobytes() == f.freqs.tobytes() and g.amps.tobytes() == f.amps.tobytes()
@@ -797,22 +908,26 @@ def test_snapshot_roundtrip(tmp_path):
                 (-1, 2, -3): [1 - 2j, complex(-0.0, 0.5), 3.0],
                 (0, 0, 1): [0, 1j, -1],
                 (0, 0, -1): [0, -1j, -1],
+                (0, 0, 0): [complex(2.0, -0.0), 0, -1],
             },
         ),
         SpectralField.zero(2, 1),
     ],
 )
 def test_snapshot_bytes_per_entry_rows(tmp_path, f):
-    # the archive holds one frequency row and one amplitude row per entry,
-    # bit for bit (-0.0 kept), and loads back bitwise
+    # the archive holds one frequency row and one amplitude row per entry of
+    # the origin and the upper half, bit for bit (-0.0 kept), and loads back
+    # bitwise, the lower half rebuilt by conjugation
     save_snapshot(f, tmp_path / "f.npz")
+    rows = len(f) - len(f) // 2
     with np.load(tmp_path / "f.npz", allow_pickle=False) as data:
         assert sorted(data.files) == ["amps", "freqs", "version"]
-        assert data["version"] == 2 and data["freqs"].dtype == np.int64
-        assert data["freqs"].shape == (len(f), f.dim)
-        assert data["amps"].shape == (len(f),) + (f.dim,) * f.rank
-        assert data["freqs"].tobytes() == f.freqs.tobytes()
-        assert data["amps"].tobytes() == f.amps.tobytes()
+        assert data["version"] == 3 and data["freqs"].dtype == np.int64
+        assert data["freqs"].shape == (rows, f.dim)
+        assert data["amps"].shape == (rows,) + (f.dim,) * f.rank
+        assert data["freqs"].tobytes() == f.freqs[len(f) // 2 :].tobytes()
+        assert data["amps"].tobytes() == f.amps[len(f) // 2 :].tobytes()
+        assert fields._upper(data["freqs"], origin=True).all()
     parts = f.amps.view(np.float64)
     assert (np.signbit(parts) & (parts == 0)).any() or f.is_zero()
     g = load_snapshot(tmp_path / "f.npz")
@@ -822,10 +937,23 @@ def test_snapshot_bytes_per_entry_rows(tmp_path, f):
 
 def test_snapshot_dict_stable(tmp_path):
     # a loaded snapshot saves back to the same bytes
-    f = cos_field((1, 0))
+    f = cos_field((1, 0)) + SpectralField.scalar(2, {(2, -1): 0.5j, (-2, 1): -0.5j})
     save_snapshot(f, tmp_path / "a.npz")
     save_snapshot(load_snapshot(tmp_path / "a.npz"), tmp_path / "b.npz")
     assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+
+
+def test_save_snapshot_refuses_an_inexact_field(tmp_path):
+    # the raw constructor trusts its caller; a field Hermitian only to
+    # roundoff would not load back, so it is not saved
+    near = SpectralField(2, 0, [[-1, 0], [1, 0]], [0.5, 0.5 + 1e-17j])
+    assert near.is_hermitian() and not near.is_exactly_hermitian()
+    unpaired = SpectralField(2, 0, [[-1, 0], [1, 0], [2, 0]], [0.5, 0.5, 1e-20])
+    origin = SpectralField(1, 0, [[0]], [1 + 1e-20j])
+    for f in (near, unpaired, origin):
+        with pytest.raises(ValueError, match="exactly Hermitian"):
+            save_snapshot(f, tmp_path / "f.npz")
+    assert not (tmp_path / "f.npz").exists()
 
 
 def _archive(path, **members):
@@ -835,24 +963,28 @@ def _archive(path, **members):
 
 
 def test_load_snapshot_rejects_bad_archives(tmp_path):
-    freqs = np.array([[-1, 0], [1, 0]])
-    amps = np.array([0.5, 0.5], dtype=complex)
+    freqs = np.array([[0, 0], [1, 0]])
+    amps = np.array([2.0, 0.5], dtype=complex)
     v1 = tmp_path / "v1.json"  # the JSON rows of format version 1
     v1.write_text(json.dumps({"version": 1, "d": 2, "rank": 0, "reality": True, "entries": [[1, 0, 1.0, 0.0]]}))
     bad = [
         v1,
-        _archive(tmp_path / "v3.npz", version=3, freqs=freqs, amps=amps),
-        _archive(tmp_path / "object.npz", version=2, freqs=freqs, amps=amps.astype(object)),
-        _archive(tmp_path / "float.npz", version=2, freqs=freqs * 1.0, amps=amps),
-        _archive(tmp_path / "short.npz", version=2, freqs=freqs, amps=amps[:1]),
-        _archive(tmp_path / "missing.npz", version=2, freqs=freqs),
-        _archive(tmp_path / "skew.npz", version=2, freqs=freqs, amps=amps * [1, 1j]),
+        # format version 2: both halves, with the lower one
+        _archive(tmp_path / "v2.npz", version=2, freqs=np.array([[-1, 0], [1, 0]]), amps=amps[[1, 1]]),
+        _archive(tmp_path / "v4.npz", version=4, freqs=freqs, amps=amps),
+        _archive(tmp_path / "object.npz", version=3, freqs=freqs, amps=amps.astype(object)),
+        _archive(tmp_path / "float.npz", version=3, freqs=freqs * 1.0, amps=amps),
+        _archive(tmp_path / "short.npz", version=3, freqs=freqs, amps=amps[:1]),
+        _archive(tmp_path / "missing.npz", version=3, freqs=freqs),
+        _archive(tmp_path / "below.npz", version=3, freqs=np.array([[0, 0], [0, -1]]), amps=amps),
+        _archive(tmp_path / "repeated.npz", version=3, freqs=np.array([[1, 0], [1, 0]]), amps=amps),
+        _archive(tmp_path / "complex_origin.npz", version=3, freqs=freqs, amps=amps * [1 + 1e-20j, 1]),
     ]
     for path in bad:
         with pytest.raises(ValueError):
             load_snapshot(path)
-    good = _archive(tmp_path / "good.npz", version=2, freqs=freqs, amps=amps)
-    assert load_snapshot(good).coeffs == {(-1, 0): 0.5, (1, 0): 0.5}
+    good = _archive(tmp_path / "good.npz", version=3, freqs=freqs[::-1], amps=amps[::-1])
+    assert load_snapshot(good).coeffs == {(-1, 0): 0.5, (0, 0): 2.0, (1, 0): 0.5}
 
 
 def test_dim_mismatch_raises():

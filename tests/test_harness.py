@@ -303,6 +303,33 @@ def test_report_snapshot_roundtrip(fast_run, tmp_path):
         assert (tmp_path / "again.npz").read_bytes() == path.read_bytes(), path
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        dict(lambda1=256, qmax=1, grid_budget=256),
+        dict(multiplier="ipm3d", d=3, supplied_basis=[[2, 2, 1], [2, 1, 2], [1, 2, 2]], qmax=1, lambda1=128, grid_budget=128),
+    ],
+    ids=["ipm2d", "ipm3d"],
+)
+def test_snapshots_load_to_the_saved_fields(tmp_path, monkeypatch, config):
+    # every theta, u, R and w a run saves is exactly Hermitian, and its
+    # half-spectrum snapshot loads back to the in-memory field bit for bit
+    saved = {}
+
+    def record(f, path):
+        saved[os.path.relpath(path, tmp_path)] = f
+        fields.save_snapshot(f, path)
+
+    monkeypatch.setattr(harness, "save_snapshot", record)
+    assert run(RunConfig(out=str(tmp_path), **config)) == 0
+    assert len(saved) == 7 and set(saved) == {p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("stage-*/*.npz")}
+    for name, f in saved.items():
+        assert f.is_exactly_hermitian(), name
+        g = fields.load_snapshot(tmp_path / name)
+        assert (g.dim, g.rank) == (f.dim, f.rank), name
+        assert g.freqs.tobytes() == f.freqs.tobytes() and g.amps.tobytes() == f.amps.tobytes(), name
+
+
 def dealias_grid(path, p, budget):
     """``[grid_N, resolved]`` by the dealias rule for |f|^p: the smallest
     power of two >= 2 ceil(p) band + 1, band the largest |xi_i| of the saved

@@ -262,7 +262,7 @@ def test_apply_T_calls_the_symbol_once():
         2, {(0, 0): 1.0, (1, 2): 1.0, (-1, -2): 1.0, (3, 0): 0.5, (-3, 0): 0.5}
     )
     u = apply_T(Multiplier(2, sym, "counted"), theta)
-    assert calls == [(4, 2)]
+    assert calls == [(2, 2)]  # once, on the upper half
     assert np.array_equal(u.amps, apply_T(ipm2d(), theta).amps)
 
 
