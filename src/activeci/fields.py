@@ -2,7 +2,12 @@
 bookkeeping.
 
 A field is a real function: a finite map from integer lattice frequencies to
-complex amplitudes with a Hermitian spectrum.  All construction fields (slabs,
+complex amplitudes with an exactly Hermitian spectrum, f(-xi) == conj f(xi)
+by value with a real origin, so storage index i mirrors index K-1-i.  The
+builders, ``analyze``, products, sums, modulation and the drift operator
+compute the origin and the upper half (the frequencies lexicographically
+above 0) and write the lower half as its conjugate mirror; the other
+operations keep the invariant as they are.  All construction fields (slabs,
 increments, products of few modes) are supported on a handful of balls or
 lines in frequency space, so a field stores only its nonzero coefficients: an
 (K, d) int64 array of frequencies in lexicographic order and the amplitudes in
@@ -24,10 +29,13 @@ round trip.  ``sample`` and ``analyze`` wrap the two for a whole real grid.
 
 Products are exact convolutions of the coefficient arrays.  The engine packs
 frequencies into int64 keys, decomposes each operand's support into
-frequency clusters and, per cluster pair, either enumerates coefficient pairs
+frequency clusters that come in mirror pairs and, for one cluster pair per
+mirror orbit {(A, B), (-A, -B)}, either enumerates coefficient pairs
 directly or runs an FFT convolution on the cluster bounding boxes.  Both
 paths agree to roundoff.  One accumulation per vector component then sums
-the cluster pairs' results in cluster-pair order.
+the pairs' results and their mirrors' at the origin and the upper half of
+the keys, in cluster-pair order; the lower half is their conjugate mirror.
+Snapshots store the origin and the upper half only.
 """
 
 from __future__ import annotations
@@ -981,6 +989,4 @@ def load_snapshot(path) -> SpectralField:
         raise ValueError("snapshot rows repeat a frequency")
     if np.any(amps[~freqs.any(axis=1)].imag != 0):
         raise ValueError("snapshot origin is not real")
-    order = np.empty(len(inv), dtype=np.intp)
-    order[inv] = np.arange(len(inv))
-    return SpectralField(freqs.shape[1], amps.ndim - 1, uniq, amps[order])._mirrored()
+    return SpectralField(freqs.shape[1], amps.ndim - 1, uniq, amps[np.argsort(inv)])._mirrored()
