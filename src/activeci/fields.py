@@ -846,9 +846,9 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
     power = None
     for _, block in _sample_rows(f, N):
         vals = np.abs(block, out=block)
-        if power is None:
+        if power is None and (logged or 2 in direct):  # p = 1 and inf need no buffer
             power = np.empty_like(vals)
-        pw = power[: len(vals)]
+        pw = None if power is None else power[: len(vals)]
         for p in direct:
             add(p, np.multiply(vals, vals, out=pw) if p == 2 else vals)
         if logged:
