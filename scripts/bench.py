@@ -18,7 +18,7 @@ metric, each side's median, q1 and q3 and the pairs the change won (better
 in the metric's direction of BENCHMARK.json; ties count for neither).  Each
 end-to-end metric also gets a verdict, see ``verdict``.
 Exits 1 if any run failed: a non-zero exit, no result line, or a result
-that is not correct.
+that is not correct; ``runs.failures`` lists each failed run.
 """
 
 from __future__ import annotations
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="JSON summary path")
     args = parser.parse_args(argv)
 
-    records, host, failed = [], None, 0
+    records, failed, host = [], [], None
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         trees = {side: checkout(getattr(args, side), Path(tmp) / side) for side in SIDES}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
@@ -157,15 +157,16 @@ def main(argv=None) -> int:
                     got_host, result = parse_output(proc.stdout)
                     host = host or got_host
                     bad = run_failed(proc.returncode, result)
-                    failed += bad
                     print(f"{workload} pair {pair} {side}: exit {proc.returncode}" + (f", failed\n{proc.stderr}" if bad else ""), file=sys.stderr)
                     records.append({"workload": workload, "pair": pair, "side": side, "result": result})
+                    if bad:
+                        failed.append({"workload": workload, "pair": pair, "side": side, "exit": proc.returncode, "correct": (result or {}).get("correct")})
     summary = {
         "host": host,
         "parent": args.parent,
         "change": args.change,
         "settings": {"seeds": [args.seed, args.seed + args.pairs - 1], "pairs": args.pairs, "seconds": spec["run_seconds"], "trace": args.trace},
-        "runs": {"attempted": len(records), "failed": failed},
+        "runs": {"attempted": len(records), "failed": len(failed), "failures": failed},
         "lines": lines,
         "workloads": summarize(records, spec["per_layer" if args.trace else "end_to_end"]),
     }

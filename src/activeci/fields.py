@@ -1,24 +1,19 @@
 """Sparse spectral fields on the torus T^d = [0,1]^d with exact frequency
 bookkeeping.
 
-A field is a real function: a finite map from integer lattice frequencies to
-complex amplitudes with an exactly Hermitian spectrum, f(-xi) == conj f(xi)
-by value with a real origin, so storage index i mirrors index K-1-i.  The
-builders, ``analyze``, products, sums, modulation and the drift operator
-compute the origin and the upper half (the frequencies lexicographically
-above 0) and write the lower half as its conjugate mirror; the other
-operations keep the invariant as they are.  All construction fields (slabs,
-increments, products of few modes) are supported on a handful of balls or
-lines in frequency space, so a field stores only its nonzero coefficients: an
-(K, d) int64 array of frequencies in lexicographic order and the amplitudes in
-the same order, both read-only.  Every operation works on these arrays and
-returns a new field.  Scalar filters (radius cuts, the low-pass and shell
-profiles, fractional Laplacians, dropping the mean) go through one
-coefficientwise weighting, :meth:`SpectralField.weighted`; maps that change
-the rank (``gradient``, ``divergence``, the drift ``apply_T`` and the
-Gamma-row contraction in ``amplitudes``) form their amplitude arrays
-directly.  Dense arrays appear only in large products (cluster boxes) and in
-``_analyze_rows``' half spectrum.
+A field is a real function, so its spectrum is Hermitian, f(-xi) = conj
+f(xi), and a field stores only its half spectrum: the origin, real, and the
+frequencies lexicographically above 0, as an (K, d) int64 array in
+lexicographic order and the nonzero amplitudes in the same order, both
+read-only.  Every operation works on these arrays and returns a new field;
+sums over the spectrum count each coefficient off the origin twice.  Scalar
+filters (radius cuts, the low-pass and shell profiles, fractional
+Laplacians, dropping the mean) go through one coefficientwise weighting,
+:meth:`SpectralField.weighted`; maps that change the rank (``gradient``,
+``divergence``, the drift ``apply_T`` and the Gamma-row contraction in
+``amplitudes``) form their amplitude arrays directly.  Dense arrays appear
+only in large products (cluster boxes) and in ``_analyze_rows``' half
+spectrum.
 
 Grids are streamed in row blocks instead: ``_sample_rows`` runs the inverse
 DFT along axis 0 only on the lines that hold a coefficient, then finishes a
@@ -26,16 +21,16 @@ few rows at a time, and ``lp_norms`` reduces each row block as it comes.  Its
 adjoint ``_analyze_rows`` takes row blocks of samples through the forward
 DFT into the half spectrum, the one N^d-sized array of the amplitudes' grid
 round trip.  ``sample`` and ``analyze`` wrap the two for a whole real grid.
+Their real-FFT half lies along the last axis, not the lexicographic one.
 
-Products are exact convolutions of the coefficient arrays.  The engine packs
-frequencies into int64 keys, decomposes each operand's support into
-frequency clusters that come in mirror pairs and, for one cluster pair per
-mirror orbit {(A, B), (-A, -B)}, either enumerates coefficient pairs
-directly or runs an FFT convolution on the cluster bounding boxes.  Both
-paths agree to roundoff.  One accumulation per vector component then sums
-the pairs' results and their mirrors' at the origin and the upper half of
-the keys, in cluster-pair order; the lower half is their conjugate mirror.
-Snapshots store the origin and the upper half only.
+Products are exact convolutions.  The engine packs frequencies into int64
+keys, splits the whole spectrum of each operand into frequency clusters that
+come in mirror pairs and, for one cluster pair per mirror orbit {(A, B),
+(-A, -B)}, either enumerates coefficient pairs directly or runs an FFT
+convolution on the cluster bounding boxes; both paths agree to roundoff.
+One accumulation per vector component sums the pairs' results and their
+mirrors' at the origin and the upper half of the keys, in cluster-pair
+order.  A snapshot is the stored arrays.
 """
 
 from __future__ import annotations
@@ -54,6 +49,7 @@ __all__ = [
     "analyze",
     "multiply",
     "divergence_defect",
+    "pairing",
     "Quadrature",
     "lp_norms",
     "lp_norm_detailed",
@@ -127,34 +123,31 @@ def _unique_keys(keys):
     return keys[new], inv
 
 
-def _upper(freqs, origin=False):
-    """Mask of the frequency rows lexicographically above 0, those whose
-    first nonzero entry is positive, and of the origin if ``origin``."""
-    first = freqs[np.arange(len(freqs)), (freqs != 0).argmax(axis=1)]
-    return first >= 0 if origin else first > 0
+def _upper(freqs):
+    """Mask of the rows of a half spectrum: the origin and the frequencies
+    lexicographically above 0, whose first nonzero entry is positive."""
+    return freqs[np.arange(len(freqs)), (freqs != 0).argmax(axis=1)] >= 0
 
 
 class SpectralField:
     """Real field: a finite map from lattice frequencies to complex
     amplitudes with a Hermitian spectrum, f(-xi) = conj f(xi).
 
-    ``freqs`` holds the frequencies, an (K, d) int64 array in lexicographic
-    order without repeats; ``amps`` the amplitudes in the same order, shape
-    (K,) for a scalar field (``rank`` 0) and (K, d) for a vector field
-    (``rank`` 1).  Both are read-only, so a field never changes after
-    construction and every operation returns a new one.  That is what lets
-    ``_norms`` memoize grid quadrature results, keyed by ``(p, N)`` with
-    p = inf for the sup norm.
+    ``freqs`` holds the stored frequencies, the origin first if nonzero and
+    then those lexicographically above 0, an (K, d) int64 array in
+    lexicographic order without repeats; ``amps`` the amplitudes in the same
+    order, shape (K,) for a scalar field (``rank`` 0) and (K, d) for a
+    vector field (``rank`` 1), with a real origin.  The lower half is never
+    stored: :meth:`coefficient` and :attr:`coeffs` read it as the conjugate
+    mirror, and :meth:`_full` builds the whole spectrum.  Both arrays are
+    read-only, so a field never changes after construction and every
+    operation returns a new one.  That is what lets ``_norms`` memoize grid
+    quadrature results, keyed by ``(p, N)`` with p = inf for the sup norm.
 
-    Being real is an invariant, not a flag, and it holds exactly: f(-xi) ==
-    conj f(xi) by value at every stored xi, with a real origin, so storage
-    index i mirrors index K-1-i (:meth:`is_exactly_hermitian`).
-    :meth:`from_entries`, the builders over it and :func:`load_snapshot`
-    check entries from outside (ValueError) and then build the lower half as
-    the conjugate of the upper half (:meth:`_mirrored`), as ``multiply`` and
-    ``analyze`` do.  Every other operation keeps the invariant exactly, as
-    sums, real symmetric weights and scalings, 2 pi i xi derivatives and
-    real symbols do.  The raw constructor trusts its caller.
+    :meth:`from_entries`, the builders over it, ``multiply`` and ``analyze``
+    keep the origin and upper half of the entries they take or compute
+    (:meth:`_half`); every other operation maps the half to the half.  The
+    raw constructor trusts its caller.
     """
 
     __slots__ = ("dim", "rank", "freqs", "amps", "_max_freq", "_norms")
@@ -188,27 +181,27 @@ class SpectralField:
     @classmethod
     def from_entries(cls, dim, rank, freqs, amps):
         """Field of raw entries as in :meth:`_summed`; ValueError unless they
-        form a Hermitian spectrum (:meth:`is_hermitian`).  The lower half is
-        then rebuilt from the upper half, so the field is exactly Hermitian."""
+        form a Hermitian spectrum (:meth:`is_hermitian`).  Their origin and
+        upper half are then kept (:meth:`_half`)."""
         f = cls._summed(dim, rank, freqs, amps)
         if not f.is_hermitian():
             raise ValueError("entries do not form a Hermitian spectrum")
-        return f._mirrored()
+        return f._half()
 
-    def _mirrored(self):
-        """The field with this field's upper half (:func:`_upper`), its
-        origin made real, and as lower half the conjugate mirror of the upper
-        half: exactly Hermitian, whatever the stored lower half was."""
-        up, at0 = _upper(self.freqs), ~self.freqs.any(axis=1)
-        freqs, amps = self.freqs[up], self.amps[up]
-        origin = self.amps[at0]
-        origin = np.where(origin.imag == 0, origin, origin.real)
-        return SpectralField(
-            self.dim,
-            self.rank,
-            np.concatenate((-freqs[::-1], self.freqs[at0], freqs)),
-            np.concatenate((amps[::-1].conj(), origin, amps)),
-        )
+    def _half(self):
+        """The field of the arrays' origin, made real, and upper half."""
+        keep = _upper(self.freqs)
+        freqs, amps = self.freqs[keep], self.amps[keep]
+        at0 = ~freqs.any(axis=1)
+        amps[at0] = np.where(amps[at0].imag == 0, amps[at0], amps[at0].real)
+        return SpectralField(self.dim, self.rank, freqs, amps)
+
+    def _full(self):
+        """``(freqs, amps)`` of the whole spectrum in lexicographic order: the
+        upper half's conjugate mirror, then the stored rows."""
+        start = int(len(self) > 0 and not self.freqs[0].any())  # past the origin
+        up_f, up_a = self.freqs[start:], self.amps[start:]
+        return np.concatenate((-up_f[::-1], self.freqs)), np.concatenate((up_a[::-1].conj(), self.amps))
 
     @classmethod
     def scalar(cls, dim, entries):
@@ -225,6 +218,7 @@ class SpectralField:
     # -- basic queries ----------------------------------------------------
 
     def __len__(self):
+        """The number of stored coefficients."""
         return len(self.freqs)
 
     def is_zero(self):
@@ -232,9 +226,10 @@ class SpectralField:
 
     @property
     def coeffs(self):
-        """Read-only ``{frequency tuple: amplitude}`` view of the arrays,
-        built on each access."""
-        return MappingProxyType(dict(zip(map(tuple, self.freqs.tolist()), self.amps)))
+        """Read-only ``{frequency tuple: amplitude}`` view of the whole
+        spectrum, built on each access."""
+        freqs, amps = self._full()
+        return MappingProxyType(dict(zip(map(tuple, freqs.tolist()), amps)))
 
     def component(self, i):
         return SpectralField(self.dim, 0, self.freqs, self.amps[:, i]).pruned()
@@ -267,16 +262,22 @@ class SpectralField:
     def max_amp(self):
         return float(self._magnitudes().max(initial=0.0))
 
-    def is_exactly_hermitian(self):
-        """f(-xi) == conj f(xi) by value at every stored xi and a real
-        origin: the storage reversed is the storage mirrored."""
-        return np.array_equal(self.freqs[::-1], -self.freqs) and np.array_equal(
-            self.amps[::-1], self.amps.conj()
-        )
+    def masses(self):
+        """|f(xi)|^2 (summed over components) per stored coefficient, twice
+        off the origin for its mirror: they sum to the squared L^2 norm."""
+        amp2 = np.abs(self.amps) ** 2
+        if self.rank:
+            amp2 = amp2.sum(axis=1)
+        return np.where(self.freqs.any(axis=1), 2.0, 1.0) * amp2
+
+    def is_half(self):
+        """Whether the arrays hold only a real origin and upper-half rows."""
+        at0 = ~self.freqs.any(axis=1)
+        return bool(_upper(self.freqs).all() and np.all(self.amps[at0].imag == 0))
 
     def is_hermitian(self, rtol=1e-13):
-        """Check f(-xi) == conj(f(xi)) to ``rtol`` times the largest
-        amplitude; an absent partner counts as amplitude 0."""
+        """Check raw entries: f(-xi) == conj(f(xi)) to ``rtol`` times the
+        largest amplitude; an absent partner counts as amplitude 0."""
         partner = np.zeros_like(self.amps)
         at = self.find(-self.freqs)
         partner[at >= 0] = self.amps[at[at >= 0]]
@@ -313,26 +314,19 @@ class SpectralField:
             return NotImplemented
         if other.dim != self.dim or other.rank != self.rank:
             raise ValueError("incompatible fields")
-        # the sum of the origins and upper halves; its mirror is the lower half
-        a, b = (_upper(f.freqs, origin=True) for f in (self, other))
-        return SpectralField._summed(
-            self.dim,
-            self.rank,
-            np.concatenate((self.freqs[a], other.freqs[b])),
-            np.concatenate((self.amps[a], other.amps[b])),
-        )._mirrored()
+        freqs, amps = np.concatenate((self.freqs, other.freqs)), np.concatenate((self.amps, other.amps))
+        return SpectralField._summed(self.dim, self.rank, freqs, amps)
 
     def __sub__(self, other):
         return self + other.scaled(-1.0)
 
     def modulated(self, shift):
-        """Product with 2 cos(2 pi shift . x): the spectrum translated by
-        +shift plus by -shift, summed in that order at the origin and the
-        upper half; the lower half is their conjugate mirror."""
-        freqs = np.concatenate((self.freqs + shift, self.freqs - shift))
-        half = _upper(freqs, origin=True)
-        amps = np.concatenate((self.amps, self.amps))
-        return SpectralField._summed(self.dim, self.rank, freqs[half], amps[half])._mirrored()
+        """Product with 2 cos(2 pi shift . x): the whole spectrum translated
+        by +shift plus by -shift, summed in that order.  The sums at xi and
+        -xi are conjugates of equal size, so the prune keeps mirror pairs."""
+        freqs, amps = self._full()
+        freqs, amps = np.concatenate((freqs + shift, freqs - shift)), np.concatenate((amps, amps))
+        return SpectralField._summed(self.dim, self.rank, freqs, amps)._half()
 
     def find(self, queries):
         """Index of each frequency row of ``queries`` in the storage, -1
@@ -348,10 +342,13 @@ class SpectralField:
         return np.where(keys[at] == want, at, -1)
 
     def coefficient(self, xi):
-        at = self.find(xi)[0]
-        if at >= 0:
-            return self.amps[at]
-        return 0.0 + 0.0j if self.rank == 0 else np.zeros(self.dim, dtype=complex)
+        """f(xi) at any frequency: the conjugate of the stored f(-xi) below 0."""
+        xi = np.asarray(xi, dtype=np.int64).reshape(1, self.dim)
+        below = not _upper(xi)[0]
+        at = self.find(-xi if below else xi)[0]
+        if at < 0:
+            return 0.0 + 0.0j if self.rank == 0 else np.zeros(self.dim, dtype=complex)
+        return self.amps[at].conj() if below else self.amps[at]
 
 
 # -- sampling and analysis ------------------------------------------------
@@ -371,15 +368,17 @@ def _sample_rows(field: SpectralField, N: int):
     ``irfftn``, so the samples are bitwise ``irfftn(half) * N^d`` for
     power-of-two N.  Every block is a view of one buffer, overwritten by the
     next block.  A 1-D field has no later axes: one ``irfft`` along axis 0
-    gives its one block, the whole grid.
+    gives its one block, the whole grid.  The half spectrum is cut from
+    :meth:`SpectralField._full`, since the self-conjugate planes take both.
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
     d = field.dim
     last = N // 2 + 1
-    freqs = field.freqs % N
+    freqs, amps = field._full()
+    freqs = freqs % N
     keep = freqs[:, -1] < last  # the dropped half holds the conjugates of the kept one
-    freqs, amps = freqs[keep], field.amps[keep]
+    freqs, amps = freqs[keep], amps[keep]
     if d == 1:  # axis 0 is the last axis: one transform, one block
         spec = np.zeros(last, dtype=complex)
         np.add.at(spec, freqs[:, 0], amps)
@@ -439,10 +438,9 @@ def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
     its exact conjugate.  The spectrum is Hermitian once each coefficient on
     a Nyquist line (-N/2 on some axis, even N) is split evenly over -N/2 and
     +N/2 on that axis; the N-grid samples stay the same.  The self-conjugate
-    planes (last index 0 and N/2) hold both halves only up to roundoff, so
-    only the upper half of the result and the origin are kept, and the lower
-    half is rebuilt as their conjugate mirror: the field is exactly
-    Hermitian.
+    planes (last index 0 and N/2) hold both halves only up to roundoff, and
+    the origin and the upper half of the result are kept
+    (:meth:`SpectralField._half`).
     """
     half = np.empty((N,) * (dim - 1) + (N // 2 + 1,), dtype=complex)
     if dim == 1:
@@ -482,8 +480,8 @@ def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
             mirror = centered[on]
             mirror[:, ax] = N // 2
             centered = np.concatenate((centered, mirror))
-    half = _upper(centered, origin=True)
-    return SpectralField._summed(dim, 0, centered[half], amps[half])._mirrored()
+    half = _upper(centered)
+    return SpectralField._summed(dim, 0, centered[half], amps[half])._half()
 
 
 def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
@@ -667,14 +665,13 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     vector product is then pruned as a whole.
 
     Frequencies are packed into int64 keys over the product's bounding box.
-    The operands are exactly Hermitian (ValueError otherwise), so the box is
-    symmetric about 0 and the clusters (see :func:`_clusters`, taken on the
-    whole support of each operand) come in mirror pairs.  Cluster pair
-    (-A, -B) gives the conjugates of pair (A, B) at the negated keys, so one
-    pair per mirror orbit is computed, and its ``(keys, amps)`` arrays and
-    its mirror's at the origin and the upper half of the keys are summed, in
-    cluster-pair order, by one accumulation per component.  The lower half
-    is their conjugate mirror.
+    The operands' whole spectra (:meth:`SpectralField._full`) are symmetric
+    about 0, so the box is too, and their clusters (see :func:`_clusters`)
+    come in mirror pairs.  Cluster pair (-A, -B) gives the conjugates of pair
+    (A, B) at the negated keys, so one pair per mirror orbit is computed,
+    and its ``(keys, amps)`` arrays and its mirror's at the origin and the
+    upper half of the keys are summed, in cluster-pair order, by one
+    accumulation per component: the stored half of the product.
     """
     if f.dim != g.dim:
         raise ValueError("dimension mismatch")
@@ -682,12 +679,10 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
         f, g = g, f
     if f.rank != 0:
         raise ValueError("vector x vector products are not defined here")
-    if not (f.is_exactly_hermitian() and g.is_exactly_hermitian()):
-        raise ValueError("products take exactly Hermitian operands")
     if f.is_zero() or g.is_zero():
         return SpectralField.zero(f.dim, g.rank)
-    ff, af = f.freqs, f.amps
-    fg, ag = g.freqs, g.amps.reshape(len(g), -1)  # one amplitude column per component
+    (ff, af), (fg, ag) = f._full(), g._full()
+    ag = ag.reshape(len(fg), -1)  # one amplitude column per component
     if g.rank == 0:
         keep = np.ones(ag.shape, dtype=bool)
     else:
@@ -728,7 +723,7 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
         mask = _above(np.abs(amps).max(axis=1))
         keys, amps = keys[mask], amps[mask]
     freqs = lo + (keys[:, None] // strides) % span
-    return SpectralField(f.dim, g.rank, freqs, amps)._mirrored()
+    return SpectralField(f.dim, g.rank, freqs, amps)._half()
 
 
 # -- calculus -------------------------------------------------------------
@@ -826,12 +821,13 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
     """``{p: (fine, coarse)}``: sum |f|^p (max |f| for p = inf) over the N^d
     grid and over its even subgrid, streamed through :func:`_sample_rows`.
 
-    Each block is made |f| in place, which p = 1 and inf reduce as it is
-    and p = 2 as |f| |f| in one reused buffer.  The block is then made
-    log |f| in place, and every other p is formed as exp(p log |f|) in that
-    buffer.  Blocks start at even rows, so a block's even rows are even rows
-    of the grid.  The block sums are combined by ``math.fsum``, which does
-    not depend on their order.
+    Each block is made |f| in place (a vector field's components' blocks
+    side by side, squared and added in component order, then the root),
+    which p = 1 and inf reduce as it is and p = 2 as |f| |f| in one reused
+    buffer.  The block is then made log |f| in place, and every other p is
+    formed as exp(p log |f|) in that buffer.  Blocks start at even rows, so
+    a block's even rows are even rows of the grid.  The block sums are
+    combined by ``math.fsum``, which does not depend on their order.
     """
     even = (slice(None, None, 2),) * f.dim
     parts = {p: ([], []) for p in ps}
@@ -844,8 +840,16 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
         parts[p][1].append(reduce(values[even]))
 
     power = None
-    for _, block in _sample_rows(f, N):
-        vals = np.abs(block, out=block)
+    comps = [f] if f.rank == 0 else [f.component(c) for c in range(f.dim)]
+    for blocks in zip(*(_sample_rows(c, N) for c in comps)):
+        vals = blocks[0][1]
+        if f.rank == 0:
+            np.abs(vals, out=vals)
+        else:
+            np.square(vals, out=vals)
+            for _, block in blocks[1:]:
+                vals += np.square(block, out=block)
+            np.sqrt(vals, out=vals)
         if power is None and (logged or 2 in direct):  # p = 1 and inf need no buffer
             power = np.empty_like(vals)
         pw = None if power is None else power[: len(vals)]
@@ -911,12 +915,27 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     freqs = f.freqs.astype(float)
     mag2 = np.sum(freqs * freqs, axis=1)
     keep = mag2 > 0
+    return math.sqrt(float(np.sum(mag2[keep] ** s * f.masses()[keep])))
+
+
+def pairing(f: SpectralField, g: SpectralField) -> tuple:
+    """``(signed, gross)``: the exact integral of f.g over the torus,
+    sum_xi fhat(xi) ghat(-xi) contracted over components for vector fields,
+    and sum_xi |fhat(xi)| |ghat(-xi)|, the magnitude scale of the pairing
+    (the roundoff noise floor when the signed sum cancels).  The terms at
+    +-xi are conjugates: a stored xi != 0 counts twice, its real part."""
+    if f.dim != g.dim or f.rank != g.rank:
+        raise ValueError("pairing needs fields of equal dimension and rank")
+    at = g.find(f.freqs)
+    hit = at >= 0
+    a, b = f.amps[hit], g.amps[at[hit]].conj()
+    twice = np.where(f.freqs[hit].any(axis=1), 2.0, 1.0)
     if f.rank == 0:
-        amp2 = np.abs(f.amps) ** 2
+        terms, gross = (a * b).real, np.abs(a) * np.abs(b)
     else:
-        amp2 = np.sum(np.abs(f.amps) ** 2, axis=1)
-    total = float(np.sum(mag2[keep] ** s * amp2[keep]))
-    return math.sqrt(total)
+        terms = (a * b).real.sum(axis=1)
+        gross = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+    return float(np.sum(twice * terms)), float(np.sum(twice * gross))
 
 
 def besov_norm(
@@ -952,22 +971,19 @@ SNAPSHOT_VERSION = 3
 
 def save_snapshot(f: SpectralField, path) -> None:
     """Write ``f`` as an uncompressed ``.npz`` archive at exactly ``path``:
-    ``version``, and the rows of the origin and of the frequencies
-    lexicographically above 0, the half that determines a real field: the
-    (K, d) int64 ``freqs`` and the complex ``amps``, (K,) for a scalar and
-    (K, d) for a vector field.  ValueError unless ``f`` is exactly
-    Hermitian, since its lower half would not load back."""
-    if not f.is_exactly_hermitian():
-        raise ValueError("only an exactly Hermitian field is saved as its half spectrum")
-    half = len(f) // 2  # the stored lower half: the rows before the origin or upper half
+    ``version`` and the stored arrays, the (K, d) int64 ``freqs`` and the
+    complex ``amps``, (K,) for a scalar and (K, d) for a vector field.
+    ValueError for a raw field that fails :meth:`SpectralField.is_half`."""
+    if not f.is_half():
+        raise ValueError("only a half spectrum is saved: origin and upper rows, a real origin")
     with open(path, "wb") as fh:  # a file object: numpy appends no suffix
-        np.savez(fh, version=np.int64(SNAPSHOT_VERSION), freqs=f.freqs[half:], amps=f.amps[half:])
+        np.savez(fh, version=np.int64(SNAPSHOT_VERSION), freqs=f.freqs, amps=f.amps)
 
 
 def load_snapshot(path) -> SpectralField:
-    """The field :func:`save_snapshot` wrote, bit for bit: its lower half is
-    the conjugate mirror of the stored rows.  ValueError for another format
-    or version, and for rows below 0, repeated rows or a non-real origin."""
+    """The field :func:`save_snapshot` wrote, bit for bit.  ValueError for
+    another format or version, and for rows below 0, repeated rows or a
+    non-real origin."""
     with open(path, "rb") as fh:
         try:
             data = np.load(fh, allow_pickle=False)
@@ -982,11 +998,10 @@ def load_snapshot(path) -> SpectralField:
             f"snapshot arrays {freqs.dtype}{freqs.shape}, {amps.dtype}{amps.shape} are not "
             "(K, d) int64 freqs with (K,) or (K, d) complex amps"
         )
-    if not _upper(freqs, origin=True).all():
-        raise ValueError("snapshot rows below 0: it stores the origin and the upper half only")
     uniq, inv = _unique_keys(freqs)
     if len(uniq) < len(freqs):
         raise ValueError("snapshot rows repeat a frequency")
-    if np.any(amps[~freqs.any(axis=1)].imag != 0):
-        raise ValueError("snapshot origin is not real")
-    return SpectralField(freqs.shape[1], amps.ndim - 1, uniq, amps[np.argsort(inv)])._mirrored()
+    f = SpectralField(freqs.shape[1], amps.ndim - 1, uniq, amps[np.argsort(inv)])
+    if not f.is_half():
+        raise ValueError("snapshot rows below 0 or a non-real origin: it stores the half spectrum only")
+    return f

@@ -30,6 +30,7 @@ from .fields import (
     fractional_laplacian,
     gradient,
     nonzero_part,
+    pairing,
     save_snapshot,
 )
 from .iteration import (
@@ -56,7 +57,6 @@ __all__ = [
     "ConfigError",
     "resolve_multiplier",
     "build_test_functions",
-    "pairing",
     "certify_items",
     "weak_form_test",
     "run",
@@ -92,8 +92,14 @@ class RunConfig:
                 raise ConfigError(f"{name} = {getattr(self, name)!r} must be a string")
         for name in ("d", "b0", "qmax", "lambda1", "grid_budget", "seed"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
+            if type(value) is not int:  # bool is an int subclass
                 raise ConfigError(f"{name} = {value!r} must be an integer")
+        lams, basis = self.scaling_lams, self.supplied_basis
+        if not isinstance(lams, (list, tuple)) or any(type(v) is not int for v in lams):
+            raise ConfigError(f"scaling_lams = {lams!r} must be a list of integers")
+        vectors = isinstance(basis, (list, tuple)) and all(isinstance(v, (list, tuple)) for v in basis)
+        if basis is not None and not (vectors and all(type(c) is int for v in basis for c in v)):
+            raise ConfigError(f"supplied_basis = {basis!r} must be a list of integer vectors")
         for name in ("gamma", "s"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
@@ -181,22 +187,6 @@ def build_test_functions(d: int, seed: int) -> list:
         f = SpectralField.from_entries(d, 0, freqs, amps)
         members.append((f"band{idx}", f, f.max_freq))
     return members
-
-
-def pairing(f: SpectralField, g: SpectralField) -> tuple:
-    """``(signed, gross)``: the exact integral of f.g over the torus,
-    sum_xi fhat(xi) ghat(-xi) contracted over components for vector fields,
-    and sum_xi |fhat(xi)| |ghat(-xi)|, the magnitude scale of the pairing
-    (the roundoff noise floor when the signed sum cancels)."""
-    if f.dim != g.dim or f.rank != g.rank:
-        raise ValueError("pairing needs fields of equal dimension and rank")
-    at = g.find(-f.freqs)
-    a, b = f.amps[at >= 0], g.amps[at[at >= 0]]
-    if f.rank == 0:
-        gross = np.abs(a) * np.abs(b)
-    else:
-        gross = np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-    return complex(np.sum(a * b)), float(np.sum(gross))
 
 
 # -- inductive items ------------------------------------------------------
@@ -317,10 +307,10 @@ def weak_form_test(state: IterationState, psis: list, params: IterationParams) -
         defect = abs(lhs - rhs) / scale if scale > 0 else 0.0
         results[label] = {
             "support_radius": float(radius),
-            "lhs": float(np.real(lhs)),
-            "rhs": float(np.real(rhs)),
+            "lhs": lhs,
+            "rhs": rhs,
             "defect_rel": float(defect),
-            "R_pairing": float(np.real(r_pair)),
+            "R_pairing": r_pair,
             "R_pairing_gross": r_gross,
             "pass": bool(defect <= 1e-10),
         }
@@ -372,9 +362,9 @@ def run(config: RunConfig) -> int:
         # the slab table needs no stage, so a bad scaling_eps or scaling_lams
         # stops the run before the first one
         scaling_rows = certify_scaling(basis.omega[0], list(config.scaling_lams), config.scaling_eps, [1.0, 2.0, math.inf])
-    except ValueError as exc:  # the basis, schedule or slab table the config asks for
+    except (ValueError, OverflowError) as exc:  # the basis, schedule or slab table the config asks for
         raise ConfigError(str(exc)) from exc
-    except TypeError as exc:  # e.g. a string lambda1 or a number as supplied_basis
+    except TypeError as exc:  # e.g. a string scaling_eps
         raise ConfigError(f"config value of the wrong type: {exc}") from exc
     psis = build_test_functions(config.d, config.seed)
 

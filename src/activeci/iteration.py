@@ -28,6 +28,7 @@ from .fields import (
     Quadrature,
     SpectralField,
     _analyze_rows,
+    _grid_sums,
     _next_pow2,
     _sample_rows,
     besov_norm,
@@ -367,20 +368,6 @@ def harmonic_weight_sum(spec: SlabSpec, params: IterationParams) -> float:
     return total
 
 
-def _grid_sup(R: SpectralField, N: int) -> float:
-    """max |R| over the N^d grid of a real vector field, streamed: the row
-    blocks of its components side by side, their squares added in component
-    order.  sqrt is monotone, so the root of the largest sum is bitwise the
-    largest |R| of the sampled grid; no block outlives the call."""
-    sq = 0.0
-    for blocks in zip(*(_sample_rows(R.component(c), N) for c in range(R.dim))):
-        squares = np.square(blocks[0][1], out=blocks[0][1])
-        for _, block in blocks[1:]:
-            squares += np.square(block, out=block)
-        sq = max(sq, float(squares.max()))
-    return math.sqrt(sq)
-
-
 def _amplitude_rows(samples, pref: float, margin: float):
     """The row blocks of one direction's Gamma^2 coefficients, each turned
     into the amplitude in place (square root, prefactor) as it passes.  Once
@@ -446,7 +433,7 @@ def amplitudes(
     trunc = min(8 * max(1, int(math.ceil(R.max_freq))), params.grid_budget // 8)
     N = min(max(8, _next_pow2(2 * max(band, trunc) + 2)), params.grid_budget)
 
-    rmax = _grid_sup(R, N)
+    rmax = float(_grid_sums(R, N, (math.inf,))[math.inf][0])
     if rmax == 0.0:
         raise ZeroStress("stress field vanishes on the evaluation grid")
     pref = (S * basis.eps_omega / rmax) ** (-0.5)
@@ -461,7 +448,7 @@ def amplitudes(
         a_full = _analyze_rows(d, N, _amplitude_rows(samples, pref, basis.gamma_margin))
         inside = a_full.radii() <= trunc
         a = a_full.weighted(inside)
-        mass = np.abs(a_full.amps) ** 2
+        mass = a_full.masses()
         total = mass.sum()
         tail = math.sqrt(mass[~inside].sum() / total) if total > 0 else 0.0
         out[k] = (a, {**shared, "tail_fraction": tail})

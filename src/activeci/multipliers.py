@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import SpectralField, _upper
+from .fields import SpectralField, nonzero_part
 
 __all__ = [
     "Multiplier",
@@ -128,17 +128,16 @@ def mg() -> Multiplier:
 def apply_T(m: Multiplier, theta: SpectralField) -> SpectralField:
     """Apply the drift operator: u_hat(xi) = m(xi) theta_hat(xi); drops xi = 0.
 
-    Only the upper half is evaluated: a real-output symbol has m(-xi) =
-    conj m(xi), so the lower half is the conjugate mirror."""
+    The symbol sees the stored upper half only: a real-output symbol has
+    m(-xi) = conj m(xi), so u is stored as its half spectrum too."""
     if theta.rank != 0:
         raise ValueError("drift operator acts on scalar fields")
     if theta.dim != m.dim:
         raise ValueError("dimension mismatch")
     if not m.claims["real_output"]:
         raise ValueError(f"symbol {m.name!r} does not claim a real output")
-    keep = _upper(theta.freqs)
-    freqs = theta.freqs[keep]
-    return SpectralField(m.dim, 1, freqs, m(freqs) * theta.amps[keep, None]).pruned()._mirrored()
+    theta = nonzero_part(theta)
+    return SpectralField(m.dim, 1, theta.freqs, m(theta.freqs) * theta.amps[:, None]).pruned()
 
 
 # largest imaginary part a claimed-real even part may carry

@@ -131,7 +131,8 @@ def test_criterion_03_series_physical_agreement(sweep):
         # relative to the slab's sup: sample points may all miss the thin slabs
         scale = lam ** ((1.0 - eps) / 2.0) * phi_max
         # the series at every point at once: (points x modes) phases times amps
-        series = np.real(np.exp(2j * np.pi * (pts @ f.freqs.T)) @ f.amps)
+        freqs, amps = f._full()
+        series = np.real(np.exp(2j * np.pi * (pts @ freqs.T)) @ amps)
         physical = np.array([slab_physical(spec, x) for x in pts])
         worst = max(worst, float(np.max(np.abs(series - physical))) / scale)
     ok = worst <= 1e-8

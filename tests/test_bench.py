@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import subprocess
 
 import pytest
 
@@ -45,6 +46,35 @@ def test_run_failed():
     assert bench.run_failed(1, good)
     assert bench.run_failed(0, None)
     assert bench.run_failed(0, bad)
+
+
+def test_summary_lists_the_failed_runs(tmp_path, monkeypatch):
+    # two pairs of one workload; the change's run of pair 1 prints a result
+    # that is not correct, the parent's exits 1 without a result line
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": SPEC}
+
+    def checkout(rev, dest):
+        (dest / "src").mkdir(parents=True)
+        (dest / "scripts").mkdir()
+        (dest / "BENCHMARK.json").write_text(json.dumps(spec))
+        return dest
+
+    def fake_run(cmd, cwd, **kw):
+        side, pair = os.path.basename(cwd), int(cmd[cmd.index("--seed") + 1]) - 7
+        if (pair, side) == (1, "parent"):
+            return subprocess.CompletedProcess(cmd, 1, "", "error: boom\n")
+        return subprocess.CompletedProcess(cmd, 0, _stdout(0.5, 3, correct=(pair, side) != (1, "change")), "")
+
+    monkeypatch.setattr(bench, "checkout", checkout)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--parent", "a", "--change", "b", "--seed", "7", "--pairs", "2", "--out", str(out)]) == 1
+    runs = json.loads(out.read_text())["runs"]
+    assert runs["attempted"] == 4 and runs["failed"] == 2
+    assert runs["failures"] == [
+        {"workload": "w", "pair": 1, "side": "change", "exit": 0, "correct": False},
+        {"workload": "w", "pair": 1, "side": "parent", "exit": 1, "correct": None},
+    ]
 
 
 def test_summarize_counts_wins_by_direction_and_ties_for_neither():

@@ -25,6 +25,7 @@ from activeci.fields import (
     mean_part,
     multiply,
     nonzero_part,
+    pairing,
     sample,
     save_snapshot,
     shell_project,
@@ -42,9 +43,26 @@ def cos_field(freq, amp=1.0):
 def vector_of(comps):
     """Vector field whose i-th component is the scalar field comps[i]."""
     d = comps[0].dim
-    freqs = np.concatenate([c.freqs for c in comps])
-    amps = np.concatenate([np.outer(c.amps, np.eye(d)[i]) for i, c in enumerate(comps)])
+    full = [c._full() for c in comps]
+    freqs = np.concatenate([f for f, _ in full])
+    amps = np.concatenate([np.outer(a, np.eye(d)[i]) for i, (_, a) in enumerate(full)])
     return SpectralField.from_entries(d, 1, freqs, amps)
+
+
+def whole(f):
+    """A raw field holding the whole spectrum of f, both halves."""
+    return SpectralField(f.dim, f.rank, *f._full())
+
+
+def assert_half(f):
+    """f stores its half spectrum: rows in strict lexicographic order, each
+    the origin or above 0, and a real origin."""
+    rows = [tuple(xi) for xi in f.freqs.tolist()]
+    assert rows == sorted(set(rows))
+    assert all(next((c > 0 for c in xi if c), True) for xi in rows)
+    origin = [a for xi, a in zip(rows, f.amps) if not any(xi)]
+    assert np.all(np.imag(origin) == 0)
+    assert f.is_half()
 
 
 # -- hypothesis strategies -------------------------------------------------
@@ -100,24 +118,24 @@ def test_max_freq_and_amp():
 @given(hermitian_scalars())
 @settings(max_examples=40)
 def test_hermitian_detection(f):
-    assert f.is_hermitian()
+    assert whole(f).is_hermitian()
+    assert_half(f)
 
 
 def test_hermitian_missing_partner_counts_as_zero():
     # an unpaired coefficient below rtol times the largest is roundoff
-    # and passes; the lower half is then rebuilt from the upper half, so an
-    # unpaired upper coefficient gains its mirror and an unpaired lower one
-    # is dropped
+    # and passes; only the upper half is then kept, so an unpaired upper
+    # coefficient gains its mirror and an unpaired lower one is dropped
     tiny = SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (2, 0): 1e-14})
     assert tiny.coeffs == {(-2, 0): 1e-14, (-1, 0): 1, (1, 0): 1, (2, 0): 1e-14}
-    assert tiny.is_exactly_hermitian()
+    assert tiny.freqs.tolist() == [[1, 0], [2, 0]]
     low = SpectralField.scalar(2, {(1, 0): 1, (-1, 0): 1, (-2, 0): 1e-14})
     assert low.coeffs == {(-1, 0): 1, (1, 0): 1}
     # the raw constructor trusts its caller, so it can hold what is not real
     big = SpectralField(2, 0, [[-1, 0], [1, 0], [2, 0]], [1, 1, 1e-12])
     assert not big.is_hermitian()
     v = SpectralField.vector(2, {(1, 0): [1, 2j], (-1, 0): [1, -2j], (0, 3): [1e-14, 0]})
-    assert v.is_hermitian()
+    assert whole(v).is_hermitian() and v.freqs.tolist() == [[0, 3], [1, 0]]
     assert not SpectralField(2, 1, [[-1, 0], [1, 0]], [[1, 2j], [1, 2j]]).is_hermitian()
 
 
@@ -136,9 +154,10 @@ def test_builders_reject_non_hermitian_spectra():
 
 def test_storage_is_sorted_read_only_arrays():
     f = SpectralField.scalar(2, {(1, 0): 2.0, (-1, 3): 1j, (-1, -2): 0.5, (-1, 0): 2.0, (1, 2): 0.5, (1, -3): -1j})
+    # the upper half only: the lower half is the conjugate mirror
     freqs, amps = f.freqs, f.amps
-    assert freqs.tolist() == [[-1, -2], [-1, 0], [-1, 3], [1, -3], [1, 0], [1, 2]]
-    assert amps.tolist() == [0.5, 2.0, 1j, -1j, 2.0, 0.5]
+    assert freqs.tolist() == [[1, -3], [1, 0], [1, 2]]
+    assert amps.tolist() == [-1j, 2.0, 0.5]
     v = SpectralField.vector(3, {(0, 0, 1): [1, 2, 3], (0, 0, -1): [1, 2, 3]})
     for arr, value in ((f.freqs, 7), (f.amps, 7.0), (v.freqs, 7), (v.amps, 7.0)):
         with pytest.raises(ValueError, match="read-only"):
@@ -165,10 +184,12 @@ def test_from_entries_sums_repeats_in_entry_order():
 def test_modulated_is_real_cosine_product():
     g = cos_field((1, 2), amp=0.8) + SpectralField.scalar(2, {(0, 0): 0.3})
     m = g.modulated((5, -1))
-    assert m.is_hermitian()
-    # the spectrum translated by +shift, then by -shift, summed in that order
-    both = np.concatenate((g.freqs + (5, -1), g.freqs - (5, -1)))
-    both = SpectralField.from_entries(2, 0, both, np.concatenate((g.amps, g.amps)))
+    assert_half(m)
+    # the whole spectrum translated by +shift, then by -shift, summed in
+    # that order
+    freqs, amps = g._full()
+    both = np.concatenate((freqs + (5, -1), freqs - (5, -1)))
+    both = SpectralField.from_entries(2, 0, both, np.concatenate((amps, amps)))
     assert m.freqs.tolist() == both.freqs.tolist() and m.amps.tobytes() == both.amps.tobytes()
     x = np.arange(8) / 8
     X1, X2 = np.meshgrid(x, x, indexing="ij")
@@ -179,10 +200,11 @@ def test_modulated_is_real_cosine_product():
 def test_weighted_restricts_or_weights():
     f = cos_field((1, 0)) + cos_field((3, 4), amp=2.0)
     inner = f.weighted(f.radii() < 2)
-    assert inner.freqs.tolist() == [[-1, 0], [1, 0]] and inner.is_hermitian()
+    assert inner.freqs.tolist() == [[1, 0]]
+    assert_half(inner)
     w = np.where(f.radii() < 2, 0.0, 0.5)
     outer = f.weighted(w)
-    assert outer.freqs.tolist() == [[-3, -4], [3, 4]]
+    assert outer.freqs.tolist() == [[3, 4]]
     assert outer.coefficient((3, 4)) == 0.5
 
 
@@ -261,7 +283,8 @@ def brute_product(f, g):
 def test_multiply_matches_brute_force():
     for f, g in product_cases(np.random.default_rng(11)):
         fg = multiply(f, g)
-        assert fg.rank == g.rank and fg.is_hermitian()
+        assert fg.rank == g.rank
+        assert_half(fg)
         oracle = brute_product(f, g)
         scale = max(float(np.max(np.abs(v))) for v in oracle.values())
         assert set(fg.coeffs) <= set(oracle)
@@ -295,30 +318,20 @@ def test_multiply_box_path_matches_pair_path(monkeypatch):
     monkeypatch.setattr(fields, "_DIRECT_PAIR_CAP", 0)
     for (f, g), fg in zip(cases, pair):
         box = multiply(f, g)
-        assert box.is_hermitian() and box.rank == g.rank and set(box.coeffs) == set(fg.coeffs)
+        assert_half(box)
+        assert box.rank == g.rank and set(box.coeffs) == set(fg.coeffs)
         diff = (box - fg).pruned(rel=0.0)
         assert diff.is_zero() or diff.max_amp() < 1e-13 * fg.max_amp()
 
 
-# -- the exact Hermitian invariant -------------------------------------------
-
-
-def assert_exactly_hermitian(f):
-    """f(-xi) == conj f(xi) by value at every stored xi, and a real origin."""
-    coeffs = f.coeffs
-    for xi, a in coeffs.items():
-        mirror = coeffs.get(tuple(-c for c in xi))
-        assert mirror is not None, xi
-        assert np.array_equal(mirror, np.conj(a)), xi
-    assert np.all(np.imag(coeffs.get((0,) * f.dim, 0.0)) == 0)
-    assert f.is_exactly_hermitian()
+# -- the half-spectrum representation -----------------------------------------
 
 
 def roundoff_hermitian(rng, dim, n, radius, rank=0):
     """Entries of a real field whose lower half is the conjugate of the
     upper half times (1 + 1e-16 noise): Hermitian to roundoff, not exactly."""
     up = rng.integers(-radius, radius + 1, size=(n, dim))
-    up = up[fields._upper(up)]
+    up = up[fields._upper(up) & up.any(axis=1)]
     shape = (len(up),) + (dim,) * rank
     a = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     noise = 1 + 1e-16 * rng.normal(size=shape)
@@ -330,7 +343,7 @@ def roundoff_hermitian(rng, dim, n, radius, rank=0):
 @pytest.mark.parametrize("dim,N", [(1, 16), (1, 15), (2, 16), (2, 9), (3, 16), (3, 15)])
 def test_analyze_is_exactly_hermitian(dim, N):
     values = np.random.default_rng(dim + N).normal(size=(N,) * dim)
-    assert_exactly_hermitian(analyze(values))
+    assert_half(analyze(values))
 
 
 @pytest.mark.parametrize("box", [False, True], ids=["pair", "box"])
@@ -338,9 +351,9 @@ def test_multiply_is_exactly_hermitian(monkeypatch, box):
     if box:
         monkeypatch.setattr(fields, "_DIRECT_PAIR_CAP", 0)
     for f, g in product_cases(np.random.default_rng(5)):
-        assert_exactly_hermitian(f)
-        assert_exactly_hermitian(g)
-        assert_exactly_hermitian(multiply(f, g))
+        assert_half(f)
+        assert_half(g)
+        assert_half(multiply(f, g))
 
 
 def test_builders_and_operations_are_exactly_hermitian():
@@ -352,13 +365,68 @@ def test_builders_and_operations_are_exactly_hermitian():
     g = SpectralField.from_entries(2, 0, *roundoff_hermitian(rng, 2, 40, 8))
     f3 = SpectralField.from_entries(3, 0, *roundoff_hermitian(rng, 3, 30, 3))
     for h in (f, v, g, f3):
-        assert_exactly_hermitian(h)
-    assert_exactly_hermitian(f.modulated((5, -2)))
-    assert_exactly_hermitian(low_pass(g, 64.0, ShellKernel()))
-    assert_exactly_hermitian(f + g)
-    assert_exactly_hermitian(v - v.scaled(0.5))
+        assert_half(h)
+    assert_half(f.modulated((5, -2)))
+    assert_half(low_pass(g, 64.0, ShellKernel()))
+    assert_half(f + g)
+    assert_half(v - v.scaled(0.5))
     for m, h in ((ipm2d(), f), (sqg(), f), (ipm3d(), f3)):
-        assert_exactly_hermitian(apply_T(m, h))
+        assert_half(apply_T(m, h))
+
+
+def representation_cases(rng):
+    """Scalar and vector fields in 2-D and 3-D, with and without an origin."""
+    f2 = random_hermitian(rng, 2, 12, 6) + SpectralField.scalar(2, {(0, 0): 0.7})
+    f3 = random_hermitian(rng, 3, 10, 3)
+    v2 = vector_of([random_hermitian(rng, 2, 8, 5), random_hermitian(rng, 2, 6, 4)])
+    v3 = vector_of([random_hermitian(rng, 3, 5, 2) + SpectralField.scalar(3, {(0, 0, 0): -1.5}) for _ in range(3)])
+    return [f2, f3, v2, v3]
+
+
+def test_coefficient_and_coeffs_read_the_whole_spectrum():
+    for f in representation_cases(np.random.default_rng(21)):
+        assert_half(f)
+        coeffs = f.coeffs
+        stored = {tuple(xi) for xi in f.freqs.tolist()}
+        assert set(coeffs) == stored | {tuple(-c for c in xi) for xi in stored}
+        assert len(coeffs) == 2 * len(f) - int(not f.freqs[0].any())  # the origin once
+        for xi, a in coeffs.items():
+            neg = tuple(-c for c in xi)
+            assert np.array_equal(f.coefficient(xi), a)
+            assert np.array_equal(f.coefficient(neg), np.conj(a))
+        assert np.array_equal(f.coefficient((99,) * f.dim), np.zeros_like(a))
+
+
+def test_operations_match_whole_spectrum_references():
+    # modulated, pairing, sobolev_norm and the masses against sums over the
+    # whole spectrum, term by term (multiply: test_multiply_matches_brute_force)
+    rng = np.random.default_rng(22)
+    cases = representation_cases(rng)
+    partners = representation_cases(rng)
+    for f, g in zip(cases, partners):
+        coeffs, other = f.coeffs, g.coeffs
+        shift = (3,) + (-1,) * (f.dim - 1)
+        want = {}
+        for xi, a in coeffs.items():
+            for sign in (1, -1):
+                key = tuple(x + sign * c for x, c in zip(xi, shift))
+                want[key] = want.get(key, 0.0) + a
+        got = f.modulated(shift).coeffs
+        scale = max(float(np.max(np.abs(a))) for a in want.values())
+        assert set(got) <= set(want)
+        assert all(np.max(np.abs(got.get(xi, 0.0) - a)) <= 1e-14 * scale for xi, a in want.items())
+
+        terms = [(a, other.get(tuple(-c for c in xi))) for xi, a in coeffs.items()]
+        terms = [(np.asarray(a), np.asarray(b)) for a, b in terms if b is not None]
+        signed, gross = pairing(f, g)
+        assert abs(signed - sum(np.sum(a * b) for a, b in terms).real) <= 1e-13 * gross
+        assert abs(gross - sum(np.linalg.norm(a) * np.linalg.norm(b) for a, b in terms)) <= 1e-13 * gross
+
+        for s in (-2.0, 0.5):
+            sob = sum(sum(c * c for c in xi) ** s * np.sum(np.abs(a) ** 2) for xi, a in coeffs.items() if any(xi))
+            assert abs(sobolev_norm(f, s) - math.sqrt(sob)) <= 1e-13 * math.sqrt(sob)
+        l2 = sum(np.sum(np.abs(a) ** 2) for a in coeffs.values())
+        assert abs(f.masses().sum() - l2) <= 1e-13 * l2
 
 
 def test_multiply_computes_one_cluster_pair_per_mirror_orbit(monkeypatch):
@@ -373,8 +441,10 @@ def test_multiply_computes_one_cluster_pair_per_mirror_orbit(monkeypatch):
         monkeypatch.setattr(fields, name, counted)
 
     def clusters(field):
-        """(clusters, how many are their own mirror) of the field's support."""
-        sets = [{tuple(x) for x in field.freqs[c]} for c in fields._clusters(field.freqs)]
+        """(clusters, how many are their own mirror) of the field's whole
+        support."""
+        freqs = field._full()[0]
+        sets = [{tuple(x) for x in freqs[c]} for c in fields._clusters(freqs)]
         return len(sets), sum(s == {tuple(-c for c in x) for x in s} for s in sets)
 
     seen = set()
@@ -471,7 +541,8 @@ def test_multiply_scalar_vector():
 )
 def test_sample_analyze_roundtrip(f):
     g = analyze(sample(f, 16))
-    assert g.is_hermitian() and g.dim == f.dim
+    assert_half(g)
+    assert g.dim == f.dim
     diff = (f - g).pruned(rel=1e-13)
     assert diff.is_zero() or diff.max_amp() < 1e-13
 
@@ -494,7 +565,7 @@ def test_analyze_real_grid_with_nyquist_content(values):
     # for even N a Nyquist-line coefficient is split evenly over -N/2 and
     # +N/2, so the spectrum is Hermitian
     g = analyze(values)
-    assert g.is_hermitian()
+    assert_half(g)
     nyq = (2,) + (0,) * (values.ndim - 1)
     assert abs(g.coefficient(nyq) - 0.5) < 1e-15
     assert abs(g.coefficient(tuple(-c for c in nyq)) - 0.5) < 1e-15
@@ -508,7 +579,8 @@ def test_analyze_nyquist_line_samples_on_a_finer_grid(transpose):
     values = np.ones((4, 1)) * (-1.0) ** np.arange(4)
     g = analyze(values.T if transpose else values)
     x = np.stack(np.meshgrid(np.arange(8) / 8, np.arange(8) / 8, indexing="ij"), axis=-1)
-    direct = np.exp(2j * np.pi * x @ g.freqs.T) @ g.amps
+    freqs, amps = g._full()
+    direct = np.exp(2j * np.pi * x @ freqs.T) @ amps
     assert np.allclose(sample(g, 8), direct, atol=1e-14)
     assert np.allclose(direct.imag, 0.0, atol=1e-14)
     assert np.allclose(sample(g, 4), values.T if transpose else values, atol=1e-14)
@@ -516,26 +588,24 @@ def test_analyze_nyquist_line_samples_on_a_finer_grid(transpose):
 
 @pytest.mark.parametrize("dim,N", [(1, 16), (2, 8), (2, 32), (3, 8), (3, 16), (2, 9)])
 def test_analyze_is_bitwise_rfftn(dim, N):
-    # on the origin and the upper half, a coefficient in the computed half
-    # (last index 0..N/2 mod N) is numpy's rfftn bit for bit, one outside it
-    # the exact conjugate of its mirror's; a coefficient with |xi_i| = N/2 on
-    # m axes is that value over 2^m.  The lower half, the self-conjugate
-    # planes' too, is the exact conjugate mirror of the upper half.
+    # on the origin and the upper half, the stored rows, a coefficient in
+    # the computed half (last index 0..N/2 mod N) is numpy's rfftn bit for
+    # bit, one outside it the exact conjugate of its mirror's; a coefficient
+    # with |xi_i| = N/2 on m axes is that value over 2^m
     values = np.random.default_rng(dim * N).normal(size=(N,) * dim)
     ref = np.fft.rfftn(values) / N**dim
     g = analyze(values, rel=0.0)
-    assert len(g) == (N + 1 - N % 2) ** dim  # each Nyquist line split in two
+    freqs = g._full()[0]
+    assert len(freqs) == (N + 1 - N % 2) ** dim  # each Nyquist line split in two
+    half = len(freqs) // 2
+    assert g.freqs.tobytes() == freqs[half:].tobytes()  # the origin and the upper half
     halvings = (np.abs(g.freqs) * 2 == N).sum(axis=1)
-    last = g.freqs[:, -1] % N
-    computed = 2 * last <= N
+    computed = 2 * (g.freqs[:, -1] % N) <= N
     at = np.where(computed[:, None], g.freqs, -g.freqs) % N
     expect = ref[tuple(at.T)]
     expect = np.where(computed, expect, expect.conj()) / 2.0**halvings
-    half = len(g) // 2
-    assert dim == 1 or not computed[half:].all()  # the mirrored entries are checked too
-    assert g.amps[half:].tobytes() == expect[half:].tobytes()
-    assert g.amps[:half].tobytes() == g.amps[half + len(g) % 2 :][::-1].conj().tobytes()
-    assert (g.freqs[::-1] == -g.freqs).all()
+    assert dim == 1 or not computed.all()  # the mirrored entries are checked too
+    assert g.amps.tobytes() == expect.tobytes()
 
 
 def test_analyze_holds_one_complex_grid():
@@ -621,10 +691,11 @@ def test_sample_real_fft_3d():
 def dense_samples(f, N):
     """The whole-grid transform: the spectrum scattered mod N, then numpy's
     n-D ``irfftn`` over the half spectrum."""
-    freqs = f.freqs % N
+    freqs, amps = f._full()
+    freqs = freqs % N
     keep = freqs[:, -1] <= N // 2
     spec = np.zeros((N,) * (f.dim - 1) + (N // 2 + 1,), dtype=complex)
-    np.add.at(spec, tuple(freqs[keep].T), f.amps[keep])
+    np.add.at(spec, tuple(freqs[keep].T), amps[keep])
     return np.fft.irfftn(spec, s=(N,) * f.dim, axes=tuple(range(f.dim))) * N**f.dim
 
 
@@ -916,19 +987,18 @@ def test_snapshot_roundtrip(tmp_path):
     ],
 )
 def test_snapshot_bytes_per_entry_rows(tmp_path, f):
-    # the archive holds one frequency row and one amplitude row per entry of
-    # the origin and the upper half, bit for bit (-0.0 kept), and loads back
-    # bitwise, the lower half rebuilt by conjugation
+    # the archive holds the stored arrays, one frequency row and one
+    # amplitude row per entry of the origin and the upper half, bit for bit
+    # (-0.0 kept), and loads back bitwise
     save_snapshot(f, tmp_path / "f.npz")
-    rows = len(f) - len(f) // 2
     with np.load(tmp_path / "f.npz", allow_pickle=False) as data:
         assert sorted(data.files) == ["amps", "freqs", "version"]
         assert data["version"] == 3 and data["freqs"].dtype == np.int64
-        assert data["freqs"].shape == (rows, f.dim)
-        assert data["amps"].shape == (rows,) + (f.dim,) * f.rank
-        assert data["freqs"].tobytes() == f.freqs[len(f) // 2 :].tobytes()
-        assert data["amps"].tobytes() == f.amps[len(f) // 2 :].tobytes()
-        assert fields._upper(data["freqs"], origin=True).all()
+        assert data["freqs"].shape == (len(f), f.dim)
+        assert data["amps"].shape == (len(f),) + (f.dim,) * f.rank
+        assert data["freqs"].tobytes() == f.freqs.tobytes()
+        assert data["amps"].tobytes() == f.amps.tobytes()
+        assert fields._upper(data["freqs"]).all()
     parts = f.amps.view(np.float64)
     assert (np.signbit(parts) & (parts == 0)).any() or f.is_zero()
     g = load_snapshot(tmp_path / "f.npz")
@@ -945,14 +1015,14 @@ def test_snapshot_dict_stable(tmp_path):
 
 
 def test_save_snapshot_refuses_an_inexact_field(tmp_path):
-    # the raw constructor trusts its caller; a field Hermitian only to
-    # roundoff would not load back, so it is not saved
+    # the raw constructor trusts its caller; a field that stores a row below
+    # 0 or a non-real origin would not load back, so it is not saved
     near = SpectralField(2, 0, [[-1, 0], [1, 0]], [0.5, 0.5 + 1e-17j])
-    assert near.is_hermitian() and not near.is_exactly_hermitian()
+    assert near.is_hermitian() and not near.is_half()
     unpaired = SpectralField(2, 0, [[-1, 0], [1, 0], [2, 0]], [0.5, 0.5, 1e-20])
     origin = SpectralField(1, 0, [[0]], [1 + 1e-20j])
     for f in (near, unpaired, origin):
-        with pytest.raises(ValueError, match="exactly Hermitian"):
+        with pytest.raises(ValueError, match="half spectrum"):
             save_snapshot(f, tmp_path / "f.npz")
     assert not (tmp_path / "f.npz").exists()
 

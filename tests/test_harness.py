@@ -23,6 +23,7 @@ from activeci.fields import (
     lp_norm_detailed,
     mean_part,
     multiply,
+    pairing,
     sobolev_norm,
 )
 from activeci.harness import (
@@ -30,7 +31,6 @@ from activeci.harness import (
     RunConfig,
     build_test_functions,
     certify_items,
-    pairing,
     resolve_multiplier,
     run,
     weak_form_test,
@@ -101,7 +101,7 @@ def test_test_functions_deterministic():
         assert fa.coeffs == fb.coeffs
         assert ra == rb
     for _, f, _ in a[-2:]:
-        assert f.is_hermitian() and 0 < np.abs(f.freqs).max() <= 6
+        assert f.is_half() and 0 < np.abs(f.freqs).max() <= 6
     c = build_test_functions(2, seed=1)
     assert a[-1][1].coeffs != c[-1][1].coeffs
 
@@ -312,8 +312,9 @@ def test_report_snapshot_roundtrip(fast_run, tmp_path):
     ids=["ipm2d", "ipm3d"],
 )
 def test_snapshots_load_to_the_saved_fields(tmp_path, monkeypatch, config):
-    # every theta, u, R and w a run saves is exactly Hermitian, and its
-    # half-spectrum snapshot loads back to the in-memory field bit for bit
+    # every theta, u, R and w of every stage, each of which a run saves,
+    # stores only its origin, real, and upper rows; its snapshot's arrays are
+    # the stored arrays, and it loads back to the in-memory field bit for bit
     saved = {}
 
     def record(f, path):
@@ -324,7 +325,12 @@ def test_snapshots_load_to_the_saved_fields(tmp_path, monkeypatch, config):
     assert run(RunConfig(out=str(tmp_path), **config)) == 0
     assert len(saved) == 7 and set(saved) == {p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("stage-*/*.npz")}
     for name, f in saved.items():
-        assert f.is_exactly_hermitian(), name
+        rows = [tuple(xi) for xi in f.freqs.tolist()]
+        assert rows == sorted(set(rows)) and fields._upper(f.freqs).all(), name
+        assert np.all(f.amps[~f.freqs.any(axis=1)].imag == 0), name
+        with np.load(tmp_path / name, allow_pickle=False) as data:
+            assert data["freqs"].tobytes() == f.freqs.tobytes(), name
+            assert data["amps"].tobytes() == f.amps.tobytes(), name
         g = fields.load_snapshot(tmp_path / name)
         assert (g.dim, g.rank) == (f.dim, f.rank), name
         assert g.freqs.tobytes() == f.freqs.tobytes() and g.amps.tobytes() == f.amps.tobytes(), name
@@ -389,9 +395,17 @@ BAD_FILES = {
     "number_components.json": {"dim": 2, "components": [1, 2]},
     "short_monomial.json": {"dim": 2, "components": [{"num": [[0, 0, 1.0]]}] * 2},
     "basis_number.json": {"supplied_basis": 5},
+    "basis_float.json": {"supplied_basis": [[4.7, 3], [4, -3]]},
+    "basis_bool.json": {"supplied_basis": [[4, 3], [4, True]]},
+    "basis_1e400.json": '{"supplied_basis": [[1e400, 3], [4, -3]]}',
+    "basis_huge_int.json": '{"supplied_basis": [[1%s, 3], [4, -3]]}' % ("0" * 400),
     "lambda1_string.json": {"lambda1": "x"},
     "scaling_lams_3_8.json": {"scaling_lams": [3, 8]},
     "scaling_lams_empty.json": {"scaling_lams": []},
+    "scaling_lams_float.json": {"scaling_lams": [64.5, 256]},
+    "scaling_lams_bool.json": {"scaling_lams": [True, 256]},
+    "scaling_lams_1e400.json": '{"scaling_lams": [1e400, 256]}',
+    "scaling_lams_number.json": {"scaling_lams": 64},
     "scaling_eps_2.json": {"scaling_eps": 2},
     "multiplier_number.json": {"multiplier": 5},
     "out_number.json": {"out": 5},
@@ -428,9 +442,17 @@ BAD_FILES = {
         ["--grid-budget", "0", "--qmax", "0"],
         ["--grid-budget", "-8", "--qmax", "0"],
         ["--config", "{dir}/basis_number.json"],
+        ["--config", "{dir}/basis_float.json"],  # not run on (4, 3)
+        ["--config", "{dir}/basis_bool.json"],
+        ["--config", "{dir}/basis_1e400.json"],  # no OverflowError traceback
+        ["--config", "{dir}/basis_huge_int.json"],
         ["--config", "{dir}/lambda1_string.json"],
         ["--config", "{dir}/scaling_lams_3_8.json"],  # 3 is not a power of two
         ["--config", "{dir}/scaling_lams_empty.json"],
+        ["--config", "{dir}/scaling_lams_float.json"],  # no lam 64 row
+        ["--config", "{dir}/scaling_lams_bool.json"],
+        ["--config", "{dir}/scaling_lams_1e400.json"],
+        ["--config", "{dir}/scaling_lams_number.json"],
         ["--config", "{dir}/scaling_eps_2.json"],  # outside (0, 1]
         ["--config", "{dir}/multiplier_number.json"],
         ["--config", "{dir}/out_number.json"],  # the one case without --out

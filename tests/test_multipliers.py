@@ -82,7 +82,7 @@ def test_apply_T_drops_mean_and_keeps_reality():
     assert (0, 0) not in u.coeffs
     assert u.rank == 1
     assert np.allclose(u.coefficient((1, 2)), np.array([0.4, -0.2]) * (1.0 + 0.5j))
-    assert u.is_hermitian()
+    assert u.is_half()
 
 
 def test_apply_T_rejects_vectors_and_dim_mismatch():

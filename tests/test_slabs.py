@@ -91,7 +91,7 @@ def test_slab_mean_free_and_support():
     spec = SlabSpec(k=(4, 3), lam=64, eps=0.5)
     f = slab_fourier(spec, mode_cap=40)
     assert (0, 0) not in f.coeffs
-    assert f.is_hermitian()
+    assert f.is_half()
     step = spec.harmonic_step
     for xi in f.coeffs:
         # every mode is a multiple of lam^eps k
