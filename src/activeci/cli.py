@@ -54,7 +54,7 @@ def config_from_args(argv=None) -> RunConfig:
 def main(argv=None) -> int:
     try:
         config = config_from_args(argv)
-    except (ConfigError, OSError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, OSError, TypeError) as exc:  # ConfigError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -410,6 +410,7 @@ BAD_FILES = {
     "multiplier_number.json": {"multiplier": 5},
     "out_number.json": {"out": 5},
     "seed_float.json": {"seed": 1.5},
+    "seed_5000_digits.json": '{"seed": 1%s}' % ("0" * 5000),  # past int's string conversion limit
     "d_float.json": {"d": 2.0},
     "b0_bool.json": {"b0": True},
     "qmax_string.json": {"qmax": "1"},
@@ -457,6 +458,7 @@ BAD_FILES = {
         ["--config", "{dir}/multiplier_number.json"],
         ["--config", "{dir}/out_number.json"],  # the one case without --out
         ["--config", "{dir}/seed_float.json"],
+        ["--config", "{dir}/seed_5000_digits.json"],
         ["--config", "{dir}/d_float.json"],
         ["--config", "{dir}/b0_bool.json"],
         ["--config", "{dir}/qmax_string.json"],
