@@ -4,7 +4,8 @@
     python3 scripts/bench.py --parent REV --change REV --seed 501 --pairs 10 \
         --out BENCH.json [--workloads NAME ...] [--trace 0|1]
 
-Each revision is extracted with ``git archive`` into a fresh temporary
+Each revision is resolved to its full commit hash, which the output
+records, and extracted with ``git archive`` into a fresh temporary
 directory, so neither side starts with a ``__pycache__``.  Pair i runs
 ``perfbench/run.py --seed <seed + i>`` of both checkouts, one after the
 other, each for the ``run_seconds`` of BENCHMARK.json; the parent goes
@@ -18,7 +19,8 @@ metric, each side's median, q1 and q3 and the pairs the change won (better
 in the metric's direction of BENCHMARK.json; ties count for neither).  Each
 end-to-end metric also gets a verdict, see ``verdict``.
 Exits 1 if any run failed: a non-zero exit, no result line, or a result
-that is not correct; ``runs.failures`` lists each failed run.
+that is not correct; ``runs.failures`` lists each failed run.  Exits 2 with
+one ``error:`` line, before any run, when a revision names no commit.
 """
 
 from __future__ import annotations
@@ -126,6 +128,15 @@ def count_lines(tree: Path) -> int:
     return sum(f.read_bytes().count(b"\n") for d in ("src", "scripts") for f in (tree / d).rglob("*") if f.is_file())
 
 
+def resolve(rev: str) -> str:
+    """The full hash of the commit ``rev`` names; ValueError if none."""
+    cmd = ["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"]
+    proc = subprocess.run(cmd, capture_output=True, text=True)
+    if proc.returncode:
+        raise ValueError(f"{rev!r} names no commit of {ROOT}")
+    return proc.stdout.strip()
+
+
 def checkout(rev: str, dest: Path) -> Path:
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev], capture_output=True, check=True).stdout
     dest.mkdir(parents=True)
@@ -143,10 +154,15 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out", required=True, help="JSON summary path")
     args = parser.parse_args(argv)
+    try:
+        revs = {side: resolve(getattr(args, side)) for side in SIDES}
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     records, failed, host = [], [], None
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
-        trees = {side: checkout(getattr(args, side), Path(tmp) / side) for side in SIDES}
+        trees = {side: checkout(revs[side], Path(tmp) / side) for side in SIDES}
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
         lines = {side: count_lines(tree) for side, tree in trees.items()}
         for workload in args.workloads or [w["name"] for w in spec["workloads"]]:
@@ -163,8 +179,8 @@ def main(argv=None) -> int:
                         failed.append({"workload": workload, "pair": pair, "side": side, "exit": proc.returncode, "correct": (result or {}).get("correct")})
     summary = {
         "host": host,
-        "parent": args.parent,
-        "change": args.change,
+        "parent": revs["parent"],
+        "change": revs["change"],
         "settings": {"seeds": [args.seed, args.seed + args.pairs - 1], "pairs": args.pairs, "seconds": spec["run_seconds"], "trace": args.trace},
         "runs": {"attempted": len(records), "failed": len(failed), "failures": failed},
         "lines": lines,

@@ -26,7 +26,7 @@ def main() -> int:
         default=[64, 256, 1024, 4096],
         help="first-stage frequencies (powers of two)",
     )
-    parser.add_argument("--grid-budget", type=int, default=8192)
+    parser.add_argument("--grid-budget", type=int, default=RunConfig.grid_budget)
     parser.add_argument("--out", default="sweep.csv", help="output CSV path")
     args = parser.parse_args()
 

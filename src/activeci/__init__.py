@@ -1,78 +1,20 @@
 """Pseudospectral construction and verification of stationary weak solutions
-to active scalar equations driven by non-odd Fourier multipliers."""
+to active scalar equations driven by non-odd Fourier multipliers.
 
-from .fields import (
-    SpectralField,
-    analyze,
-    besov_norm,
-    divergence,
-    fractional_laplacian,
-    gradient,
-    low_pass,
-    lp_norms,
-    mean_part,
-    multiply,
-    sample,
-    shell_project,
-    sobolev_norm,
-)
-from .kernels import ShellKernel
-from .multipliers import Multiplier, apply_T, check_claims, even_part, ipm2d, ipm3d, load_multiplier, mg, sqg
-from .directions import DirectionBasis, build_basis, gamma_coefficients
-from .slabs import Profile, SlabSpec, build_profile, certify_scaling, slab_fourier, slab_physical
-from .iteration import (
-    IterationParams,
-    IterationState,
-    base_state,
-    build_increment,
-    make_params,
-    oscillation_diagnostics,
-    step,
-)
-from .harness import RunConfig, run
+The package re-exports every module's ``__all__``, the one list of its
+public names.  The modules load in the order below, fields first: the order
+sets the peak memory of a run.
+"""
 
-__all__ = [
-    "SpectralField",
-    "analyze",
-    "besov_norm",
-    "divergence",
-    "fractional_laplacian",
-    "gradient",
-    "low_pass",
-    "lp_norms",
-    "mean_part",
-    "multiply",
-    "sample",
-    "shell_project",
-    "sobolev_norm",
-    "ShellKernel",
-    "Multiplier",
-    "apply_T",
-    "check_claims",
-    "even_part",
-    "ipm2d",
-    "ipm3d",
-    "load_multiplier",
-    "mg",
-    "sqg",
-    "DirectionBasis",
-    "build_basis",
-    "gamma_coefficients",
-    "Profile",
-    "SlabSpec",
-    "build_profile",
-    "certify_scaling",
-    "slab_fourier",
-    "slab_physical",
-    "IterationParams",
-    "IterationState",
-    "base_state",
-    "build_increment",
-    "make_params",
-    "oscillation_diagnostics",
-    "step",
-    "RunConfig",
-    "run",
-]
+from . import fields, kernels, multipliers, directions, slabs, iteration, harness
+from .fields import *
+from .kernels import *
+from .multipliers import *
+from .directions import *
+from .slabs import *
+from .iteration import *
+from .harness import *
+
+__all__ = [name for m in (fields, kernels, multipliers, directions, slabs, iteration, harness) for name in m.__all__]
 
 __version__ = "0.1.0"

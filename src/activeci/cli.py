@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", help="output directory")
     parser.add_argument(
         "--multiplier",
-        help="ipm2d | ipm3d | file:<path> (a declarative rational symbol)",
+        help="ipm2d | ipm3d | sqg | mg | file:<path> (a declarative rational symbol)",
     )
     parser.add_argument("--seed", type=int, help="seed for the random test functions")
     return parser

@@ -46,6 +46,7 @@ from .kernels import ShellKernel
 __all__ = [
     "SpectralField",
     "SupportError",
+    "sample",
     "analyze",
     "multiply",
     "divergence_defect",
@@ -367,23 +368,20 @@ def _sample_rows(field: SpectralField, N: int):
     later axes.  Every line goes through the same 1-D transform as in
     ``irfftn``, so the samples are bitwise ``irfftn(half) * N^d`` for
     power-of-two N.  Every block is a view of one buffer, overwritten by the
-    next block.  A 1-D field has no later axes: one ``irfft`` along axis 0
-    gives its one block, the whole grid.  The half spectrum is cut from
+    next block.  Grids serve d >= 2: no run has d = 1, where the only
+    divergence-free symbol, 0, is odd.  The half spectrum is cut from
     :meth:`SpectralField._full`, since the self-conjugate planes take both.
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
     d = field.dim
+    if d < 2:
+        raise ValueError(f"grids serve d >= 2, not d = {d}")
     last = N // 2 + 1
     freqs, amps = field._full()
     freqs = freqs % N
     keep = freqs[:, -1] < last  # the dropped half holds the conjugates of the kept one
     freqs, amps = freqs[keep], amps[keep]
-    if d == 1:  # axis 0 is the last axis: one transform, one block
-        spec = np.zeros(last, dtype=complex)
-        np.add.at(spec, freqs[:, 0], amps)
-        yield 0, np.fft.irfft(spec, N, norm="forward")
-        return
     tail = (N,) * (d - 2) + (last,)  # the later axes, as the transform reads them
     occupied, col = _unique_keys(np.ravel_multi_index(tuple(freqs[:, 1:].T), tail))
     lines = np.zeros((N, len(occupied)), dtype=complex)
@@ -430,9 +428,9 @@ def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
     and through the middle axes in place there; axis 0 is transformed in
     place once every row is in.  These are ``rfftn``'s passes, and every
     line goes through the same 1-D transform, so the spectrum is bitwise
-    ``rfftn``'s.  A 1-D field's blocks are gathered first, since axis 0 is
-    its last axis.  The prune scale and the kept indices are taken a slab of
-    rows at a time, so no magnitude array of the whole spectrum exists.
+    ``rfftn``'s; like :func:`_sample_rows`, it serves d >= 2.  The prune
+    scale and the kept indices are taken a slab of rows at a time, so no
+    magnitude array of the whole spectrum exists.
 
     Each kept coefficient with 0 < last index < N/2 also stands at -xi as
     its exact conjugate.  The spectrum is Hermitian once each coefficient on
@@ -443,18 +441,12 @@ def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
     (:meth:`SpectralField._half`).
     """
     half = np.empty((N,) * (dim - 1) + (N // 2 + 1,), dtype=complex)
-    if dim == 1:
-        values = np.empty(N)
-        for i, block in blocks:
-            values[i : i + len(block)] = block
-        np.fft.rfft(values, out=half)
-    else:
-        for i, block in blocks:
-            rows = half[i : i + len(block)]
-            np.fft.rfft(block, axis=-1, out=rows)
-            for ax in reversed(range(1, dim - 1)):
-                np.fft.fft(rows, axis=ax, out=rows)
-        np.fft.fft(half, axis=0, out=half)
+    for i, block in blocks:
+        rows = half[i : i + len(block)]
+        np.fft.rfft(block, axis=-1, out=rows)
+        for ax in reversed(range(1, dim - 1)):
+            np.fft.fft(rows, axis=ax, out=rows)
+    np.fft.fft(half, axis=0, out=half)
     half /= N**dim
     step = max(1, _BLOCK_POINTS // (half.size // len(half)))
     slabs = range(0, len(half), step)
@@ -492,7 +484,10 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
     values = np.asarray(values)
     if np.iscomplexobj(values):
         raise ValueError("only real grids are analyzed")
-    dim, N = values.ndim, values.shape[0]
+    dim = values.ndim
+    if dim < 2:
+        raise ValueError(f"grids serve d >= 2, not d = {dim}")
+    N = values.shape[0]
     if values.shape != (N,) * dim:
         raise ValueError(f"samples of shape {values.shape} are not one scalar N^d grid")
     values = values.astype(float, copy=False)
@@ -717,13 +712,9 @@ def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
     amps = np.zeros((len(keys), len(comps)), dtype=complex)
     for i, (k, a) in enumerate(comps):
         amps[np.searchsorted(keys, k), i] = a
-    if g.rank == 0:
-        amps = amps[:, 0]
-    elif len(keys):  # the prune of SpectralField.pruned
-        mask = _above(np.abs(amps).max(axis=1))
-        keys, amps = keys[mask], amps[mask]
     freqs = lo + (keys[:, None] // strides) % span
-    return SpectralField(f.dim, g.rank, freqs, amps)._half()
+    prod = SpectralField(f.dim, g.rank, freqs, amps)
+    return (prod.pruned() if g.rank else prod)._half()  # a scalar product's sums are pruned: no copy
 
 
 # -- calculus -------------------------------------------------------------

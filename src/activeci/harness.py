@@ -19,13 +19,15 @@ import math
 import os
 import random
 import resource
+import sys
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .directions import build_basis
+from .directions import DEFAULT_GAMMA_MARGIN, build_basis
 from .fields import (
+    DEFAULT_GRID_BUDGET,
     SpectralField,
     fractional_laplacian,
     gradient,
@@ -42,6 +44,7 @@ from .iteration import (
     step,
 )
 from .multipliers import (
+    CLAIM_NAMES,
     Multiplier,
     check_claims,
     ipm2d,
@@ -78,11 +81,11 @@ class RunConfig:
     b0: int = 2
     qmax: int = 2
     lambda1: int = 256
-    grid_budget: int = 8192
+    grid_budget: int = DEFAULT_GRID_BUDGET
     out: str = "out"
     seed: int = 0
     supplied_basis: list | None = None
-    gamma_margin: float = 0.1
+    gamma_margin: float = DEFAULT_GAMMA_MARGIN
     scaling_eps: float = 0.5
     scaling_lams: tuple = (64, 256, 1024, 4096)
 
@@ -142,7 +145,7 @@ def _checked_multiplier(config: RunConfig) -> tuple:
     if m.dim != config.d:
         raise ConfigError(f"multiplier {m.name} is {m.dim}-dimensional, config d = {config.d}")
     claims = check_claims(m)
-    for required in ("homogeneous_deg0", "divergence_free", "real_output", "not_odd", "bounded"):
+    for required in CLAIM_NAMES:
         claimed = bool(m.claims[required])
         observed = bool(claims[required]["pass"])
         if not (claimed and observed):
@@ -481,7 +484,5 @@ def run(config: RunConfig) -> int:
     _dump(timing, os.path.join(config.out, "timing.json"))
     if not failed:
         return 0
-    import sys  # already loaded by the interpreter; only the failure path prints
-
     print(f"stage {state.q} failed certification: {', '.join(failed)}", file=sys.stderr)
     return 1

@@ -25,6 +25,7 @@ import numpy as np
 
 from .directions import DirectionBasis
 from .fields import (
+    DEFAULT_GRID_BUDGET,
     Quadrature,
     SpectralField,
     _analyze_rows,
@@ -165,7 +166,7 @@ def make_params(
     b0: int = 2,
     qmax: int = 2,
     lambda1: int = 256,
-    grid_budget: int = 8192,
+    grid_budget: int = DEFAULT_GRID_BUDGET,
     lam_step: int = 16,
 ) -> IterationParams:
     """Derive the full parameter schedule from the direction basis, and

@@ -229,7 +229,8 @@ def check_claims(m: Multiplier, sample=None) -> dict:
 #
 # Declarative format (JSON): each component of m is a ratio of polynomials in
 # the frequency coordinates.  A polynomial is a list of monomials
-# [e_1, ..., e_d, coeff_re, coeff_im] meaning coeff * xi_1^{e_1} ... xi_d^{e_d}.
+# [e_1, ..., e_d, coeff_re, coeff_im], the e_i non-negative integers, meaning
+# coeff * xi_1^{e_1} ... xi_d^{e_d}.  Every claim the file omits is true.
 #
 #   {
 #     "name": "my-symbol",
@@ -256,28 +257,38 @@ def _poly_eval(monomials, xi):
 
 
 def _is_poly(monomials, d) -> bool:
-    """Whether ``monomials`` is a list of monomials of d + 2 numbers each."""
+    """Whether ``monomials`` is a list of monomials of d + 2 numbers each,
+    the first d of them non-negative integer exponents."""
     return isinstance(monomials, list) and all(
         isinstance(mono, list)
         and len(mono) == d + 2
-        and all(isinstance(v, (int, float)) for v in mono)
+        and all(type(e) is int and e >= 0 for e in mono[:d])  # bool is an int subclass
+        and all(isinstance(v, (int, float)) for v in mono[d:])
         for mono in monomials
     )
 
 
 def load_multiplier(path) -> Multiplier:
-    """Load a user-defined rational symbol from its declarative JSON file."""
+    """Load a user-defined rational symbol from its declarative JSON file.
+    ValueError for a malformed one: ``dim`` must be an integer >= 1,
+    ``name`` a string and ``claims`` map claim names to booleans."""
     with open(path) as fh:
         data = json.load(fh)
-    dim = int(data["dim"])
+    dim, name, claims = data["dim"], data.get("name", "user"), data.get("claims", {})
+    if type(dim) is not int or dim < 1:
+        raise ValueError(f"dim = {dim!r} must be an integer >= 1")
+    if not isinstance(name, str):
+        raise ValueError(f"name = {name!r} must be a string")
+    if not isinstance(claims, dict) or any(k not in CLAIM_NAMES or type(v) is not bool for k, v in claims.items()):
+        raise ValueError(f"claims = {claims!r} must map some of {', '.join(CLAIM_NAMES)} to booleans")
     comps = data["components"]
     if len(comps) != dim:
         raise ValueError("component count must equal the dimension")
     for i, c in enumerate(comps):
         if not (isinstance(c, dict) and _is_poly(c.get("num"), dim) and _is_poly(c.get("den", []), dim)):
             raise ValueError(
-                f"component {i} must be an object whose num and optional den "
-                f"are lists of monomials of {dim + 2} numbers"
+                f"component {i} must be an object whose num and optional den are lists of "
+                f"monomials of {dim} non-negative integer exponents and 2 numbers"
             )
 
     def sym(xi, comps=comps):
@@ -287,4 +298,4 @@ def load_multiplier(path) -> Multiplier:
             axis=-1,
         )
 
-    return Multiplier(dim, sym, data.get("name", "user"), claims=data.get("claims", {}))
+    return Multiplier(dim, sym, name, claims=claims)

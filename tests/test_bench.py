@@ -65,6 +65,7 @@ def test_summary_lists_the_failed_runs(tmp_path, monkeypatch):
             return subprocess.CompletedProcess(cmd, 1, "", "error: boom\n")
         return subprocess.CompletedProcess(cmd, 0, _stdout(0.5, 3, correct=(pair, side) != (1, "change")), "")
 
+    monkeypatch.setattr(bench, "resolve", lambda rev: rev)
     monkeypatch.setattr(bench, "checkout", checkout)
     monkeypatch.setattr(bench.subprocess, "run", fake_run)
     out = tmp_path / "bench.json"
@@ -75,6 +76,63 @@ def test_summary_lists_the_failed_runs(tmp_path, monkeypatch):
         {"workload": "w", "pair": 1, "side": "change", "exit": 0, "correct": False},
         {"workload": "w", "pair": 1, "side": "parent", "exit": 1, "correct": None},
     ]
+
+
+def _git(repo, *args):
+    cmd = ["git", "-C", str(repo), "-c", "user.name=bench", "-c", "user.email=bench@example.com", *args]
+    return subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _repo(tmp_path, commits):
+    """A local git repository of ``commits`` commits."""
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    for n in range(commits):
+        (repo / "f").write_text(str(n))
+        _git(repo, "add", "f")
+        _git(repo, "commit", "-q", "-m", f"c{n}")
+    return repo
+
+
+def test_revisions_are_recorded_as_full_hashes(tmp_path, monkeypatch):
+    # two commits of a local repository; HEAD~1 and HEAD stop naming them
+    # after the next commit, their hashes do not
+    repo = _repo(tmp_path, 2)
+    hashes = [_git(repo, "rev-parse", "HEAD~1"), _git(repo, "rev-parse", "HEAD")]
+    monkeypatch.setattr(bench, "ROOT", repo)
+    assert [bench.resolve("HEAD~1"), bench.resolve(hashes[1][:7])] == hashes
+
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": SPEC}
+    checked_out = []
+
+    def checkout(rev, dest):
+        checked_out.append(rev)
+        (dest / "src").mkdir(parents=True)
+        (dest / "scripts").mkdir()
+        (dest / "BENCHMARK.json").write_text(json.dumps(spec))
+        return dest
+
+    def fake_run(cmd, real_run=subprocess.run, **kw):  # git runs, run.py does not
+        return real_run(cmd, **kw) if cmd[0] == "git" else subprocess.CompletedProcess(cmd, 0, _stdout(0.5, 3), "")
+
+    monkeypatch.setattr(bench, "checkout", checkout)
+    monkeypatch.setattr(bench.subprocess, "run", fake_run)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--parent", "HEAD~1", "--change", "HEAD", "--seed", "1", "--pairs", "1", "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert [summary["parent"], summary["change"]] == checked_out == hashes
+
+
+@pytest.mark.parametrize("rev", ["HEAD~5", "no-such-branch", "HEAD^{tree}"])
+def test_bad_revision_exits_2_before_any_run(tmp_path, monkeypatch, capsys, rev):
+    # HEAD~5 lies past the root, and a tree is no commit
+    monkeypatch.setattr(bench, "ROOT", _repo(tmp_path, 1))
+    out = tmp_path / "bench.json"
+    assert bench.main(["--parent", rev, "--change", "HEAD", "--seed", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_summarize_counts_wins_by_direction_and_ties_for_neither():

@@ -340,7 +340,7 @@ def roundoff_hermitian(rng, dim, n, radius, rank=0):
     return np.concatenate((up, -up, origin)), amps
 
 
-@pytest.mark.parametrize("dim,N", [(1, 16), (1, 15), (2, 16), (2, 9), (3, 16), (3, 15)])
+@pytest.mark.parametrize("dim,N", [(2, 16), (2, 9), (3, 16), (3, 15)])
 def test_analyze_is_exactly_hermitian(dim, N):
     values = np.random.default_rng(dim + N).normal(size=(N,) * dim)
     assert_half(analyze(values))
@@ -533,11 +533,10 @@ def test_multiply_scalar_vector():
 @pytest.mark.parametrize(
     "f",
     [
-        cos_field((3,), amp=1.7) + cos_field((1,), amp=-0.4),
         cos_field((3, 2), amp=1.7) + cos_field((1, 0), amp=-0.4),
         cos_field((3, 2, -1), amp=1.7) + cos_field((1, 0, 2), amp=-0.4),
     ],
-    ids=["1d", "2d", "3d"],
+    ids=["2d", "3d"],
 )
 def test_sample_analyze_roundtrip(f):
     g = analyze(sample(f, 16))
@@ -554,10 +553,20 @@ def test_grid_layer_takes_real_fields_only():
         analyze(np.ones((2, 8, 8)))  # the shape of two components' grids
 
 
+def test_grid_layer_serves_two_or_more_dimensions():
+    # a divergence-free symbol on Z is 0, hence odd: no run has a 1-D grid
+    f = cos_field((3,)) + cos_field((1,), amp=-0.4)
+    grids = (np.ones(16), np.float64(1.0))
+    calls = [lambda: sample(f, 16), lambda: lp_norms(f, (1.0, 2.0))] + [lambda v=v: analyze(v) for v in grids]
+    for call in calls:
+        with pytest.raises(ValueError, match="d >= 2"):
+            call()
+
+
 @pytest.mark.parametrize(
     "values",
     [
-        np.array([1.0, -1.0, 1.0, -1.0]),
+        (-1.0) ** np.arange(4)[:, None] * np.ones(4),
         np.cos(np.pi * np.arange(4))[:, None] * np.ones(4) + np.sin(np.pi / 2 * np.arange(4)),
     ],
 )
@@ -586,7 +595,7 @@ def test_analyze_nyquist_line_samples_on_a_finer_grid(transpose):
     assert np.allclose(sample(g, 4), values.T if transpose else values, atol=1e-14)
 
 
-@pytest.mark.parametrize("dim,N", [(1, 16), (2, 8), (2, 32), (3, 8), (3, 16), (2, 9)])
+@pytest.mark.parametrize("dim,N", [(2, 8), (2, 32), (3, 8), (3, 16), (2, 9)])
 def test_analyze_is_bitwise_rfftn(dim, N):
     # on the origin and the upper half, the stored rows, a coefficient in
     # the computed half (last index 0..N/2 mod N) is numpy's rfftn bit for
@@ -604,7 +613,7 @@ def test_analyze_is_bitwise_rfftn(dim, N):
     at = np.where(computed[:, None], g.freqs, -g.freqs) % N
     expect = ref[tuple(at.T)]
     expect = np.where(computed, expect, expect.conj()) / 2.0**halvings
-    assert dim == 1 or not computed.all()  # the mirrored entries are checked too
+    assert not computed.all()  # the mirrored entries are checked too
     assert g.amps.tobytes() == expect.tobytes()
 
 
@@ -624,7 +633,7 @@ def test_analyze_holds_one_complex_grid():
     assert peak < 1.5 * grid_bytes
 
 
-@pytest.mark.parametrize("dim,N", [(1, 64), (1, 63), (2, 64), (2, 45), (3, 16), (3, 15)])
+@pytest.mark.parametrize("dim,N", [(2, 64), (2, 45), (3, 16), (3, 15)])
 def test_analyze_rows_over_uneven_blocks_is_analyze(dim, N):
     # row blocks of 1, 3, N/2 - 4 and N/2 rows, against analyze's one block
     values = sample(random_hermitian(np.random.default_rng(N + dim), dim, 12, N // 3), N)
@@ -702,8 +711,6 @@ def dense_samples(f, N):
 @pytest.mark.parametrize(
     "dim,N,radius",
     [
-        (1, 8, 7),
-        (1, 16, 8),  # frequencies +-8 meet in the Nyquist bin
         (2, 8, 7),  # every axis wraps
         (2, 16, 8),  # last-axis frequencies +-8 meet in the Nyquist column
         (2, 512, 300),  # several row blocks
@@ -750,8 +757,6 @@ def dense_norms(f, N):
 @pytest.mark.parametrize(
     "dim,N",
     [
-        (1, 64),
-        (1, 99),  # odd N: the subgrid has 50 points
         (2, 16),  # one block
         (2, 384),  # blocks of 170 rows: the last one is short
         (2, 999),  # odd N: the subgrid has 500 points per axis

@@ -389,7 +389,30 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
 
+# the 2-D IPM symbol in the declarative file format
+IPM2D_FILE = {
+    "name": "ipm2d-file",
+    "dim": 2,
+    "components": [
+        {"num": [[1, 1, 1.0, 0.0]], "den": [[2, 0, 1.0, 0.0], [0, 2, 1.0, 0.0]]},
+        {"num": [[2, 0, -1.0, 0.0]], "den": [[2, 0, 1.0, 0.0], [0, 2, 1.0, 0.0]]},
+    ],
+    "claims": {"not_odd": True},
+}
+
 BAD_FILES = {
+    "dim_2_7.json": {**IPM2D_FILE, "dim": 2.7},  # not run as d = 2
+    "dim_1e400.json": json.dumps(IPM2D_FILE).replace('"dim": 2', '"dim": 1e400'),  # no OverflowError traceback
+    "dim_0.json": {**IPM2D_FILE, "dim": 0, "components": []},
+    "claims_string.json": {**IPM2D_FILE, "claims": {"not_odd": "no"}},  # not a claim of not_odd
+    "claims_unknown.json": {**IPM2D_FILE, "claims": {"not_odd": True, "even": True}},
+    "claims_list.json": {**IPM2D_FILE, "claims": ["not_odd"]},
+    "exponent_bool.json": {  # not counted as 1
+        **IPM2D_FILE,
+        "components": [{**IPM2D_FILE["components"][0], "num": [[True, 1, 1.0, 0.0]]}, IPM2D_FILE["components"][1]],
+    },
+    "exponent_negative.json": {**IPM2D_FILE, "components": [{"num": [[-1, 0, 1.0, 0.0]]}] * 2},  # 1 / xi_1
+    "name_number.json": {**IPM2D_FILE, "name": 5},  # not the multiplier of report.json
     "malformed.json": "{not json",
     "one_component.json": {"dim": 2, "components": [{"num": [[0, 0, 1.0, 0.0]]}]},
     "number_components.json": {"dim": 2, "components": [1, 2]},
@@ -439,6 +462,15 @@ BAD_FILES = {
         ["--multiplier", "file:{dir}/one_component.json"],  # d = 2 needs two
         ["--multiplier", "file:{dir}/number_components.json"],
         ["--multiplier", "file:{dir}/short_monomial.json"],  # d + 2 = 4 numbers each
+        ["--multiplier", "file:{dir}/dim_2_7.json", "--qmax", "0"],
+        ["--multiplier", "file:{dir}/dim_1e400.json", "--qmax", "0"],
+        ["--multiplier", "file:{dir}/dim_0.json", "--qmax", "0"],
+        ["--multiplier", "file:{dir}/claims_string.json", "--qmax", "0"],
+        ["--multiplier", "file:{dir}/claims_unknown.json", "--qmax", "0"],
+        ["--multiplier", "file:{dir}/claims_list.json", "--qmax", "0"],
+        ["--multiplier", "file:{dir}/exponent_bool.json", "--qmax", "0"],
+        ["--multiplier", "file:{dir}/exponent_negative.json", "--qmax", "0"],
+        ["--multiplier", "file:{dir}/name_number.json", "--qmax", "0"],
         ["--seed", "-1"],
         ["--grid-budget", "0", "--qmax", "0"],
         ["--grid-budget", "-8", "--qmax", "0"],
@@ -488,6 +520,14 @@ def test_cli_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not list(tmp_path.rglob("stage-0"))  # no stage ran
+
+
+def test_cli_runs_a_multiplier_file(tmp_path):
+    # the file the bad multiplier files each break in one key
+    (tmp_path / "ipm2d.json").write_text(json.dumps(IPM2D_FILE))
+    out = tmp_path / "o"
+    assert main(["--multiplier", f"file:{tmp_path}/ipm2d.json", "--qmax", "0", "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["config"]["multiplier"] == "ipm2d-file"
 
 
 def _patch_increment(monkeypatch, change):
