@@ -12,16 +12,19 @@ Laplacians, dropping the mean) go through one coefficientwise weighting,
 :meth:`SpectralField.weighted`; maps that change the rank (``gradient``,
 ``divergence``, the drift ``apply_T`` and the Gamma-row contraction in
 ``amplitudes``) form their amplitude arrays directly.  Dense arrays appear
-only in large products (cluster boxes) and in ``_analyze_rows``' half
-spectrum.
+only in large products (cluster boxes) and in ``_analyze_rows``' box.
 
-Grids are streamed in row blocks instead: ``_sample_rows`` runs the inverse
-DFT along axis 0 only on the lines that hold a coefficient, then finishes a
-few rows at a time, and ``lp_norms`` reduces each row block as it comes.  Its
-adjoint ``_analyze_rows`` takes row blocks of samples through the forward
-DFT into the half spectrum, the one N^d-sized array of the amplitudes' grid
-round trip.  ``sample`` and ``analyze`` wrap the two for a whole real grid.
-Their real-FFT half lies along the last axis, not the lexicographic one.
+Grids are streamed in row blocks instead.  ``_sample_plan`` runs a field's
+inverse DFT along axis 0 only on the lines that hold a coefficient, and
+``_sample_block`` finishes it a few rows at a time, into buffers its caller
+passes, so the components of a vector field share one set; ``lp_norms``
+reduces each row block as it comes.  The adjoint ``_analyze_rows`` takes
+row blocks of samples through the forward DFT, pruned to a box |xi_i| <= K:
+it holds only the box's half spectrum, N (2K+1)^(d-2) (K+1) coefficients,
+the largest array of the amplitudes' grid round trip, and counts the mass
+outside the box by Parseval.  ``sample`` and ``analyze`` wrap the two for a
+whole real grid.  Their real-FFT half lies along the last axis, not the
+lexicographic one.
 
 Products are exact convolutions.  The engine packs frequencies into int64
 keys, splits the whole spectrum of each operand into frequency clusters that
@@ -71,7 +74,7 @@ PRUNE_REL = 1e-15
 DEFAULT_GRID_BUDGET = 8192
 # direct pair enumeration is used for cluster pairs below this many pairs
 _DIRECT_PAIR_CAP = 1 << 21
-# grid points per row block of the streamed inverse DFT (_sample_rows)
+# grid points per row block of the streamed inverse DFT (_sample_buffers)
 _BLOCK_POINTS = 1 << 16
 
 
@@ -355,22 +358,21 @@ class SpectralField:
 # -- sampling and analysis ------------------------------------------------
 
 
-def _sample_rows(field: SpectralField, N: int):
-    """Yield ``(i, block)``: the samples of grid rows i, i+1, ... (axis 0),
-    a few rows at a time: about ``_BLOCK_POINTS`` points, at least two rows,
-    and an even row count, so that every block starts at an even row.
+def _sample_plan(field: SpectralField, N: int):
+    """The per-field part of the streamed inverse DFT of a scalar field on
+    the N^d grid: ``(occupied, lines)``, the later-axis indices that hold a
+    coefficient and the axis-0 inverse DFT along each of them, an (N,
+    #occupied) array.  :func:`_sample_block` finishes it a row block at a
+    time.
 
-    The inverse DFT runs in numpy's ``irfftn`` order: axis 0 first, then the
+    The transform runs in numpy's ``irfftn`` order: axis 0 first, then the
     later axes, the last one by ``irfft`` over the half spectrum.  Axis 0 is
-    transformed only along the lines whose later-axis indices hold a
-    coefficient, gathered in an (N, #occupied) array; each block then
-    scatters its rows of those lines into a zero block and finishes the
-    later axes.  Every line goes through the same 1-D transform as in
-    ``irfftn``, so the samples are bitwise ``irfftn(half) * N^d`` for
-    power-of-two N.  Every block is a view of one buffer, overwritten by the
-    next block.  Grids serve d >= 2: no run has d = 1, where the only
-    divergence-free symbol, 0, is odd.  The half spectrum is cut from
-    :meth:`SpectralField._full`, since the self-conjugate planes take both.
+    transformed only along the lines that hold a coefficient, and every line
+    goes through the same 1-D transform as in ``irfftn``, so the samples are
+    bitwise ``irfftn(half) * N^d`` for power-of-two N.  Grids serve d >= 2:
+    no run has d = 1, where the only divergence-free symbol, 0, is odd.  The
+    half spectrum is cut from :meth:`SpectralField._full`, since the
+    self-conjugate planes take both.
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
@@ -386,26 +388,64 @@ def _sample_rows(field: SpectralField, N: int):
     occupied, col = _unique_keys(np.ravel_multi_index(tuple(freqs[:, 1:].T), tail))
     lines = np.zeros((N, len(occupied)), dtype=complex)
     np.add.at(lines, (freqs[:, 0], col), amps)
-    lines = np.fft.ifft(lines, axis=0, norm="forward")
+    return occupied, np.fft.ifft(lines, axis=0, norm="forward")
+
+
+def _sample_buffers(d: int, N: int, blocks: int):
+    """``(spec, outs)``: the zeroed complex scratch of :func:`_sample_block`
+    and ``blocks`` real output blocks, for row blocks of about
+    ``_BLOCK_POINTS`` points, at least two rows and an even row count, so
+    that every block starts at an even row."""
     rows = min(N, max(2, _BLOCK_POINTS // N ** (d - 1) // 2 * 2))
-    spec = np.zeros((rows, math.prod(tail)), dtype=complex)
-    out = np.empty((rows,) + (N,) * (d - 1))
-    for i in range(0, N, rows):
-        n = min(rows, N - i)
-        if d > 2:  # the last block's middle-axis transforms filled every column
-            spec[:n] = 0
-        spec[:n, occupied] = lines[i : i + n]
-        block = spec[:n].reshape((n,) + tail)
-        for ax in range(1, d - 1):
-            np.fft.ifft(block, axis=ax, norm="forward", out=block)
-        np.fft.irfft(block, N, axis=-1, norm="forward", out=out[:n])
-        yield i, out[:n]
+    spec = np.zeros((rows, N ** (d - 2) * (N // 2 + 1)), dtype=complex)
+    return spec, [np.empty((rows,) + (N,) * (d - 1)) for _ in range(blocks)]
+
+
+def _shared_columns(plans):
+    """The plans over the union of their occupied columns, zero where a plan
+    has none, so that they may take turns on one ``spec``."""
+    union = _unique_keys(np.concatenate([occupied for occupied, _ in plans]))[0]
+    wide = []
+    for occupied, lines in plans:
+        spread = np.zeros((len(lines), len(union)), dtype=complex)
+        spread[:, np.searchsorted(union, occupied)] = lines
+        wide.append((union, spread))
+    return wide
+
+
+def _sample_block(plan, i: int, spec, out):
+    """Write the samples of grid rows i, i+1, ... into ``out``, one block of
+    :func:`_sample_buffers`, cut to the rows left, and return it.  The rows
+    of the ``plan``'s lines are scattered into ``spec``, whose later axes
+    are then transformed in place, the last one into ``out``.  ``spec`` must
+    be zero outside the plan's occupied columns: plans that take turns on
+    one ``spec`` share their columns (:func:`_shared_columns`)."""
+    occupied, lines = plan
+    n, N = len(out), out.shape[-1]
+    if out.ndim > 2:  # the last block's middle-axis transforms filled every column
+        spec[:n] = 0
+    spec[:n, occupied] = lines[i : i + n]
+    block = spec[:n].reshape((n,) + out.shape[1:-1] + (N // 2 + 1,))
+    for ax in range(1, out.ndim - 1):
+        np.fft.ifft(block, axis=ax, norm="forward", out=block)
+    np.fft.irfft(block, N, axis=-1, norm="forward", out=out)
+    return out
+
+
+def _sample_rows(field: SpectralField, N: int):
+    """Yield ``(i, block)``: the samples of grid rows i, i+1, ... (axis 0) of
+    one scalar field, a row block at a time (:func:`_sample_plan`).  Every
+    block is a view of one buffer, overwritten by the next block."""
+    plan = _sample_plan(field, N)
+    spec, (out,) = _sample_buffers(field.dim, N, 1)
+    for i in range(0, N, len(out)):
+        yield i, _sample_block(plan, i, spec, out[: N - i])
 
 
 def sample(field: SpectralField, N: int) -> np.ndarray:
     """Exact samples of a scalar field at the N^d grid points, shape (N,)*d,
     for callers that need the whole grid; no step of a run does: the norms
-    and ``amplitudes`` stream :func:`_sample_rows` instead.
+    and ``amplitudes`` stream row blocks instead (:func:`_sample_block`).
 
     Wrapping frequencies mod N leaves grid-point values exact because
     e^{2 pi i xi j / N} only depends on xi mod N; only coefficient recovery
@@ -417,49 +457,83 @@ def sample(field: SpectralField, N: int) -> np.ndarray:
     return out
 
 
-def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
-    """The adjoint of :func:`_sample_rows`: recover the sparse coefficient
-    map of a real scalar field from its samples at x = j/N, j in
-    {0..N-1}^d, given as ``(i, block)`` row blocks that cover axis 0 once, in
-    order.
+def _mass(x, weight) -> float:
+    """The sum of weight[c] |x[..., c]|^2 over ``x``, whose last axis is
+    contiguous.  One einsum over the (re, im) pairs needs no temporary array
+    and no BLAS call: ``np.vdot`` raised a run's peak RSS by about 0.1 MB."""
+    pairs = x.view(np.float64)
+    axes = "abcdefgh"[: x.ndim - 1]  # einsum sums no ellipsis axes away
+    return float(np.einsum(f"{axes}z,{axes}z,z->", pairs, pairs, np.repeat(weight, 2)))
 
-    Only the half spectrum, last index 0..N//2, is held.  Each block goes
-    through ``rfft`` along the last axis into its rows of the half spectrum
-    and through the middle axes in place there; axis 0 is transformed in
-    place once every row is in.  These are ``rfftn``'s passes, and every
-    line goes through the same 1-D transform, so the spectrum is bitwise
-    ``rfftn``'s; like :func:`_sample_rows`, it serves d >= 2.  The prune
-    scale and the kept indices are taken a slab of rows at a time, so no
-    magnitude array of the whole spectrum exists.
+
+def _analyze_rows(dim: int, N: int, K: int, blocks, rel=PRUNE_REL) -> tuple:
+    """The adjoint of :func:`_sample_rows`, pruned to the box |xi_i| <= K:
+    recover the coefficients there of a real scalar field from its samples
+    at x = j/N, j in {0..N-1}^d, given as ``(i, block)`` row blocks that
+    cover axis 0 once, in order.  0 <= K <= N // 2, and K = N // 2 keeps the
+    whole spectrum.
+
+    Returns ``(field, outside)``: the field of the box's coefficients and the
+    squared L^2 mass of the spectrum outside the box, sum |f(xi)|^2 there,
+    by Parseval.  Only the box's half, last index 0..K, is held: N rows of
+    (2K+1)^(d-2) (K+1) coefficients.  A block goes through ``rfft`` along
+    the last axis a few rows at a time (about ``_BLOCK_POINTS / 8`` outputs,
+    so no whole-width spectrum of a block exists) and keeps columns 0..K,
+    then through each middle axis, keeping its |xi_i| <= K rows; axis 0 is
+    transformed in place once every row is in, and its |xi_0| <= K rows are
+    read.  These are ``rfftn``'s passes, and every kept line goes through
+    the same 1-D transform, so the kept coefficients are bitwise
+    ``rfftn``'s.  Each pass adds the |.|^2 of the columns or rows it drops
+    to ``outside``, twice off the self-conjugate planes (last index 0 and
+    N/2), which stand for their mirrors too.  The prune scale is the
+    largest kept magnitude: the whole spectrum's for a positive field,
+    whose largest coefficient is its mean, at the origin.  It and the kept
+    indices are taken a slab of rows at a time, so no magnitude array of
+    the box exists.
 
     Each kept coefficient with 0 < last index < N/2 also stands at -xi as
-    its exact conjugate.  The spectrum is Hermitian once each coefficient on
-    a Nyquist line (-N/2 on some axis, even N) is split evenly over -N/2 and
-    +N/2 on that axis; the N-grid samples stay the same.  The self-conjugate
-    planes (last index 0 and N/2) hold both halves only up to roundoff, and
-    the origin and the upper half of the result are kept
+    its exact conjugate.  With K = N // 2 and even N, the spectrum is
+    Hermitian once each coefficient on a Nyquist line (-N/2 on some axis)
+    is split evenly over -N/2 and +N/2 on that axis; the N-grid samples stay
+    the same.  The self-conjugate planes hold both halves only up to
+    roundoff, and the origin and the upper half of the result are kept
     (:meth:`SpectralField._half`).
     """
-    half = np.empty((N,) * (dim - 1) + (N // 2 + 1,), dtype=complex)
+    at = np.arange(N)
+    keep = at[np.minimum(at, N - at) <= K]  # the indices of |xi_i| <= K on an axis
+    cut = slice(K + 1, N - K)  # the others, none for K = N // 2
+    weight = np.where((at == 0) | (2 * at == N), 1.0, 2.0)[: N // 2 + 1]
+    box = np.empty((N,) + (len(keep),) * (dim - 2) + (K + 1,), dtype=complex)
+    rows = max(1, _BLOCK_POINTS // 8 // (N ** (dim - 2) * (N // 2 + 1)))  # per rfft call
+    outside = 0.0
     for i, block in blocks:
-        rows = half[i : i + len(block)]
-        np.fft.rfft(block, axis=-1, out=rows)
-        for ax in reversed(range(1, dim - 1)):
-            np.fft.fft(rows, axis=ax, out=rows)
-    np.fft.fft(half, axis=0, out=half)
-    half /= N**dim
-    step = max(1, _BLOCK_POINTS // (half.size // len(half)))
-    slabs = range(0, len(half), step)
-    scale = max(float(np.abs(half[i : i + step]).max()) for i in slabs)
+        for r in range(0, len(block), rows):
+            part = np.fft.rfft(block[r : r + rows], axis=-1)
+            outside += _mass(part[..., K + 1 :], weight[K + 1 :]) / N ** (dim + 1)
+            part = part[..., : K + 1]
+            for ax in reversed(range(1, dim - 1)):
+                part = np.fft.fft(part, axis=ax)
+                outside += _mass(part[(slice(None),) * ax + (cut,)], weight[: K + 1]) / N ** (2 * dim - ax)
+                part = part.take(keep, axis=ax)
+            box[i + r : i + r + len(part)] = part
+    np.fft.fft(box, axis=0, out=box)
+    outside += _mass(box[cut], weight[: K + 1]) / N ** (2 * dim)
+    step = max(1, _BLOCK_POINTS // (box.size // N))
+    spans = ((0, K + 1), (max(K + 1, N - K), N))  # the kept rows of axis 0
+    slabs = [(j, box[j : min(j + step, hi)]) for lo, hi in spans for j in range(lo, hi, step)]
+    for _, slab in slabs:
+        slab /= N**dim
+    scale = max(float(np.abs(slab).max()) for _, slab in slabs)
     if scale == 0.0:
-        return SpectralField.zero(dim, 0)
-    idx = []
-    for i in slabs:
-        hits = np.argwhere(np.abs(half[i : i + step]) > rel * scale)
-        hits[:, 0] += i
+        return SpectralField.zero(dim, 0), outside
+    idx, amps = [], []
+    for j, slab in slabs:
+        hits = np.argwhere(np.abs(slab) > rel * scale)
+        amps.append(slab[tuple(hits.T)])
+        hits[:, 0] += j
         idx.append(hits)
-    idx = np.concatenate(idx)
-    amps = half[tuple(idx.T)]
+    idx, amps = np.concatenate(idx), np.concatenate(amps)
+    idx[:, 1:-1] = keep[idx[:, 1:-1]]  # box positions of the middle axes to grid indices
     mirrored = (idx[:, -1] > 0) & (2 * idx[:, -1] < N)
     idx = np.concatenate((idx, -idx[mirrored] % N))
     amps = np.concatenate((amps, amps[mirrored].conj()))
@@ -473,13 +547,14 @@ def _analyze_rows(dim: int, N: int, blocks, rel=PRUNE_REL) -> SpectralField:
             mirror[:, ax] = N // 2
             centered = np.concatenate((centered, mirror))
     half = _upper(centered)
-    return SpectralField._summed(dim, 0, centered[half], amps[half])._half()
+    return SpectralField._summed(dim, 0, centered[half], amps[half])._half(), outside
 
 
 def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
     """Recover the sparse coefficient map of a real scalar field from its
     samples at x = j/N, j in {0..N-1}^d: a real (N,)*d array, fed to
-    :func:`_analyze_rows` in row blocks of about ``_BLOCK_POINTS`` points.
+    :func:`_analyze_rows` in row blocks of about ``_BLOCK_POINTS`` points,
+    with the box of the whole spectrum.
     """
     values = np.asarray(values)
     if np.iscomplexobj(values):
@@ -492,7 +567,7 @@ def analyze(values: np.ndarray, rel=PRUNE_REL) -> SpectralField:
         raise ValueError(f"samples of shape {values.shape} are not one scalar N^d grid")
     values = values.astype(float, copy=False)
     rows = max(1, _BLOCK_POINTS // values[0].size)
-    return _analyze_rows(dim, N, ((i, values[i : i + rows]) for i in range(0, N, rows)), rel)
+    return _analyze_rows(dim, N, N // 2, ((i, values[i : i + rows]) for i in range(0, N, rows)), rel)[0]
 
 
 # -- products -------------------------------------------------------------
@@ -810,13 +885,17 @@ class Quadrature(NamedTuple):
 
 def _grid_sums(f: SpectralField, N: int, ps) -> dict:
     """``{p: (fine, coarse)}``: sum |f|^p (max |f| for p = inf) over the N^d
-    grid and over its even subgrid, streamed through :func:`_sample_rows`.
+    grid and over its even subgrid, streamed a row block at a time
+    (:func:`_sample_block`).
 
-    Each block is made |f| in place (a vector field's components' blocks
-    side by side, squared and added in component order, then the root),
-    which p = 1 and inf reduce as it is and p = 2 as |f| |f| in one reused
-    buffer.  The block is then made log |f| in place, and every other p is
-    formed as exp(p log |f|) in that buffer.  Blocks start at even rows, so
+    Each block is made |f| in place, which p = 1 and inf reduce as it is and
+    p = 2 as |f| |f| in one reused buffer.  A vector field's components,
+    planned over one set of columns, share one ``spec`` and two output
+    blocks: the first component's block is squared in place, each later one
+    is sampled into the scratch block, squared and added in component order,
+    and the root is taken.  The block
+    is then made log |f| in place, and every other p is formed as
+    exp(p log |f|) in that buffer.  Blocks start at even rows, so
     a block's even rows are even rows of the grid.  The block sums are
     combined by ``math.fsum``, which does not depend on their order.
     """
@@ -832,13 +911,18 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
 
     power = None
     comps = [f] if f.rank == 0 else [f.component(c) for c in range(f.dim)]
-    for blocks in zip(*(_sample_rows(c, N) for c in comps)):
-        vals = blocks[0][1]
+    plans = [_sample_plan(c, N) for c in comps]
+    if len(plans) > 1:
+        plans = _shared_columns(plans)
+    spec, (acc, *scratch) = _sample_buffers(f.dim, N, min(2, len(plans)))
+    for i in range(0, N, len(acc)):
+        vals = _sample_block(plans[0], i, spec, acc[: N - i])
         if f.rank == 0:
             np.abs(vals, out=vals)
         else:
             np.square(vals, out=vals)
-            for _, block in blocks[1:]:
+            for plan in plans[1:]:
+                block = _sample_block(plan, i, spec, scratch[0][: N - i])
                 vals += np.square(block, out=block)
             np.sqrt(vals, out=vals)
         if power is None and (logged or 2 in direct):  # p = 1 and inf need no buffer

@@ -401,14 +401,19 @@ def amplitudes(
     directions share.  ||R||_inf is taken as the grid maximum of
     |R| on the evaluation grid itself, which guarantees the Gamma arguments
     stay in the admissible ball pointwise; it is streamed through row blocks
-    of R's components, so no d N^d grid is held.  The coefficient map is
-    affine, c = E^{-1} k* - (eps_Omega/||R||_inf) E^{-1} R(x), so each
-    direction's Gamma_k^2 coefficient is a real scalar field with an exact
-    spectrum.  Its samples are streamed too: each row block is checked
-    against the margin, turned into the amplitude in place (square root,
-    prefactor) and transformed into the half spectrum by ``_analyze_rows``,
-    which is then pruned and truncated.  That half spectrum is the only
-    N^d-sized array, one direction at a time.
+    of R's components, which share one set of buffers, so no d N^d grid is
+    held.  The coefficient map is affine, c = E^{-1} k* -
+    (eps_Omega/||R||_inf) E^{-1} R(x), so each direction's Gamma_k^2
+    coefficient is a real scalar field with an exact spectrum.  Its samples
+    are streamed too: each row block is checked against the margin, turned
+    into the amplitude in place (square root, prefactor) and transformed by
+    ``_analyze_rows`` into the box |xi_i| <= trunc_radius only, whose
+    coefficients are pruned and cut to the radius.  The box's half spectrum,
+    about (2 trunc/N)^(d-1) of the whole N^d half spectrum, is the largest
+    array, one direction at a time.  ``tail_fraction`` is the L^2 norm
+    beyond the radius relative to the whole, by Parseval: the root of the
+    mass the transform's passes drop outside the box plus the in-box mass
+    beyond the radius, over the whole mass.
 
     ``stress_cutoff``: when set, the amplitudes target only the stress below
     that frequency.  The squared amplitude is affine in the stress, so the
@@ -446,13 +451,12 @@ def amplitudes(
     for k, row, mean in zip(basis.omega, rows, means):
         coeff = SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1))
         samples = _sample_rows(coeff + SpectralField(d, 0, origin, [mean]), N)
-        a_full = _analyze_rows(d, N, _amplitude_rows(samples, pref, basis.gamma_margin))
-        inside = a_full.radii() <= trunc
-        a = a_full.weighted(inside)
-        mass = a_full.masses()
-        total = mass.sum()
-        tail = math.sqrt(mass[~inside].sum() / total) if total > 0 else 0.0
-        out[k] = (a, {**shared, "tail_fraction": tail})
+        a_box, outside = _analyze_rows(d, N, trunc, _amplitude_rows(samples, pref, basis.gamma_margin))
+        inside = a_box.radii() <= trunc
+        mass = a_box.masses()
+        total = outside + mass.sum()
+        tail = math.sqrt((outside + mass[~inside].sum()) / total) if total > 0 else 0.0
+        out[k] = (a_box.weighted(inside), {**shared, "tail_fraction": tail})
     return out
 
 

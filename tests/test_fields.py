@@ -638,10 +638,53 @@ def test_analyze_rows_over_uneven_blocks_is_analyze(dim, N):
     # row blocks of 1, 3, N/2 - 4 and N/2 rows, against analyze's one block
     values = sample(random_hermitian(np.random.default_rng(N + dim), dim, 12, N // 3), N)
     cuts = [0, 1, 4, N // 2, N]
-    got = fields._analyze_rows(dim, N, ((i, values[i:j]) for i, j in zip(cuts, cuts[1:])))
+    got, outside = fields._analyze_rows(dim, N, N // 2, ((i, values[i:j]) for i, j in zip(cuts, cuts[1:])))
     ref = analyze(values)
     assert got.freqs.tobytes() == ref.freqs.tobytes()
     assert got.amps.tobytes() == ref.amps.tobytes()
+    assert outside == 0.0  # the box of the whole spectrum drops nothing
+
+
+def dense_tail(values, K):
+    """sqrt of the mass of |xi| > K over the whole mass, from numpy's fftn."""
+    N, dim = len(values), values.ndim
+    mass = np.abs(np.fft.fftn(values) / N**dim) ** 2
+    axes = np.meshgrid(*[np.fft.fftfreq(N, 1.0 / N)] * dim, indexing="ij")
+    beyond = sum(ax**2 for ax in axes) > K**2
+    return math.sqrt(mass[beyond].sum() / mass.sum())
+
+
+def box_cases():
+    """(dim, N, K, values): K well inside N/2 and K = N/2 - 1, N even and
+    odd, on white noise (mass at every frequency) and on positive fields
+    of random modes reaching past K."""
+    for dim, N, Ks in ((2, 64, (12, 31)), (2, 45, (9, 21)), (3, 16, (3, 7)), (3, 15, (4, 6))):
+        rng = np.random.default_rng(10 * N + dim)
+        smooth = sample(random_hermitian(rng, dim, 12, N // 3), N)
+        for K in Ks:
+            yield dim, N, K, rng.normal(size=(N,) * dim)
+            yield dim, N, K, smooth - smooth.min() + 0.5
+
+
+@pytest.mark.parametrize("dim,N,K,values", list(box_cases()))
+def test_box_analysis_is_analyze_cut_to_the_radius(dim, N, K, values):
+    # the box's coefficients within the radius are analyze's, bit for bit,
+    # and the Parseval tail beyond the radius is the dense one
+    cuts = [0, 1, 4, N // 2, N]
+    box, outside = fields._analyze_rows(dim, N, K, ((i, values[i:j]) for i, j in zip(cuts, cuts[1:])))
+    assert np.abs(box.freqs).max() <= K
+    ref = analyze(values)
+    ref = ref.weighted(ref.radii() <= K)
+    got = box.weighted(box.radii() <= K)
+    assert got.freqs.tobytes() == ref.freqs.tobytes()
+    assert got.amps.tobytes() == ref.amps.tobytes()
+    mass = box.masses()
+    tail = math.sqrt((outside + mass[box.radii() > K].sum()) / (outside + mass.sum()))
+    expect = dense_tail(values, K)
+    if expect > 1e-13:
+        assert tail == pytest.approx(expect, rel=1e-6)
+    else:  # every mode within the radius: both are roundoff
+        assert tail < 1e-13
 
 
 def test_sample_matches_direct_evaluation():
@@ -808,13 +851,13 @@ def test_norms_sample_each_grid_once(monkeypatch):
     # every mode on the plateau 4 <= |xi| <= 6.86 of shell j = 2
     f = cos_field((5, 0), 2.0) + cos_field((3, 4), 0.7) + cos_field((4, -4), -0.4)
     grids = Counter()
-    original = fields._sample_rows
+    original = fields._sample_plan
 
-    def counting(field, N):  # one call is one pass over the grid
+    def counting(field, N):  # one plan of a scalar field is one pass over the grid
         grids[N] += 1
         return original(field, N)
 
-    monkeypatch.setattr(fields, "_sample_rows", counting)
+    monkeypatch.setattr(fields, "_sample_plan", counting)
     ps = (1.0, 4.0 / 3.0, 1.5, 2.0, math.inf)
     lp = lp_norms(f, ps, 256)
     besov = [besov_norm(f, alpha, k, 256) for alpha in (-0.1, -0.5, -0.9)]

@@ -147,8 +147,8 @@ def test_amplitudes_zero_stress_raises(params):
 
 
 def test_amplitudes_3d_hold_few_grids():
-    # sup |R| and each direction's samples are streamed in row blocks: the
-    # half spectrum of one direction is the only N^d-sized array
+    # sup |R| and each direction's samples are streamed in row blocks, and a
+    # direction holds only the box |xi_i| <= trunc of its half spectrum
     import tracemalloc
 
     m = ipm3d()
@@ -164,7 +164,26 @@ def test_amplitudes_3d_hold_few_grids():
         tracemalloc.stop()
     N = out[basis.omega[0]][1]["grid_N"]
     assert N == 64
-    assert peak < 2 * N**3 * 8  # float64 N^3 grids: 1.6 now, 2.8 with a real grid and its magnitudes held
+    # under one float64 N^3 grid (0.9 of one now); 1.6 with the whole half
+    # spectrum held, 2.8 with a real grid and its magnitudes too
+    assert peak < N**3 * 8
+
+
+def test_vector_sup_shares_one_buffer_set():
+    # the components of the 3-D stress run through one complex scratch and
+    # two real blocks, an accumulator and a scratch block: 1.6 MB; one set
+    # of buffers per component held 3.3 MB
+    import tracemalloc
+
+    R, _, _ = _stage_stress(3)
+    N = 64
+    tracemalloc.start()
+    try:
+        fields._grid_sums(R, N, (math.inf,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N**3 * 8
 
 
 def _dense_amplitudes(R, basis, info):
@@ -202,23 +221,33 @@ def _stage_stress(dim):
     return base_state(params).R, params, spec
 
 
-def _random_stress(dim, modes, radius, seed):
+def _random_stress(dim, modes, radius, seed, split=False):
+    """A random real vector field; ``split`` zeroes one component of each
+    mode, so the components' supports differ."""
     rng = np.random.default_rng(seed)
     entries = {}
     for _ in range(modes):
         xi = tuple(int(v) for v in rng.integers(-radius, radius + 1, dim))
         amp = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        if split:
+            amp[rng.integers(dim)] = 0.0
         entries[xi] = amp
         entries[tuple(-v for v in xi)] = amp.conj()
     entries[(0,) * dim] = rng.normal(size=dim).astype(complex)
     return SpectralField.vector(dim, entries)
 
 
-@pytest.mark.parametrize("dim,N", [(2, 64), (2, 1024), (3, 64)])
-def test_grid_sup_is_bitwise_dense(dim, N):
+@pytest.mark.parametrize(
+    "dim,N,split",
+    [pytest.param(d, N, False, id=f"{d}-{N}") for d, N in ((2, 64), (2, 1024), (3, 64))]
+    + [pytest.param(d, 64, True, id=f"{d}-64-split") for d in (2, 3)],
+)
+def test_grid_sup_is_bitwise_dense(dim, N, split):
     # 1, 16 and 4 row blocks: the streamed sup |R| of the one sweep routine
-    # is the dense one, bit for bit, on the grid and on its even subgrid
-    R = _random_stress(dim, 40 if dim == 2 else 20, 30 if N > 64 else 12, seed=N + dim)
+    # is the dense one, bit for bit, on the grid and on its even subgrid,
+    # also where the components, which share the sampling buffers, occupy
+    # different lines
+    R = _random_stress(dim, 40 if dim == 2 else 20, 30 if N > 64 else 12, seed=N + dim, split=split)
     grids = [fields.sample(R.component(c), N) for c in range(dim)]
     squares = np.sum(np.stack(grids) ** 2, axis=0)
     dense = [math.sqrt(float(np.max(sq))) for sq in (squares, squares[(slice(None, None, 2),) * dim])]
@@ -253,19 +282,27 @@ def _coefficient_grids(R, basis, info):
 @pytest.mark.parametrize("dim,stage", [(2, 0), (3, 0), (2, 1)])
 def test_amplitudes_are_bitwise_the_grid_round_trip(dim, stage, request):
     # the streamed amplitudes equal, bit for bit, each direction's whole
-    # grid taken through the square root, prefactor, analyze and radius cut
+    # grid taken through the square root, prefactor, analyze and radius cut;
+    # the tail is the relative mass beyond the radius, numpy's fftn's by
+    # Parseval above the roundoff floor
     R, params, spec, cutoff = _stage_case(dim, stage, request)
     basis = params.basis
     out = amplitudes(R, params, spec, stress_cutoff=cutoff)
     info = out[basis.omega[0]][1]
+    N, trunc = info["grid_N"], info["trunc_radius"]
+    radius2 = sum(ax**2 for ax in np.meshgrid(*[np.fft.fftfreq(N, 1.0 / N)] * dim, indexing="ij"))
     for k, grid in zip(basis.omega, _coefficient_grids(R.weighted(R.radii() <= cutoff), basis, info)):
-        a_full = fields.analyze(np.sqrt(grid) * info["prefactor"])
-        inside = a_full.radii() <= info["trunc_radius"]
-        a, got = a_full.weighted(inside), out[k][0]
+        values = np.sqrt(grid) * info["prefactor"]
+        a_full = fields.analyze(values)
+        a, got = a_full.weighted(a_full.radii() <= trunc), out[k][0]
         assert got.freqs.tobytes() == a.freqs.tobytes()
         assert got.amps.tobytes() == a.amps.tobytes()
-        mass = a_full.masses()
-        assert out[k][1]["tail_fraction"] == math.sqrt(mass[~inside].sum() / mass.sum())
+        mass = np.abs(np.fft.fftn(values) / N**dim) ** 2
+        tail = math.sqrt(mass[radius2 > trunc**2].sum() / mass.sum())
+        if tail > 1e-13:
+            assert out[k][1]["tail_fraction"] == pytest.approx(tail, rel=1e-6)
+        else:
+            assert out[k][1]["tail_fraction"] < 1e-13
 
 
 @pytest.mark.parametrize("dim,stage", [(2, 0), (3, 0), (2, 1)])
