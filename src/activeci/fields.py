@@ -18,11 +18,13 @@ Grids are streamed in row blocks instead.  ``_sample_plan`` runs a field's
 inverse DFT along axis 0 only on the lines that hold a coefficient, and
 ``_sample_block`` finishes it a few rows at a time, into buffers its caller
 passes, so the components of a vector field share one set; ``lp_norms``
-reduces each row block as it comes.  The adjoint ``_analyze_rows`` takes
-row blocks of samples through the forward DFT, pruned to a box |xi_i| <= K:
-it holds only the box's half spectrum, N (2K+1)^(d-2) (K+1) coefficients,
-the largest array of the amplitudes' grid round trip, and counts the mass
-outside the box by Parseval.  ``sample`` and ``analyze`` wrap the two for a
+reduces each row block as it comes, to one sum per grid row, and one
+``math.fsum`` combines the rows, so no value depends on the block size.
+The adjoint ``_analyze_rows`` takes row blocks of samples through the
+forward DFT, pruned to a box |xi_i| <= K: it holds only the box's half
+spectrum, N (2K+1)^(d-2) (K+1) coefficients, the largest array of the
+amplitudes' grid round trip, and counts the mass outside the box by
+Parseval, per grid row too.  ``sample`` and ``analyze`` wrap the two for a
 whole real grid.  Their real-FFT half lies along the last axis, not the
 lexicographic one.
 
@@ -74,8 +76,13 @@ PRUNE_REL = 1e-15
 DEFAULT_GRID_BUDGET = 8192
 # direct pair enumeration is used for cluster pairs below this many pairs
 _DIRECT_PAIR_CAP = 1 << 21
-# grid points per row block of the streamed inverse DFT (_sample_buffers)
-_BLOCK_POINTS = 1 << 16
+# grid points per row block of the streamed grid sweeps (_sample_buffers).
+# A block's complex scratch, accumulator and power buffer, 0.13 MB each at
+# 2^14 points, sit on top of a small run's resident data: against 2^15 and
+# 2^16 points, 2^14 lowered the peak RSS of the two 2-D benchmark configs
+# by 0.3-0.5 and 0.7-1.3 MB.  _sample_buffers floors a block at N / 1024
+# rows: 2-row blocks at N = 8192 slowed the default run by about 8%.
+_BLOCK_POINTS = 1 << 14
 
 
 class SupportError(ValueError):
@@ -394,9 +401,10 @@ def _sample_plan(field: SpectralField, N: int):
 def _sample_buffers(d: int, N: int, blocks: int):
     """``(spec, outs)``: the zeroed complex scratch of :func:`_sample_block`
     and ``blocks`` real output blocks, for row blocks of about
-    ``_BLOCK_POINTS`` points, at least two rows and an even row count, so
-    that every block starts at an even row."""
-    rows = min(N, max(2, _BLOCK_POINTS // N ** (d - 1) // 2 * 2))
+    ``_BLOCK_POINTS`` points, of at least two and at least N / 1024 rows, so
+    that a pass takes at most about 1024 blocks, and of an even row count,
+    so that every block starts at an even row."""
+    rows = min(N, max(2, N // 1024, _BLOCK_POINTS // N ** (d - 1)) // 2 * 2)
     spec = np.zeros((rows, N ** (d - 2) * (N // 2 + 1)), dtype=complex)
     return spec, [np.empty((rows,) + (N,) * (d - 1)) for _ in range(blocks)]
 
@@ -457,13 +465,14 @@ def sample(field: SpectralField, N: int) -> np.ndarray:
     return out
 
 
-def _mass(x, weight) -> float:
-    """The sum of weight[c] |x[..., c]|^2 over ``x``, whose last axis is
-    contiguous.  One einsum over the (re, im) pairs needs no temporary array
-    and no BLAS call: ``np.vdot`` raised a run's peak RSS by about 0.1 MB."""
+def _row_masses(x, weight):
+    """Per axis-0 index i, the sum of weight[c] |x[i, ..., c]|^2, for ``x``
+    whose last axis is contiguous: a function of row i alone.  One einsum
+    over the (re, im) pairs needs no temporary array and no BLAS call:
+    ``np.vdot`` raised a run's peak RSS by about 0.1 MB."""
     pairs = x.view(np.float64)
-    axes = "abcdefgh"[: x.ndim - 1]  # einsum sums no ellipsis axes away
-    return float(np.einsum(f"{axes}z,{axes}z,z->", pairs, pairs, np.repeat(weight, 2)))
+    axes = "bcdefgh"[: x.ndim - 2]  # einsum sums no ellipsis axes away
+    return np.einsum(f"a{axes}z,a{axes}z,z->a", pairs, pairs, np.repeat(weight, 2))
 
 
 def _analyze_rows(dim: int, N: int, K: int, blocks, rel=PRUNE_REL) -> tuple:
@@ -483,13 +492,14 @@ def _analyze_rows(dim: int, N: int, K: int, blocks, rel=PRUNE_REL) -> tuple:
     transformed in place once every row is in, and its |xi_0| <= K rows are
     read.  These are ``rfftn``'s passes, and every kept line goes through
     the same 1-D transform, so the kept coefficients are bitwise
-    ``rfftn``'s.  Each pass adds the |.|^2 of the columns or rows it drops
-    to ``outside``, twice off the self-conjugate planes (last index 0 and
-    N/2), which stand for their mirrors too.  The prune scale is the
-    largest kept magnitude: the whole spectrum's for a positive field,
-    whose largest coefficient is its mean, at the origin.  It and the kept
-    indices are taken a slab of rows at a time, so no magnitude array of
-    the box exists.
+    ``rfftn``'s.  Each pass records the |.|^2 of the columns or rows it
+    drops, twice off the self-conjugate planes (last index 0 and N/2), which
+    stand for their mirrors too, as one mass per axis-0 index, and one
+    ``math.fsum`` of them all is ``outside``: it does not depend on how the
+    rows come in blocks.  The prune scale is the largest kept magnitude:
+    the whole spectrum's for a positive field, whose largest coefficient is
+    its mean, at the origin.  It and the kept indices are taken a slab of
+    rows at a time, so no magnitude array of the box exists.
 
     Each kept coefficient with 0 < last index < N/2 also stands at -xi as
     its exact conjugate.  With K = N // 2 and even N, the spectrum is
@@ -505,19 +515,22 @@ def _analyze_rows(dim: int, N: int, K: int, blocks, rel=PRUNE_REL) -> tuple:
     weight = np.where((at == 0) | (2 * at == N), 1.0, 2.0)[: N // 2 + 1]
     box = np.empty((N,) + (len(keep),) * (dim - 2) + (K + 1,), dtype=complex)
     rows = max(1, _BLOCK_POINTS // 8 // (N ** (dim - 2) * (N // 2 + 1)))  # per rfft call
-    outside = 0.0
+    dropped = np.zeros((dim, N))  # per pass, the mass each row drops outside the box
     for i, block in blocks:
         for r in range(0, len(block), rows):
-            part = np.fft.rfft(block[r : r + rows], axis=-1)
-            outside += _mass(part[..., K + 1 :], weight[K + 1 :]) / N ** (dim + 1)
+            chunk = block[r : r + rows]
+            at = slice(i + r, i + r + len(chunk))  # its grid rows
+            part = np.fft.rfft(chunk, axis=-1)
+            dropped[-1, at] = _row_masses(part[..., K + 1 :], weight[K + 1 :]) / N ** (dim + 1)
             part = part[..., : K + 1]
             for ax in reversed(range(1, dim - 1)):
                 part = np.fft.fft(part, axis=ax)
-                outside += _mass(part[(slice(None),) * ax + (cut,)], weight[: K + 1]) / N ** (2 * dim - ax)
+                dropped[ax, at] = _row_masses(part[(slice(None),) * ax + (cut,)], weight[: K + 1]) / N ** (2 * dim - ax)
                 part = part.take(keep, axis=ax)
-            box[i + r : i + r + len(part)] = part
+            box[at] = part
     np.fft.fft(box, axis=0, out=box)
-    outside += _mass(box[cut], weight[: K + 1]) / N ** (2 * dim)
+    dropped[0, cut] = _row_masses(box[cut], weight[: K + 1]) / N ** (2 * dim)
+    outside = math.fsum(dropped.ravel())
     step = max(1, _BLOCK_POINTS // (box.size // N))
     spans = ((0, K + 1), (max(K + 1, N - K), N))  # the kept rows of axis 0
     slabs = [(j, box[j : min(j + step, hi)]) for lo, hi in spans for j in range(lo, hi, step)]
@@ -893,21 +906,28 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
     planned over one set of columns, share one ``spec`` and two output
     blocks: the first component's block is squared in place, each later one
     is sampled into the scratch block, squared and added in component order,
-    and the root is taken.  The block
-    is then made log |f| in place, and every other p is formed as
-    exp(p log |f|) in that buffer.  Blocks start at even rows, so
-    a block's even rows are even rows of the grid.  The block sums are
-    combined by ``math.fsum``, which does not depend on their order.
+    and the root is taken.  The block is then made log |f| in place, and
+    every other p is formed as exp(p log |f|) in that buffer.  Blocks start
+    at even rows, so a block's even rows are even rows of the grid.  Every
+    sum is reduced to one value per grid row (axis-0 index), a function of
+    that row's samples alone, and the rows are combined by one ``math.fsum``,
+    which does not depend on their order: no value depends on how the rows
+    are cut into blocks.
     """
     even = (slice(None, None, 2),) * f.dim
-    parts = {p: ([], []) for p in ps}
+    within = tuple(range(1, f.dim))  # the axes of one grid row
+    # per-row values of the grid and of its even subgrid, one array each:
+    # lists of per-block arrays raised the default run's peak RSS by 2.5 MB
+    per_row = {p: (np.empty(N), np.empty((N + 1) // 2)) for p in ps}
     direct = [p for p in ps if p in (1, 2, math.inf)]
     logged = [p for p in ps if p not in direct]
 
-    def add(p, values):
+    def add(p, i, values):
         reduce = np.max if p == math.inf else np.sum
-        parts[p][0].append(reduce(values))
-        parts[p][1].append(reduce(values[even]))
+        fine, coarse = per_row[p]
+        reduce(values, axis=within, out=fine[i : i + len(values)])
+        sub = values[even]
+        reduce(sub, axis=within, out=coarse[i // 2 : i // 2 + len(sub)])
 
     power = None
     comps = [f] if f.rank == 0 else [f.component(c) for c in range(f.dim)]
@@ -929,16 +949,13 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
             power = np.empty_like(vals)
         pw = None if power is None else power[: len(vals)]
         for p in direct:
-            add(p, np.multiply(vals, vals, out=pw) if p == 2 else vals)
+            add(p, i, np.multiply(vals, vals, out=pw) if p == 2 else vals)
         if logged:
             with np.errstate(divide="ignore"):  # log 0 = -inf, and exp(-inf) = 0
                 np.log(vals, out=vals)
         for p in logged:
-            add(p, np.exp(np.multiply(vals, p, out=pw), out=pw))
-    return {
-        p: tuple(max(s) if p == math.inf else math.fsum(s) for s in sums)
-        for p, sums in parts.items()
-    }
+            add(p, i, np.exp(np.multiply(vals, p, out=pw), out=pw))
+    return {p: tuple(s.max() if p == math.inf else math.fsum(s) for s in sums) for p, sums in per_row.items()}
 
 
 def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> dict:

@@ -53,7 +53,7 @@ from .multipliers import (
     mg,
     sqg,
 )
-from .slabs import certify_scaling, write_scaling_csv
+from .slabs import _line_slope, certify_scaling, write_scaling_csv
 
 __all__ = [
     "RunConfig",
@@ -241,12 +241,12 @@ def certify_items(state: IterationState) -> dict:
             for inc, h in zip(state.increments, state.norm_history[1:])
         ]
         totals = [v["besov"] + v["lp"] for v in vals]
+        # fitted against each increment's own stage, so a degenerate stage
+        # between two others leaves them two stages apart
+        positive = [(v["stage"], t) for v, t in zip(vals, totals) if t > 0]
         rate = None
-        positive = [t for t in totals if t > 0]
         if len(positive) >= 2:
-            rate = float(
-                np.exp(np.polyfit(range(len(positive)), np.log(positive), 1)[0])
-            )
+            rate = math.exp(_line_slope([q for q, _ in positive], [math.log(t) for _, t in positive]))
         item4[f"alpha={alpha},p={p}"] = {"per_stage": vals, "fitted_ratio": rate}
     report["item4"] = item4
 

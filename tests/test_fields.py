@@ -801,9 +801,9 @@ def dense_norms(f, N):
     "dim,N",
     [
         (2, 16),  # one block
-        (2, 384),  # blocks of 170 rows: the last one is short
+        (2, 384),  # blocks of 42 rows: the last one is short
         (2, 999),  # odd N: the subgrid has 500 points per axis
-        (3, 48),  # blocks of 28 rows
+        (3, 48),  # blocks of 6 rows
         (3, 33),
     ],
 )
@@ -814,6 +814,29 @@ def test_lp_norms_stream_equals_dense(dim, N):
     for p, (norm, err) in dense_norms(f, N).items():
         assert abs(got[p].norm - norm) <= 1e-13 * norm
         assert abs(got[p].quad_err - err) <= 1e-13 * norm
+
+
+@pytest.mark.parametrize("dim,N", [(2, 64), (2, 45), (3, 16), (3, 15)])
+def test_grid_sums_do_not_depend_on_the_blocks(monkeypatch, dim, N):
+    # every sum is one value per grid row, and one fsum combines the rows:
+    # 2-row blocks, 6-row blocks with a shorter last one and one block of
+    # the whole grid give the same bits, for every p, for a scalar and a
+    # vector field, and for the mass the box analysis drops
+    rng = np.random.default_rng(N + dim)
+    f = random_hermitian(rng, dim, 12, N // 3)
+    v = gradient(random_hermitian(rng, dim, 12, N // 3))
+    values = sample(f, N)
+    got = []
+    for points in (1, 6 * N ** (dim - 1), 1 << 40):
+        monkeypatch.setattr(fields, "_BLOCK_POINTS", points)
+        rows = len(fields._sample_buffers(dim, N, 1)[1][0])
+        assert rows == {1: 2, 6 * N ** (dim - 1): 6}.get(points, N)
+        sums = [fields._grid_sums(g, N, STREAM_PS) for g in (f, v)]
+        blocks = ((i, values[i : i + rows]) for i in range(0, N, rows))
+        got.append((sums, fields._analyze_rows(dim, N, N // 4, blocks)[1]))
+    assert all(s > 0 for sums, outside in got for by_p in sums for pair in by_p.values() for s in pair)
+    assert got[0][1] > 0
+    assert got[1] == got[0] and got[2] == got[0]
 
 
 def test_lp_norms_zero_field():

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,6 +210,54 @@ def test_certify_items_agrees_with_brute_force(two_stages):
         assert report["item7"]["matrix"] == matrix
         values = list(matrix.values())  # row-major
         assert report["item7"]["partial_sums"] == [sum(values[: n * st.q]) for n, _ in incs]
+
+
+def test_item4_fits_each_increment_at_its_stage(monkeypatch):
+    # stage 2's increment is degenerate: totals 1, 0, 4 at stages 1, 2, 3
+    # grow by 2 per stage, not by 4 per fitted point; no least-squares call
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line fit called numpy's least squares")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    Q = fields.Quadrature
+    totals = {1: 1.0, 2: 0.0, 3: 4.0}
+    increments = [
+        SimpleNamespace(stage=q, w_norms={p: Q(t / 2, 0.0, 64, True) for _, p in ITEM4_PAIRS}, shell={"pass": True})
+        for q, t in totals.items()
+    ]
+    history = [{"delta": 0.1, "R_Hs": 1.0}] + [
+        {"w_besov": {str(alpha): t / 2 for alpha, _ in ITEM4_PAIRS} if t else {}, "ratio": 0.5} for t in totals.values()
+    ]
+    history[-1].update(residual_defect=0.0, R_Hs=0.1)
+    state = SimpleNamespace(
+        q=3,
+        norm_history=history,
+        theta_mean=0.0,
+        div_u=0.0,
+        drift_rel=0.0,
+        increments=increments,
+        theta_L1=Q(1.0, 0.0, 64, True),
+        interactions=[[0.0] * 3] * 3,
+    )
+    item4 = certify_items(state)["item4"]
+    for alpha, p in ITEM4_PAIRS:
+        entry = item4[f"alpha={alpha},p={p}"]
+        assert [v["besov"] + v["lp"] for v in entry["per_stage"]] == list(totals.values())
+        assert entry["fitted_ratio"] == pytest.approx(2.0, rel=1e-15)
+
+
+def test_run_makes_no_least_squares_call(tmp_path, monkeypatch):
+    # the slab table's slopes are closed-form sums: no LAPACK driver, whose
+    # code pages cost a run 0.84 MB of resident memory
+    def refuse(*args, **kwargs):
+        raise AssertionError("a line fit called numpy's least squares")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    argv = ["--qmax", "1", "--lambda1", "256", "--grid-budget", "256", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
+    assert (tmp_path / "o" / "scaling.csv").is_file()
 
 
 def test_certify_items_only_reads_the_stage_record(two_stages, monkeypatch):
@@ -429,6 +478,7 @@ BAD_FILES = {
     "scaling_lams_bool.json": {"scaling_lams": [True, 256]},
     "scaling_lams_1e400.json": '{"scaling_lams": [1e400, 256]}',
     "scaling_lams_number.json": {"scaling_lams": 64},
+    "scaling_lams_64_64.json": {"scaling_lams": [64, 64]},
     "scaling_eps_2.json": {"scaling_eps": 2},
     "multiplier_number.json": {"multiplier": 5},
     "out_number.json": {"out": 5},
@@ -507,6 +557,7 @@ BAD_FILES = {
         ["--config", "{dir}/top_string.json"],  # the top level must be an object
         ["--config", "{dir}/top_nested_list.json"],
         ["--config", "{dir}/top_pairs.json"],
+        ["--config", "{dir}/scaling_lams_64_64.json"],  # one distinct frequency: no slope
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):

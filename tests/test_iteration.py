@@ -171,8 +171,9 @@ def test_amplitudes_3d_hold_few_grids():
 
 def test_vector_sup_shares_one_buffer_set():
     # the components of the 3-D stress run through one complex scratch and
-    # two real blocks, an accumulator and a scratch block: 1.6 MB; one set
-    # of buffers per component held 3.3 MB
+    # two real blocks, an accumulator and a scratch block: 0.42 MB in blocks
+    # of 2^14 points, 1.66 MB in blocks of 2^16; one set of buffers per
+    # component held 3.3 MB at 2^16
     import tracemalloc
 
     R, _, _ = _stage_stress(3)
@@ -243,7 +244,7 @@ def _random_stress(dim, modes, radius, seed, split=False):
     + [pytest.param(d, 64, True, id=f"{d}-64-split") for d in (2, 3)],
 )
 def test_grid_sup_is_bitwise_dense(dim, N, split):
-    # 1, 16 and 4 row blocks: the streamed sup |R| of the one sweep routine
+    # 1, 64 and 16 row blocks: the streamed sup |R| of the one sweep routine
     # is the dense one, bit for bit, on the grid and on its even subgrid,
     # also where the components, which share the sampling buffers, occupy
     # different lines

@@ -10,6 +10,7 @@ from scipy.integrate import quad
 
 from activeci.slabs import (
     PROFILE,
+    _line_slope,
     TRAP_N,
     Profile,
     SlabSpec,
@@ -136,6 +137,35 @@ def test_certified_scaling_slopes():
     assert abs(by_p["inf"]["fitted_slope"] - 0.25) < 0.05
     for row in rows:
         assert abs(row["deviation"]) < 0.05
+
+
+def test_line_slope_is_polyfit():
+    # the closed-form slope against numpy's least-squares fit: on the
+    # default scaling table and on item-4-like log totals, stages skipped
+    rows = certify_scaling((4, 3), [64, 256, 1024, 4096], 0.5, [1.0, 2.0, np.inf])
+    cases = []
+    for p in (1.0, 2.0, "inf"):
+        table = [row for row in rows if row["p"] == p]
+        x, y = np.log2([row["lam"] for row in table]), np.log2([row["norm"] for row in table])
+        assert {row["fitted_slope"] for row in table} == {_line_slope(x, y)}
+        cases.append((x, y))
+    cases += [
+        ([1, 2, 3], np.log([0.41, 0.97, 2.58])),
+        ([1, 3], np.log([1.0, 4.0])),
+        ([2, 3, 5], np.log([3.0, 1e-3, 7.5])),
+    ]
+    for x, y in cases:
+        ref = np.polyfit(x, y, 1)[0]
+        assert abs(_line_slope(x, y) - ref) <= 1e-12 * abs(ref)
+    assert _line_slope([1, 3], [0.0, math.log(4.0)]) == math.log(2.0)
+    with pytest.raises(ValueError, match="two distinct"):
+        _line_slope([6.0, 6.0], [1.0, 2.0])
+
+
+def test_scaling_needs_two_distinct_frequencies():
+    for lams in ([64], [64, 64], [256, 256, 256]):
+        with pytest.raises(ValueError, match="two distinct frequencies"):
+            certify_scaling((4, 3), lams, 0.5, [1.0])
 
 
 def test_scaling_csv_roundtrip(tmp_path):
