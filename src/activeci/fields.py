@@ -917,13 +917,14 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
     even = (slice(None, None, 2),) * f.dim
     within = tuple(range(1, f.dim))  # the axes of one grid row
     # per-row values of the grid and of its even subgrid, one array each:
-    # lists of per-block arrays raised the default run's peak RSS by 2.5 MB
+    # lists of per-block arrays (of 2-row blocks at N = 8192) raised the
+    # default run's peak RSS by 2.5 MB
     per_row = {p: (np.empty(N), np.empty((N + 1) // 2)) for p in ps}
     direct = [p for p in ps if p in (1, 2, math.inf)]
     logged = [p for p in ps if p not in direct]
 
     def add(p, i, values):
-        reduce = np.max if p == math.inf else np.sum
+        reduce = np.maximum.reduce if p == math.inf else np.add.reduce
         fine, coarse = per_row[p]
         reduce(values, axis=within, out=fine[i : i + len(values)])
         sub = values[even]
