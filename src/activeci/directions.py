@@ -1,48 +1,52 @@
 """Direction sets for the cancellation mechanism.
 
-In 2D, a pair of equal-norm lattice directions is extracted from an arc of
-the circle where the symbol's even part does not vanish; in 3D a basis must
-be supplied and is only validated.  The reconstruction solver writes vectors
-near k* = sum of even parts as positive combinations sum_k Gamma_k^2
+One rule finds the directions in every dimension d.  The even part
+m(xi) + m(-xi) of the degree-0 symbol peaks at some P over the probes
+|xi_i| <= PROBE_RADIUS.  For n = 1, 2, ..., NORM_CAP the search lists the
+integer vectors of Euclidean norm n, one sign per line, in lexicographic
+order, and keeps those whose even part is at least P / 2.  Among the d-sets
+of them whose even parts pass build_basis' independence test it takes the
+best-separated lines (the smallest largest pairwise |cos|), then the
+lexicographically smallest set.  A supplied basis is used as given, once it
+passes the same checks.  The reconstruction solver writes vectors near
+k* = sum of even parts as positive combinations sum_k Gamma_k^2
 (m(k) + m(-k)) — the load-bearing identity of the whole construction.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multipliers import REAL_TOL, Multiplier, even_part
+from .multipliers import Multiplier, even_part
 
 __all__ = [
     "DirectionBasis",
     "DegenerateBasis",
-    "NoArcFound",
-    "SearchExhausted",
     "OutsideBall",
     "NegativeCoefficient",
-    "find_arc",
-    "lattice_basis_in_arc",
     "build_basis",
     "gamma_coefficients",
     "estimate_eps_omega",
 ]
 
 DEFAULT_GAMMA_MARGIN = 0.1
+# the even part's peak is taken over the integer cube |xi_i| <= PROBE_RADIUS
+PROBE_RADIUS = 8
+# the search's largest norm.  The d-sets it tries grow fast with n: a 3-D
+# symbol whose even parts span only a plane exhausts norm 32 in 0.1 s, but
+# norm 100 in 9 s at 0.6 GB (2-core x86-64 host)
+NORM_CAP = 32
+# smallest normalized determinant of independent even parts
+DET_TOL = 1e-10
 
 
 class DegenerateBasis(ValueError):
-    """Even parts of the chosen directions are linearly dependent."""
-
-
-class NoArcFound(ValueError):
-    """No arc with nonvanishing even part exists (odd symbol)."""
-
-
-class SearchExhausted(ValueError):
-    """Lattice search hit the norm cap without finding a valid pair."""
+    """No d directions with independent even parts: the supplied ones fail,
+    or the search finds none up to NORM_CAP."""
 
 
 class OutsideBall(ValueError):
@@ -73,91 +77,50 @@ class DirectionBasis:
         self.even_inv = np.linalg.inv(self.even_parts.T)
 
 
-def find_arc(m: Multiplier, resolution: int = 720):
-    """Locate an arc of directions where |m(xi) + m(-xi)| is large.
+def _normalized_det(ep: np.ndarray) -> np.ndarray:
+    """|det| of each (d, d) block of even parts with its rows scaled to unit
+    length, 0 where a row vanishes; the rows are independent when it is at
+    least DET_TOL."""
+    norms = np.linalg.norm(ep, axis=-1, keepdims=True)
+    unit = np.divide(ep, norms, out=np.zeros_like(ep), where=norms >= 1e-12)
+    return np.abs(np.linalg.det(unit))
 
-    Returns (center_angle, half_width).  Directions are probed through nearby
-    rational points, which is exact for the shipped rational symbols.
-    """
-    if m.dim != 2:
-        raise ValueError("arc search is a 2D construction")
-    angles = np.linspace(0.0, np.pi, resolution, endpoint=False)
-    # rational proxies: scale each direction to a nearby integer vector
-    denom = 10**6
-    probes = np.rint(denom * np.stack([np.cos(angles), np.sin(angles)], axis=1)).astype(np.int64)
-    val = m(probes) + m(-probes)
-    if m.claims["real_output"]:
-        # a probe whose claimed-real even part is not real counts as zero
-        val = np.where(np.max(np.abs(val.imag), axis=1, keepdims=True) > REAL_TOL, 0.0, val.real)
-    mags = np.linalg.norm(val, axis=1)
-    peak = float(mags.max())
+
+def _sphere(n: int, d: int) -> np.ndarray:
+    """The integer vectors of Euclidean norm n whose first nonzero entry is
+    positive (one per line), in lexicographic order."""
+    head = np.indices((2 * n + 1,) * (d - 1)).reshape(d - 1, -1).T - n
+    rest = n * n - np.sum(head * head, axis=1)
+    last = np.rint(np.sqrt(np.maximum(rest, 0))).astype(np.int64)
+    on = last * last == rest
+    twin = on & (last > 0)
+    vecs = np.concatenate([np.column_stack([head[on], last[on]]), np.column_stack([head[twin], -last[twin]])])
+    vecs = vecs[vecs[np.arange(len(vecs)), np.argmax(vecs != 0, axis=1)] > 0]
+    return vecs[np.lexsort(vecs.T[::-1])]
+
+
+def _lattice_search(m: Multiplier) -> list:
+    """The d lattice directions the module docstring's rule picks for m."""
+    d = m.dim
+    cube = np.indices((2 * PROBE_RADIUS + 1,) * d).reshape(d, -1).T - PROBE_RADIUS
+    peak = float(np.max(np.linalg.norm(even_part(m, cube[cube.any(axis=1)]), axis=1)))
     if peak <= 1e-10:
-        raise NoArcFound(f"{m.name}: even part vanishes on the sampled circle")
-    good = mags >= 0.5 * peak
-    best_i = int(np.argmax(mags))
-    # grow the arc around the peak while the level condition holds; the
-    # magnitude is pi-periodic in the angle, so growth wraps around
-    step = np.pi / resolution
-    lo = hi = 0
-    while lo > -(resolution - 1) and good[(best_i + lo - 1) % resolution]:
-        lo -= 1
-    while hi - lo < resolution - 1 and good[(best_i + hi + 1) % resolution]:
-        hi += 1
-    center = angles[best_i] + step * 0.5 * (lo + hi)
-    half_width = max(step * 0.5 * (hi - lo), step)
-    return center, half_width
-
-
-def lattice_basis_in_arc(arc, norm_cap: int = 1000):
-    """Two non-collinear integer vectors of equal integer norm with unit
-    vectors in the arc (or its reflection through the origin), minimizing the
-    common norm.
-
-    Mirrors the density argument: enumerate lattice points of integer
-    Euclidean norm and test membership.
-    """
-    center, half_width = arc
-    if half_width <= 0:
-        raise SearchExhausted("degenerate arc of width zero")
-
-    def in_arc(v):
-        ang = math.atan2(v[1], v[0])
-        for cand in (ang, ang + np.pi, ang - np.pi, ang + 2 * np.pi, ang - 2 * np.pi):
-            if abs(cand - center) <= half_width + 1e-12:
-                return True
-        return False
-
-    def canonical(v):
-        # directions and their negatives are interchangeable; fix the sign
-        if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-            return (-v[0], -v[1])
-        return v
-
-    for n in range(1, norm_cap + 1):
-        hits = set()
-        for a in range(-n, n + 1):
-            b2 = n * n - a * a
-            b = int(round(math.sqrt(b2))) if b2 >= 0 else -1
-            if b < 0 or b * b != b2:
-                continue
-            for v in {(a, b), (a, -b)}:
-                if in_arc(v):
-                    hits.add(canonical(v))
-        # among equal-norm pairs prefer the best-separated lines (best
-        # conditioning of the even-part solve), then the lexicographically
-        # smallest pair for determinism
-        best = None
-        for v1 in sorted(hits):
-            for v2 in sorted(hits):
-                if v2 <= v1 or v1[0] * v2[1] - v1[1] * v2[0] == 0:
-                    continue
-                cosang = abs(v1[0] * v2[0] + v1[1] * v2[1]) / (n * n)
-                key = (round(cosang, 12), v1, v2)
-                if best is None or key < best:
-                    best = key
-        if best is not None:
-            return [best[1], best[2]]
-    raise SearchExhausted(f"no equal-norm pair with norm <= {norm_cap} in the arc")
+        raise DegenerateBasis(f"{m.name}: even part vanishes on every probe |xi_i| <= {PROBE_RADIUS}")
+    for n in range(1, NORM_CAP + 1):
+        vecs = _sphere(n, d)
+        ep = even_part(m, vecs)
+        level = np.linalg.norm(ep, axis=1) >= 0.5 * peak
+        vecs, ep = vecs[level], ep[level]
+        # the d-sets in lexicographic order, and each one's largest |cos|
+        # times n^2, an exact integer
+        sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(len(vecs)), d)), dtype=np.intp)
+        sets = sets.reshape(-1, d)
+        dots = np.abs(vecs @ vecs.T)
+        worst = np.max([dots[sets[:, i], sets[:, j]] for i, j in itertools.combinations(range(d), 2)], axis=0)
+        ok = np.flatnonzero(_normalized_det(ep[sets]) >= DET_TOL)
+        if len(ok):
+            return [tuple(int(c) for c in vecs[i]) for i in sets[ok[np.argmin(worst[ok])]]]
+    raise DegenerateBasis(f"{m.name}: no {d} directions of norm <= {NORM_CAP} have independent even parts")
 
 
 def estimate_eps_omega(even_inv: np.ndarray, margin: float) -> float:
@@ -177,33 +140,23 @@ def estimate_eps_omega(even_inv: np.ndarray, margin: float) -> float:
 
 
 def build_basis(m: Multiplier, supplied=None, margin: float = DEFAULT_GAMMA_MARGIN) -> DirectionBasis:
-    """Construct (d=2) or validate (supplied, any d) a direction basis."""
+    """The direction basis of m: the supplied one, or else the lattice
+    search's (module docstring), validated alike in any dimension."""
     if supplied is None:
-        if m.dim != 2:
-            raise ValueError(
-                "automatic basis construction exists only in 2D; supply a basis"
-            )
-        arc = find_arc(m)
-        omega = lattice_basis_in_arc(arc)
+        omega = _lattice_search(m)
     else:
         omega = [tuple(int(c) for c in v) for v in supplied]
-        if len(omega) != m.dim:
-            raise DegenerateBasis(
-                f"supplied basis must have {m.dim} members, got {len(omega)}"
-            )
+        if len(omega) != m.dim or any(len(k) != m.dim for k in omega):
+            raise DegenerateBasis(f"supplied basis must be {m.dim} vectors of length {m.dim}, got {omega}")
     norms = [math.sqrt(sum(c * c for c in k)) for k in omega]
     common = norms[0]
     if any(abs(n - common) > 1e-12 for n in norms) or abs(common - round(common)) > 1e-12:
         raise DegenerateBasis(f"directions must share one integer norm, got {norms}")
 
     ep = np.array(even_part(m, omega), dtype=float)
-    # normalized determinant test for linear independence
-    row_norms = np.linalg.norm(ep, axis=1)
-    if np.any(row_norms < 1e-12):
-        raise DegenerateBasis(f"{m.name}: vanishing even part in {omega}")
-    det = abs(np.linalg.det(ep / row_norms[:, None]))
-    if det < 1e-10:
-        raise DegenerateBasis(f"{m.name}: dependent even parts, normalized det {det:.2e}")
+    det = _normalized_det(ep)
+    if det < DET_TOL:
+        raise DegenerateBasis(f"{m.name}: dependent or vanishing even parts in {omega}, normalized det {det:.2e}")
 
     k_star = ep.sum(axis=0)
     if np.linalg.norm(k_star) <= 1e-10:

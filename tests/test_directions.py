@@ -1,20 +1,23 @@
 """Direction bases and squared-amplitude reconstruction coefficients."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_harness import IPM2D_FILE
+
+from activeci import directions
 from activeci.directions import (
     DegenerateBasis,
     OutsideBall,
     build_basis,
     estimate_eps_omega,
-    find_arc,
     gamma_coefficients,
-    lattice_basis_in_arc,
 )
-from activeci.multipliers import even_part, ipm2d, ipm3d, sqg
+from activeci.multipliers import even_part, ipm2d, ipm3d, load_multiplier, sqg
 
 SUPPLIED = ((4, 3), (4, -3))
 
@@ -50,15 +53,40 @@ def test_auto_basis_2d():
 
 
 def test_arc_rejects_odd_symbol():
-    from activeci.directions import NoArcFound
-
-    with pytest.raises(NoArcFound):
-        find_arc(sqg())
+    # sqg's even part is 0 everywhere: no probe sets a level to search
+    with pytest.raises(DegenerateBasis):
+        build_basis(sqg())
 
 
 def test_lattice_basis_is_deterministic():
-    arc = find_arc(ipm2d())
-    assert lattice_basis_in_arc(arc) == lattice_basis_in_arc(arc)
+    for maker in (ipm2d, ipm3d):
+        assert build_basis(maker()).omega == build_basis(maker()).omega
+
+
+def test_search_returns_the_shipped_2d_basis(tmp_path):
+    path = tmp_path / "ipm2d.json"
+    path.write_text(json.dumps(IPM2D_FILE))
+    for m in (ipm2d(), load_multiplier(str(path))):
+        assert build_basis(m).omega == [(3, -4), (4, 3)]
+
+
+def test_search_3d_basis_beats_the_supplied_one():
+    m = ipm3d()
+    b = build_basis(m)
+    assert b.omega == [(1, -2, -2), (2, -1, 2), (2, 2, -1)]
+    assert b.eps_omega >= build_basis(m, supplied=((2, 2, 1), (2, 1, 2), (1, 2, 2))).eps_omega
+    rng = np.random.default_rng(3)
+    pts = b.k_star + (b.eps_omega / np.sqrt(3)) * rng.uniform(-1.0, 1.0, size=(50, 3))
+    gam = gamma_coefficients(b, pts)
+    recon = (gam**2) @ b.even_parts
+    assert np.max(np.abs(recon - pts)) < 1e-10
+
+
+def test_exhausted_norm_cap_raises(monkeypatch):
+    # ipm2d's first pair has norm 5
+    monkeypatch.setattr(directions, "NORM_CAP", 4)
+    with pytest.raises(DegenerateBasis, match="norm <= 4"):
+        build_basis(ipm2d())
 
 
 def test_reconstruction_residual_seeded(basis):
@@ -105,6 +133,12 @@ def test_ball_always_reconstructs(u, ang):
 def test_degenerate_supplied_rejected():
     with pytest.raises((DegenerateBasis, ValueError)):
         build_basis(ipm2d(), supplied=((4, 3), (-4, -3)))
+
+
+@pytest.mark.parametrize("supplied", [((4, 3, 0), (4, -3, 0)), ((5,), (5,)), ((4, 3), (4, -3), (5, 0))])
+def test_supplied_vectors_must_be_d_of_length_d(supplied):
+    with pytest.raises(DegenerateBasis, match="2 vectors of length 2"):
+        build_basis(ipm2d(), supplied=supplied)
 
 
 def test_unequal_norms_rejected():

@@ -38,7 +38,7 @@ from activeci.harness import (
 )
 from activeci.iteration import ITEM4_PAIRS, base_state, make_params, step
 from activeci.kernels import ShellKernel
-from activeci.multipliers import ipm2d
+from activeci.multipliers import ipm2d, ipm3d
 
 
 def fast_config(out, **kw):
@@ -471,6 +471,9 @@ BAD_FILES = {
     "basis_bool.json": {"supplied_basis": [[4, 3], [4, True]]},
     "basis_1e400.json": '{"supplied_basis": [[1e400, 3], [4, -3]]}',
     "basis_huge_int.json": '{"supplied_basis": [[1%s, 3], [4, -3]]}' % ("0" * 400),
+    "basis_two_of_three.json": {"supplied_basis": [[2, 2, 1], [2, 1, 2]]},
+    "basis_length_3_in_2d.json": {"supplied_basis": [[4, 3, 0], [4, -3, 0]], "qmax": 0},
+    "basis_length_1.json": {"supplied_basis": [[5], [5]], "qmax": 1},
     "lambda1_string.json": {"lambda1": "x"},
     "scaling_lams_3_8.json": {"scaling_lams": [3, 8]},
     "scaling_lams_empty.json": {"scaling_lams": []},
@@ -506,7 +509,7 @@ BAD_FILES = {
     "argv",
     [
         ["--lambda1", "100"],  # not a power of two
-        ["--multiplier", "ipm3d", "--dim", "3"],  # 3-D needs a supplied basis
+        ["--multiplier", "ipm3d", "--dim", "3", "--config", "{dir}/basis_two_of_three.json"],  # d = 3 needs three
         ["--multiplier", "file:{dir}/missing.json"],
         ["--multiplier", "file:{dir}/malformed.json"],
         ["--multiplier", "file:{dir}/one_component.json"],  # d = 2 needs two
@@ -558,6 +561,8 @@ BAD_FILES = {
         ["--config", "{dir}/top_nested_list.json"],
         ["--config", "{dir}/top_pairs.json"],
         ["--config", "{dir}/scaling_lams_64_64.json"],  # one distinct frequency: no slope
+        ["--config", "{dir}/basis_length_3_in_2d.json"],  # not run on (4, 3)
+        ["--config", "{dir}/basis_length_1.json"],  # no IndexError traceback
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, capsys, monkeypatch, argv):
@@ -750,6 +755,17 @@ def test_traced_benchmark_run(tmp_path):
     trace = json.loads(spans.read_text())
     assert trace["rc"] == 0 and trace["missing"] == []
     assert trace["counters"]["iteration.coeffs.w.q1"] > 0
+
+
+def test_cli_ipm3d_searches_its_basis(tmp_path):
+    # no supplied_basis: the lattice search picks the 3-D directions
+    out = tmp_path / "out"
+    argv = ["--multiplier", "ipm3d", "--dim", "3", "--qmax", "1", "--lambda1", "128", "--grid-budget", "128"]
+    assert main(argv + ["--out", str(out)]) == 0
+    basis = json.loads((out / "report.json").read_text())["basis"]
+    assert basis["omega"] == [[1, -2, -2], [2, -1, 2], [2, 2, -1]]
+    supplied = build_basis(ipm3d(), supplied=[[2, 2, 1], [2, 1, 2], [1, 2, 2]])
+    assert basis["eps_omega"] == build_basis(ipm3d()).eps_omega >= supplied.eps_omega
 
 
 def test_cli_ipm3d_end_to_end(tmp_path):

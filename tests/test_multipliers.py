@@ -197,7 +197,7 @@ def oracle(point_fn, pts):
 
 
 def probe_points(m):
-    """The claim sample, and points at the 1e6 scale of the arc search."""
+    """The claim sample, and integer points at the 1e6 scale."""
     ang = np.linspace(0.0, np.pi, 720, endpoint=False)
     big = np.rint(1e6 * np.stack([np.cos(ang), np.sin(ang)], axis=1)).astype(np.int64)
     if m.dim == 3:
