@@ -111,6 +111,8 @@ def _lattice_search(m: Multiplier) -> list:
         ep = even_part(m, vecs)
         level = np.linalg.norm(ep, axis=1) >= 0.5 * peak
         vecs, ep = vecs[level], ep[level]
+        if len(vecs) < d:
+            continue
         # the d-sets in lexicographic order, and each one's largest |cos|
         # times n^2, an exact integer
         sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(len(vecs)), d)), dtype=np.intp)
