@@ -7,10 +7,12 @@ integer vectors of Euclidean norm n, one sign per line, in lexicographic
 order, and keeps those whose even part is at least P / 2.  Among the d-sets
 of them whose even parts pass build_basis' independence test it takes the
 best-separated lines (the smallest largest pairwise |cos|), then the
-lexicographically smallest set.  A supplied basis is used as given, once it
-passes the same checks.  The reconstruction solver writes vectors near
-k* = sum of even parts as positive combinations sum_k Gamma_k^2
-(m(k) + m(-k)) — the load-bearing identity of the whole construction.
+lexicographically smallest set.  It raises DegenerateBasis past NORM_CAP,
+and before any of its arrays would exceed SEARCH_ENTRIES.  A supplied basis
+is used as given, once it passes the same checks.  The reconstruction
+solver writes vectors near k* = sum of even parts as positive combinations
+sum_k Gamma_k^2 (m(k) + m(-k)) — the load-bearing identity of the whole
+construction.
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ PROBE_RADIUS = 8
 # symbol whose even parts span only a plane exhausts norm 32 in 0.1 s, but
 # norm 100 in 9 s at 0.6 GB (2-core x86-64 host)
 NORM_CAP = 32
+# the most entries one search array may hold, checked before it is made.
+# ipm2d and ipm3d stop at 10 and 364 d-sets, and a 3-D symbol whose even
+# parts span only a plane exhausts NORM_CAP with at most 35,990 3-sets (9
+# entries each) per norm.  A 4-D one whose even parts span a 3-D subspace
+# would reach 1.15e6 4-sets (16 entries each) at norm 5 and 1.4e7 at norm 7
+SEARCH_ENTRIES = 2**22
 # smallest normalized determinant of independent even parts
 DET_TOL = 1e-10
 
@@ -86,6 +94,15 @@ def _normalized_det(ep: np.ndarray) -> np.ndarray:
     return np.abs(np.linalg.det(unit))
 
 
+def _bounded(m: Multiplier, entries: int, what: str) -> None:
+    """Raise if the search's array of ``what`` would hold more than
+    SEARCH_ENTRIES entries."""
+    if entries > SEARCH_ENTRIES:
+        raise DegenerateBasis(
+            f"{m.name}: the basis search's {what} would hold {entries} entries, over {SEARCH_ENTRIES}; supply a basis"
+        )
+
+
 def _sphere(n: int, d: int) -> np.ndarray:
     """The integer vectors of Euclidean norm n whose first nonzero entry is
     positive (one per line), in lexicographic order."""
@@ -99,20 +116,24 @@ def _sphere(n: int, d: int) -> np.ndarray:
     return vecs[np.lexsort(vecs.T[::-1])]
 
 
-def _lattice_search(m: Multiplier) -> list:
-    """The d lattice directions the module docstring's rule picks for m."""
+def _lattice_search(m: Multiplier) -> np.ndarray:
+    """The d lattice directions the module docstring's rule picks for m, one
+    per row."""
     d = m.dim
+    _bounded(m, (2 * PROBE_RADIUS + 1) ** d * d, "probes")
     cube = np.indices((2 * PROBE_RADIUS + 1,) * d).reshape(d, -1).T - PROBE_RADIUS
     peak = float(np.max(np.linalg.norm(even_part(m, cube[cube.any(axis=1)]), axis=1)))
     if peak <= 1e-10:
         raise DegenerateBasis(f"{m.name}: even part vanishes on every probe |xi_i| <= {PROBE_RADIUS}")
     for n in range(1, NORM_CAP + 1):
+        _bounded(m, (2 * n + 1) ** (d - 1) * d, f"vectors of norm {n}")
         vecs = _sphere(n, d)
         ep = even_part(m, vecs)
         level = np.linalg.norm(ep, axis=1) >= 0.5 * peak
         vecs, ep = vecs[level], ep[level]
         if len(vecs) < d:
             continue
+        _bounded(m, math.comb(len(vecs), d) * d * d, f"{d}-sets of norm {n}")
         # the d-sets in lexicographic order, and each one's largest |cos|
         # times n^2, an exact integer
         sets = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(len(vecs)), d)), dtype=np.intp)
@@ -121,7 +142,7 @@ def _lattice_search(m: Multiplier) -> list:
         worst = np.max([dots[sets[:, i], sets[:, j]] for i, j in itertools.combinations(range(d), 2)], axis=0)
         ok = np.flatnonzero(_normalized_det(ep[sets]) >= DET_TOL)
         if len(ok):
-            return [tuple(int(c) for c in vecs[i]) for i in sets[ok[np.argmin(worst[ok])]]]
+            return vecs[sets[ok[np.argmin(worst[ok])]]]
     raise DegenerateBasis(f"{m.name}: no {d} directions of norm <= {NORM_CAP} have independent even parts")
 
 
@@ -144,12 +165,9 @@ def estimate_eps_omega(even_inv: np.ndarray, margin: float) -> float:
 def build_basis(m: Multiplier, supplied=None, margin: float = DEFAULT_GAMMA_MARGIN) -> DirectionBasis:
     """The direction basis of m: the supplied one, or else the lattice
     search's (module docstring), validated alike in any dimension."""
-    if supplied is None:
-        omega = _lattice_search(m)
-    else:
-        omega = [tuple(int(c) for c in v) for v in supplied]
-        if len(omega) != m.dim or any(len(k) != m.dim for k in omega):
-            raise DegenerateBasis(f"supplied basis must be {m.dim} vectors of length {m.dim}, got {omega}")
+    omega = [tuple(int(c) for c in v) for v in (_lattice_search(m) if supplied is None else supplied)]
+    if len(omega) != m.dim or any(len(k) != m.dim for k in omega):
+        raise DegenerateBasis(f"supplied basis must be {m.dim} vectors of length {m.dim}, got {omega}")
     norms = [math.sqrt(sum(c * c for c in k)) for k in omega]
     common = norms[0]
     if any(abs(n - common) > 1e-12 for n in norms) or abs(common - round(common)) > 1e-12:

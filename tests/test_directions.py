@@ -17,7 +17,7 @@ from activeci.directions import (
     estimate_eps_omega,
     gamma_coefficients,
 )
-from activeci.multipliers import even_part, ipm2d, ipm3d, load_multiplier, sqg
+from activeci.multipliers import Multiplier, even_part, ipm2d, ipm3d, load_multiplier, sqg
 
 SUPPLIED = ((4, 3), (4, -3))
 
@@ -87,6 +87,32 @@ def test_exhausted_norm_cap_raises(monkeypatch):
     monkeypatch.setattr(directions, "NORM_CAP", 4)
     with pytest.raises(DegenerateBasis, match="norm <= 4"):
         build_basis(ipm2d())
+
+
+def flat4d():
+    """A 4-D divergence-free even symbol whose even parts all lie in the
+    first three axes, so no four of them are independent."""
+
+    def sym(xi):
+        x1, x2, x3 = xi[..., 0], xi[..., 1], xi[..., 2]
+        n2 = np.sum(xi * xi, axis=-1)
+        return np.stack([x1 * x3 / n2, x2 * x3 / n2, -(x1 * x1 + x2 * x2) / n2, 0.0 * n2], axis=-1)
+
+    return Multiplier(4, sym, "flat4d")
+
+
+def test_search_stops_before_an_oversized_array():
+    # norms 1-4 give at most 46,376 4-sets; norm 5 would give 1.15e6 and
+    # norm 7 1.4e7, so the search stops at norm 5 before listing them
+    with pytest.raises(DegenerateBasis, match="4-sets of norm 5 .* supply a basis"):
+        build_basis(flat4d())
+
+
+def test_search_checks_its_probes(monkeypatch):
+    # ipm3d's probe cube |xi_i| <= 8 holds 17^3 vectors of 3 entries
+    monkeypatch.setattr(directions, "SEARCH_ENTRIES", 17**3 * 3 - 1)
+    with pytest.raises(DegenerateBasis, match="probes"):
+        build_basis(ipm3d())
 
 
 def test_reconstruction_residual_seeded(basis):
