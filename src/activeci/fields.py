@@ -374,8 +374,10 @@ def _sample_plan(field: SpectralField, N: int):
 
     The transform runs in numpy's ``irfftn`` order: axis 0 first, then the
     later axes, the last one by ``irfft`` over the half spectrum.  Axis 0 is
-    transformed only along the lines that hold a coefficient, and every line
-    goes through the same 1-D transform as in ``irfftn``, so the samples are
+    transformed only along the lines that hold a coefficient, in place, so
+    that a plan holds one (N, #occupied) array, not two: at stage 2 of the
+    default run each is 27.5 MB.  Every line goes through the same 1-D
+    transform as in ``irfftn``, so the samples are
     bitwise ``irfftn(half) * N^d`` for power-of-two N.  Grids serve d >= 2:
     no run has d = 1, where the only divergence-free symbol, 0, is odd.  The
     half spectrum is cut from :meth:`SpectralField._full`, since the
@@ -395,7 +397,7 @@ def _sample_plan(field: SpectralField, N: int):
     occupied, col = _unique_keys(np.ravel_multi_index(tuple(freqs[:, 1:].T), tail))
     lines = np.zeros((N, len(occupied)), dtype=complex)
     np.add.at(lines, (freqs[:, 0], col), amps)
-    return occupied, np.fft.ifft(lines, axis=0, norm="forward")
+    return occupied, np.fft.ifft(lines, axis=0, norm="forward", out=lines)
 
 
 def _sample_buffers(d: int, N: int, blocks: int):

@@ -684,9 +684,9 @@ def oscillation_diagnostics(bundle: PerturbationBundle, state: IterationState, p
     if infos:
         target = (infos[0]["R_max"] / basis.eps_omega) * basis.k_star
         achieved = np.asarray(mean_part(state.R) + mean_part(bundle.wTw), dtype=complex)
-        scale = float(np.linalg.norm(target))
+        scale = math.hypot(*target)
         if scale > 0:
-            report["mean_cancellation_rel"] = float(np.linalg.norm(achieved - target)) / scale
+            report["mean_cancellation_rel"] = math.hypot(*np.abs(achieved - target)) / scale
 
     # off-diagonal frequency-separation certificate: each w_k lies within
     # r lam of +-sigma k (sigma = c lam), so w_a T w_b with a != b sits at

@@ -85,7 +85,7 @@ class Profile:
                     f"|t| <= {TRAP_N // 2}"
                 )
             sines = np.sin(2.0 * np.pi * key * _NODES)
-            val = -2.0j / TRAP_N * float(np.dot(self._samples, sines))
+            val = -2.0j / TRAP_N * math.fsum(self._samples * sines)
             self._fhat_cache[key] = val
             self._fhat_cache[-key] = np.conj(val)
         return self._fhat_cache[key]
@@ -175,7 +175,7 @@ def slab_fourier(spec: SlabSpec, mode_cap: int | None = None) -> SpectralField:
 def slab_physical(spec: SlabSpec, x) -> float:
     """Direct translated-profile sum at one point of the torus."""
     x = np.asarray(x, dtype=float)
-    t = spec.lam * float(np.dot(spec.k, x))
+    t = spec.lam * math.fsum(np.multiply(spec.k, x))
     spacing = spec.lam ** (1.0 - spec.eps)
     # phi(t + spacing * n) != 0 needs |t + spacing * n| < 1
     n_lo = math.floor((-1.0 - t) / spacing)

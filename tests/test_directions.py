@@ -1,6 +1,7 @@
 """Direction bases and squared-amplitude reconstruction coefficients."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,37 @@ def test_eps_omega_closed_form(basis):
     assert np.array_equal(basis.even_inv, inv)  # the basis keeps the one inverse
     assert abs(estimate_eps_omega(basis.even_inv, basis.gamma_margin) - expect) < 1e-15
     assert abs(basis.eps_omega - expect) < 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_gauss_jordan_is_lapack(d):
+    # random stacks against LAPACK's det and inv, which runs never call
+    a = np.random.default_rng(d).standard_normal((50, d, d))
+    det, inv = directions._gauss_jordan(a)
+    assert np.allclose(det, np.linalg.det(a), rtol=1e-12, atol=0)
+    want = np.linalg.inv(a)
+    err = np.linalg.norm(inv - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert err.max() < 1e-12
+    one_det, one_inv = directions._gauss_jordan(a[0])
+    assert one_det == det[0] and np.array_equal(one_inv, inv[0])
+
+
+def test_gauss_jordan_singular_blocks_have_zero_det():
+    rng = np.random.default_rng(3)
+    blocks = []
+    for d in (2, 3, 4):
+        a = rng.standard_normal((4, d, d))
+        a[0, 1] = 0.0  # a zero row
+        a[1, :, 0] = 0.0  # a zero column
+        a[2, 1] = a[2, 0]  # a repeated row
+        a[3, -1] = -2.0 * a[3, 0]  # a row times a power of two
+        blocks.append(a)
+    blocks.append(np.zeros((1, 3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = [directions._gauss_jordan(a)[0] for a in blocks]
+    assert all(np.array_equal(np.abs(det), np.zeros(len(det))) for det in dets)
+    assert not any(np.isnan(directions._gauss_jordan(a)[1]).any() for a in blocks)
 
 
 def test_supplied_3d_basis():

@@ -767,6 +767,20 @@ def test_sample_real_bitwise_dense_irfftn(dim, N, radius):
     assert np.array_equal(sample(f, N), dense_samples(f, N))
 
 
+def test_sample_plan_holds_one_copy_of_its_lines():
+    import tracemalloc
+
+    f = random_hermitian(np.random.default_rng(4), 2, 400, 500)  # a few hundred occupied columns
+    tracemalloc.start()
+    try:
+        _, lines = fields._sample_plan(f, 1024)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the axis-0 transform runs in place; into a new array it held two copies
+    assert lines.shape[1] > 200 and peak < 1.5 * lines.nbytes
+
+
 def test_sample_vector_field():
     # a vector field is sampled one component at a time
     f = random_hermitian(np.random.default_rng(2), 2, 10, 6)

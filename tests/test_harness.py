@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -320,16 +321,24 @@ def test_report_structure(fast_run):
     assert "elapsed" not in json.dumps(report)
 
 
-def test_timing_records_peak_rss_and_reports_rerun_identically(fast_run, tmp_path):
+def test_timing_records_peak_rss_and_reports_rerun_identically(fast_run, tmp_path, monkeypatch):
     _, out = fast_run
     with open(os.path.join(out, "timing.json")) as fh:
         timing = json.load(fh)
     assert timing["peak_rss_mb"] > 0
-    # one reading per stage directory, never decreasing, none above the run's peak
+    # one reading after set-up and one per stage directory, never
+    # decreasing, none above the run's peak
     per_stage = timing["stage_peak_rss_mb"]
     assert len(per_stage) == len(list(out.glob("stage-*"))) == 2
+    assert 0 < timing["setup_peak_rss_mb"] <= per_stage[0]
     assert per_stage == sorted(per_stage) and per_stage[-1] <= timing["peak_rss_mb"]
+    # the rerun's wall clock steps back an hour at every reading: the
+    # duration has its own clock, and the wall clock only stamps the start
+    wall = iter(range(10**9, 0, -3600))
+    monkeypatch.setattr(harness, "time", SimpleNamespace(time=lambda: next(wall), perf_counter=time.perf_counter))
     assert run(fast_config(tmp_path)) == 0
+    rerun = json.loads((tmp_path / "timing.json").read_text())
+    assert rerun["start"] == 10**9 and 0 < rerun["elapsed_s"] < 3600
     snapshots = sorted(p.relative_to(out).as_posix() for p in out.glob("stage-*/*.npz"))
     assert snapshots == sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.glob("stage-*/*.npz"))
     assert len(snapshots) == 7  # theta, u, R at stages 0 and 1, and w
