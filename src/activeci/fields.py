@@ -1096,7 +1096,9 @@ def load_snapshot(path) -> SpectralField:
     uniq, inv = _unique_keys(freqs)
     if len(uniq) < len(freqs):
         raise ValueError("snapshot rows repeat a frequency")
-    f = SpectralField(freqs.shape[1], amps.ndim - 1, uniq, amps[np.argsort(inv)])
+    ordered = np.empty_like(amps)
+    ordered[inv] = amps  # inv is a permutation once no row repeats
+    f = SpectralField(freqs.shape[1], amps.ndim - 1, uniq, ordered)
     if not f.is_half():
         raise ValueError("snapshot rows below 0 or a non-real origin: it stores the half spectrum only")
     return f

@@ -462,8 +462,8 @@ def run(config: RunConfig) -> int:
             "common_norm": basis.common_norm,
         },
         "params": {
-            "r": str(params.r),
-            "c": str(params.c),
+            "r": "%d/%d" % params.r.as_integer_ratio(),
+            "c": "%d/%d" % params.c.as_integer_ratio(),
             "A": state.norm_history[0]["A"],
             "delta": state.norm_history[0]["delta"],
             "lam_schedule": params.lam_schedule,

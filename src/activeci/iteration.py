@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 
 import numpy as np
 
@@ -90,8 +89,8 @@ class IterationParams:
     s: float
     b0: int
     qmax: int
-    r: Fraction
-    c: Fraction
+    r: float  # 2^-b_r and (2a+1)/2^b: dyadic, so a float holds each exactly
+    c: float
     lam_schedule: list
     eps_schedule: list
     stage_flags: list  # per-stage dict: eps_formula, adapted, degenerate, ...
@@ -99,12 +98,12 @@ class IterationParams:
     kernel: ShellKernel = dc_field(init=False)
 
     def __post_init__(self):
-        self.kernel = ShellKernel(r=float(self.r))
+        self.kernel = ShellKernel(r=self.r)
 
     def sigma(self, stage: int) -> int:
         """Integer carrier frequency sigma = c * lam for 1-based stage."""
         val = self.c * self.lam_schedule[stage - 1]
-        if val.denominator != 1:
+        if not val.is_integer():
             raise ValueError(f"sigma = {val} is not an integer at stage {stage}")
         return int(val)
 
@@ -152,10 +151,10 @@ class PerturbationBundle:
     shell: dict  # item 6's scan of w
 
 
-def _harmonic_survives(lam: int, j: int, knorm: int, r: Fraction) -> bool:
+def _harmonic_survives(lam: int, j: int, knorm: int, r: float) -> bool:
     """Does the first slab harmonic lam^eps k clear the low-pass support
     |xi| < r lam (eps = j / log2 lam)?"""
-    return 2**j * knorm < float(r) * lam
+    return 2**j * knorm < r * lam
 
 
 def make_params(
@@ -191,27 +190,25 @@ def make_params(
             f"{d / 2 + max(gamma - 1.0, 0.0)}"
         )
     knorm = basis.common_norm
-    # largest power of two below (5/14)/|k|
-    bound = Fraction(5, 14 * knorm)
+    # r = 2^-b_r, the largest power of two with r <= (5/14)/|k|
     b_r = 0
-    while Fraction(1, 2**b_r) > bound:
+    while 5 * 2**b_r < 14 * knorm:
         b_r += 1
-    r = Fraction(1, 2**b_r)
-
-    lo = Fraction(1, knorm) + r
-    hi = Fraction(12, 7 * knorm) - r
-    if lo > hi:
-        raise EmptyInterval(f"no admissible c: [{lo}, {hi}] empty for |k| = {knorm}")
+    r = 2.0**-b_r
+    # [lo, hi] = [1/|k| + r, 12/(7|k|) - r] as integer ratios; b_r makes lo < hi
+    lo_num, lo_den = 2**b_r + knorm, knorm * 2**b_r
+    hi_num, hi_den = 12 * 2**b_r - 7 * knorm, 7 * knorm * 2**b_r
     c = None
     for b in range(1, 31):
         den = 2**b
-        a_lo = math.ceil((lo * den - 1) / 2)
-        a_hi = math.floor((hi * den - 1) / 2)
+        # the odd numerators 2a+1 with lo <= (2a+1)/den <= hi
+        a_lo = -((lo_den - lo_num * den) // (2 * lo_den))
+        a_hi = (hi_num * den - hi_den) // (2 * hi_den)
         if a_lo <= a_hi:
-            c = Fraction(2 * a_lo + 1, den)
+            c = (2 * a_lo + 1) / den
             break
     if c is None:
-        raise EmptyInterval(f"no dyadic-odd c in [{lo}, {hi}]")
+        raise EmptyInterval(f"no dyadic-odd c in [{lo_num}/{lo_den}, {hi_num}/{hi_den}]")
 
     if lambda1 < 2 or lambda1 & (lambda1 - 1):
         raise ValueError(f"lambda1 = {lambda1} must be a power of two")
@@ -220,7 +217,7 @@ def make_params(
     stage_flags = []
     for q in range(1, qmax + 1):
         lam = lambda1 * lam_step ** (q - 1)
-        if (Fraction(lam) * c).denominator != 1:
+        if not (c * lam).is_integer():
             raise ValueError(f"sigma = c*lam not an integer at lam = {lam}")
         if lam > grid_budget:
             raise ValueError(
@@ -488,7 +485,7 @@ def build_increment(state: IterationState, params: IterationParams) -> Perturbat
     lam = params.stage_lam(stage)
     eps = params.stage_eps(stage)
     sigma = params.sigma(stage)
-    rlam = float(params.r) * lam
+    rlam = params.r * lam
     per_k = {}
     w = SpectralField.zero(params.d, 0)
     degenerate = False
@@ -696,7 +693,7 @@ def oscillation_diagnostics(bundle: PerturbationBundle, state: IterationState, p
         ks = np.asarray(list(bundle.per_k), dtype=float)
         a, b = np.triu_indices(len(ks), 1)
         gap = float(np.linalg.norm(np.concatenate((ks[a] + ks[b], ks[a] - ks[b])), axis=1).min())
-        threshold = bundle.lam * (float(params.c) * gap - 2.0 * float(params.r))
+        threshold = bundle.lam * (params.c * gap - 2.0 * params.r)
         report["offdiag_min_freq"] = float(mags.min())
         report["offdiag_threshold"] = threshold
         report["offdiag_separated"] = bool(mags.min() >= threshold - 1e-9)

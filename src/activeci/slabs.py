@@ -20,7 +20,6 @@ roundoff of the sum itself.  ``Profile.fhat`` refuses larger |t|.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -258,8 +257,7 @@ def certify_scaling(k, lam_list, eps: float, p_list) -> list:
 
 def write_scaling_csv(rows, path) -> None:
     fieldnames = ["p", "lam", "norm", "fitted_slope", "target_slope", "deviation"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
+    with open(path, "w", newline="") as fh:  # "\r\n" ends a row, as in csv.DictWriter
+        fh.write(",".join(fieldnames) + "\r\n")
         for row in rows:
-            writer.writerow({k: row[k] for k in fieldnames})
+            fh.write(",".join(str(row[k]) for k in fieldnames) + "\r\n")

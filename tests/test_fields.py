@@ -1118,6 +1118,21 @@ def _archive(path, **members):
     return path
 
 
+@pytest.mark.parametrize("rank", [0, 1])
+def test_load_snapshot_orders_shuffled_rows(tmp_path, rank):
+    # the rows of an archive may come in any order: each amplitude follows
+    # its frequency, bit for bit
+    f = random_hermitian(np.random.default_rng(6), 3, 200, 6)
+    if rank:
+        f = gradient(f)
+    save_snapshot(f, tmp_path / "sorted.npz")
+    shuffle = np.random.default_rng(7).permutation(len(f.freqs))
+    shuffled = _archive(tmp_path / "shuffled.npz", version=3, freqs=f.freqs[shuffle], amps=f.amps[shuffle])
+    for path in (tmp_path / "sorted.npz", shuffled):
+        g = load_snapshot(path)
+        assert g.freqs.tobytes() == f.freqs.tobytes() and g.amps.tobytes() == f.amps.tobytes()
+
+
 def test_load_snapshot_rejects_bad_archives(tmp_path):
     freqs = np.array([[0, 0], [1, 0]])
     amps = np.array([2.0, 0.5], dtype=complex)

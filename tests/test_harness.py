@@ -308,6 +308,7 @@ def test_report_structure(fast_run):
         report = json.load(fh)
     assert report["exact_pass"] is True
     assert report["config"]["multiplier"] == "ipm2d"
+    assert (report["params"]["r"], report["params"]["c"]) == ("1/16", "17/64")
     omega = report["basis"]["omega"]
     assert len(omega) == 2
     assert sum(c * c for c in omega[0]) == sum(c * c for c in omega[1])
@@ -664,16 +665,18 @@ def test_cli_rejects_odd_multiplier(tmp_path):
 def test_import_loads_no_scipy(tmp_path):
     # scipy is a test-only dependency: the package and its CLI must not load
     # it; nor may the set-up calls or a run load numpy.ma (np.unique imports
-    # it) or numpy.random (seeded draws come from the stdlib), which cost a
-    # fresh process time and memory.  numpy.matrixlib and the like must not
-    # match.
+    # it), numpy.random (seeded draws come from the stdlib), fractions (which
+    # imports decimal) or csv, which cost a fresh process time and memory.
+    # numpy.matrixlib and the like must not match.  A fresh process, since
+    # pytest itself imports decimal.
     src = os.path.dirname(os.path.dirname(activeci.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     argv = ["--qmax", "1", "--lambda1", "64", "--grid-budget", "256", "--out", str(tmp_path / "o")]
     code = (
         "import activeci, activeci.cli, activeci.harness as h, sys; "
         "mods = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or any(m == p or m.startswith(p + '.') for p in ('numpy.ma', 'numpy.random'))); "
+        "or any(m == p or m.startswith(p + '.') for p in "
+        "('numpy.ma', 'numpy.random', 'fractions', 'decimal', '_decimal', 'csv', '_csv'))); "
         "print(mods()); "
         "h.resolve_multiplier(h.RunConfig(d=3, multiplier='ipm3d')); "
         "h.build_test_functions(3, 1); "
@@ -796,3 +799,4 @@ def test_cli_ipm3d_end_to_end(tmp_path):
     assert main(["--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["exact_pass"] is True
+    assert (report["params"]["r"], report["params"]["c"]) == ("1/16", "1/2")

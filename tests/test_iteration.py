@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import math
 import re
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from activeci.fields import (
     sobolev_norm,
 )
 from activeci.iteration import (
+    EmptyInterval,
     IterationState,
     ZeroStress,
     amplitudes,
@@ -64,6 +66,45 @@ def test_parameter_schedule_frozen(setup):
     assert p.sigma(2) == 1088
     assert not p.stage_flags[0]["degenerate"]
     assert p.stage_flags[0]["adapted"]
+
+
+def _fraction_schedule(knorm):
+    """The reference (r, c) by exact rational arithmetic: r the largest 2^-b
+    <= (5/14)/|k|, c the odd (2a+1)/2^b of least b <= 30 in [1/|k| + r,
+    12/(7|k|) - r]; c is None where no such b exists."""
+    b_r = 0
+    while Fraction(1, 2**b_r) > Fraction(5, 14 * knorm):
+        b_r += 1
+    r = Fraction(1, 2**b_r)
+    lo, hi = Fraction(1, knorm) + r, Fraction(12, 7 * knorm) - r
+    for b in range(1, 31):
+        a = math.ceil((lo * 2**b - 1) / 2)
+        if a <= math.floor((hi * 2**b - 1) / 2):
+            return r, Fraction(2 * a + 1, 2**b)
+    return r, None
+
+
+# 23405 needs b = 30; 46811's interval holds no odd c/2^30
+@pytest.mark.parametrize("knorm", [*range(1, 65), 23405, 46811])
+def test_schedule_matches_the_fraction_reference(knorm):
+    basis = types.SimpleNamespace(dim=2, common_norm=knorm)
+    r, c = _fraction_schedule(knorm)
+    if c is None:
+        with pytest.raises(EmptyInterval):
+            make_params(basis, qmax=1, lambda1=2**30, grid_budget=2**30)
+        return
+    for e in range(1, 31):
+        if (c * 2**e).denominator != 1:
+            with pytest.raises(ValueError, match="not an integer"):
+                make_params(basis, qmax=1, lambda1=2**e, grid_budget=2**30)
+            continue
+        p = make_params(basis, qmax=2, lambda1=2**e, lam_step=2, grid_budget=2**31)
+        assert (type(p.r), type(p.c)) == (float, float)
+        assert (p.r, p.c) == (r, c)
+        assert [p.sigma(1), p.sigma(2)] == [c * 2**e, c * 2 ** (e + 1)]
+        p.lam_schedule[0] = 1  # sigma = c, an odd multiple of 2^-b
+        with pytest.raises(ValueError, match="not an integer"):
+            p.sigma(1)
 
 
 def test_degenerate_stage_flagged(setup):

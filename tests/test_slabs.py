@@ -1,5 +1,7 @@
 """Intermittent slabs: profile transform, series/physical agreement, scaling."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -175,6 +177,17 @@ def test_scaling_csv_roundtrip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "p,lam,norm,fitted_slope,target_slope,deviation"
     assert len(text) == 1 + len(rows)
+
+
+def test_scaling_csv_bytes_are_csv_dictwriters(tmp_path):
+    rows = certify_scaling((4, 3), [64, 256], 0.5, [1.0, 2.0, math.inf])
+    assert rows[-1]["p"] == "inf" and rows[0]["fitted_slope"] < 0
+    buf = io.StringIO(newline="")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]))
+    writer.writeheader()
+    writer.writerows(rows)
+    write_scaling_csv(rows, tmp_path / "scaling.csv")
+    assert (tmp_path / "scaling.csv").read_bytes() == buf.getvalue().encode()
 
 
 @pytest.mark.parametrize(
