@@ -27,7 +27,6 @@ import numpy as np
 
 from .directions import DEFAULT_GAMMA_MARGIN, build_basis
 from .fields import (
-    DEFAULT_GRID_BUDGET,
     SpectralField,
     fractional_laplacian,
     gradient,
@@ -35,6 +34,7 @@ from .fields import (
     pairing,
     save_snapshot,
 )
+from .grids import DEFAULT_GRID_BUDGET
 from .iteration import (
     ITEM4_PAIRS,
     IterationParams,
@@ -345,10 +345,6 @@ def run(config: RunConfig) -> int:
     fatal.
     """
     start, t0 = time.time(), time.perf_counter()  # the wall timestamp; the duration's clock
-    try:
-        os.makedirs(config.out, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {config.out!r}: {exc}") from exc
     m, claims = _checked_multiplier(config)
     try:
         basis = build_basis(m, supplied=config.supplied_basis, margin=config.gamma_margin)
@@ -370,6 +366,10 @@ def run(config: RunConfig) -> int:
     except TypeError as exc:  # e.g. a string scaling_eps
         raise ConfigError(f"config value of the wrong type: {exc}") from exc
     psis = build_test_functions(config.d, config.seed)
+    try:  # only once set-up has passed, so that bad input leaves no directory
+        os.makedirs(config.out, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {config.out!r}: {exc}") from exc
     # the peak after set-up and after each stage's record, so a run shows
     # what each stage adds on top of the import and set-up floor
     timing = {"start": start, "setup_peak_rss_mb": _peak_rss_mb(), "stage_peak_rss_mb": []}

@@ -24,24 +24,26 @@ import numpy as np
 
 from .directions import DirectionBasis
 from .fields import (
-    DEFAULT_GRID_BUDGET,
-    Quadrature,
     SpectralField,
-    _analyze_rows,
-    _grid_sums,
-    _next_pow2,
-    _sample_rows,
-    besov_norm,
     divergence,
     divergence_defect,
     fractional_laplacian,
     gradient,
     low_pass,
-    lp_norm_detailed,
-    lp_norms,
     mean_part,
     multiply,
     sobolev_norm,
+)
+from .grids import (
+    DEFAULT_GRID_BUDGET,
+    Quadrature,
+    _amplitude_N,
+    _analyze_rows,
+    _grid_sums,
+    _sample_rows,
+    besov_norm,
+    lp_norm_detailed,
+    lp_norms,
 )
 from .kernels import ShellKernel
 from .multipliers import apply_T
@@ -432,9 +434,7 @@ def amplitudes(
             f"eps={spec.eps}"
         )
     d = params.d
-    band = int(np.max(R.max_axis_freq()))
-    trunc = min(8 * max(1, int(math.ceil(R.max_freq))), params.grid_budget // 8)
-    N = min(max(8, _next_pow2(2 * max(band, trunc) + 2)), params.grid_budget)
+    trunc, N = _amplitude_N(R, params.grid_budget)
 
     rmax = float(_grid_sums(R, N, (math.inf,))[math.inf][0])
     if rmax == 0.0:

@@ -9,28 +9,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from activeci import fields
+from activeci import fields, grids
 from activeci.fields import (
     SpectralField,
-    analyze,
-    besov_norm,
     divergence,
     divergence_defect,
     fractional_laplacian,
     gradient,
     load_snapshot,
     low_pass,
-    lp_norm_detailed,
-    lp_norms,
     mean_part,
     multiply,
     nonzero_part,
     pairing,
-    sample,
     save_snapshot,
     shell_project,
     sobolev_norm,
 )
+from activeci.grids import analyze, besov_norm, lp_norm_detailed, lp_norms, sample
 from activeci.kernels import ShellKernel
 
 
@@ -232,7 +228,7 @@ def test_multiply_matches_grid_path(f, g):
     # sparse convolution vs dealiased grid product
     fg = multiply(f, g)
     band = int(math.ceil(f.max_freq + g.max_freq))
-    N = max(8, fields._next_pow2(2 * band + 2))
+    N = max(8, grids._next_pow2(2 * band + 2))
     via_grid = analyze(sample(f, N) * sample(g, N))
     diff = (fg - via_grid).pruned(rel=1e-12)
     scale = max(fg.max_amp(), 1e-30)
@@ -638,7 +634,7 @@ def test_analyze_rows_over_uneven_blocks_is_analyze(dim, N):
     # row blocks of 1, 3, N/2 - 4 and N/2 rows, against analyze's one block
     values = sample(random_hermitian(np.random.default_rng(N + dim), dim, 12, N // 3), N)
     cuts = [0, 1, 4, N // 2, N]
-    got, outside = fields._analyze_rows(dim, N, N // 2, ((i, values[i:j]) for i, j in zip(cuts, cuts[1:])))
+    got, outside = grids._analyze_rows(dim, N, N // 2, ((i, values[i:j]) for i, j in zip(cuts, cuts[1:])))
     ref = analyze(values)
     assert got.freqs.tobytes() == ref.freqs.tobytes()
     assert got.amps.tobytes() == ref.amps.tobytes()
@@ -671,7 +667,7 @@ def test_box_analysis_is_analyze_cut_to_the_radius(dim, N, K, values):
     # the box's coefficients within the radius are analyze's, bit for bit,
     # and the Parseval tail beyond the radius is the dense one
     cuts = [0, 1, 4, N // 2, N]
-    box, outside = fields._analyze_rows(dim, N, K, ((i, values[i:j]) for i, j in zip(cuts, cuts[1:])))
+    box, outside = grids._analyze_rows(dim, N, K, ((i, values[i:j]) for i, j in zip(cuts, cuts[1:])))
     assert np.abs(box.freqs).max() <= K
     ref = analyze(values)
     ref = ref.weighted(ref.radii() <= K)
@@ -773,7 +769,7 @@ def test_sample_plan_holds_one_copy_of_its_lines():
     f = random_hermitian(np.random.default_rng(4), 2, 400, 500)  # a few hundred occupied columns
     tracemalloc.start()
     try:
-        _, lines = fields._sample_plan(f, 1024)
+        _, lines = grids._sample_plan(f, 1024)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -842,12 +838,12 @@ def test_grid_sums_do_not_depend_on_the_blocks(monkeypatch, dim, N):
     values = sample(f, N)
     got = []
     for points in (1, 6 * N ** (dim - 1), 1 << 40):
-        monkeypatch.setattr(fields, "_BLOCK_POINTS", points)
-        rows = len(fields._sample_buffers(dim, N, 1)[1][0])
+        monkeypatch.setattr(grids, "_BLOCK_POINTS", points)
+        rows = len(grids._sample_buffers(dim, N, 1)[1][0])
         assert rows == {1: 2, 6 * N ** (dim - 1): 6}.get(points, N)
-        sums = [fields._grid_sums(g, N, STREAM_PS) for g in (f, v)]
+        sums = [grids._grid_sums(g, N, STREAM_PS) for g in (f, v)]
         blocks = ((i, values[i : i + rows]) for i in range(0, N, rows))
-        got.append((sums, fields._analyze_rows(dim, N, N // 4, blocks)[1]))
+        got.append((sums, grids._analyze_rows(dim, N, N // 4, blocks)[1]))
     assert all(s > 0 for sums, outside in got for by_p in sums for pair in by_p.values() for s in pair)
     assert got[0][1] > 0
     assert got[1] == got[0] and got[2] == got[0]
@@ -887,20 +883,20 @@ def test_norms_sample_each_grid_once(monkeypatch):
     k = ShellKernel()
     # every mode on the plateau 4 <= |xi| <= 6.86 of shell j = 2
     f = cos_field((5, 0), 2.0) + cos_field((3, 4), 0.7) + cos_field((4, -4), -0.4)
-    grids = Counter()
-    original = fields._sample_plan
+    passes = Counter()
+    original = grids._sample_plan
 
     def counting(field, N):  # one plan of a scalar field is one pass over the grid
-        grids[N] += 1
+        passes[N] += 1
         return original(field, N)
 
-    monkeypatch.setattr(fields, "_sample_plan", counting)
+    monkeypatch.setattr(grids, "_sample_plan", counting)
     ps = (1.0, 4.0 / 3.0, 1.5, 2.0, math.inf)
     lp = lp_norms(f, ps, 256)
     besov = [besov_norm(f, alpha, k, 256) for alpha in (-0.1, -0.5, -0.9)]
     assert [lp_norm_detailed(f, p, 256) for p in ps] == [lp[p] for p in ps]
     # band 5: 16 points dealias |f|, 32 dealias |f|^2 and the sup
-    assert grids == Counter({16: 1, 32: 1})
+    assert passes == Counter({16: 1, 32: 1})
     assert besov == [2.0 ** (2 * alpha) * lp[math.inf].norm for alpha in (-0.1, -0.5, -0.9)]
     # one p at a time on a fresh field gives the same values
     fresh = SpectralField.scalar(2, dict(f.coeffs))

@@ -14,20 +14,19 @@ import numpy as np
 import pytest
 
 import activeci
-from activeci import fields, harness, iteration
+from activeci import fields, grids, harness, iteration
 from activeci.cli import config_from_args, main
 from activeci.directions import build_basis
 from activeci.fields import (
     SpectralField,
-    besov_norm,
     divergence_defect,
     gradient,
-    lp_norm_detailed,
     mean_part,
     multiply,
     pairing,
     sobolev_norm,
 )
+from activeci.grids import besov_norm, lp_norm_detailed
 from activeci.harness import (
     ConfigError,
     RunConfig,
@@ -221,7 +220,7 @@ def test_item4_fits_each_increment_at_its_stage(monkeypatch):
 
     monkeypatch.setattr(np, "polyfit", refuse)
     monkeypatch.setattr(np.linalg, "lstsq", refuse)
-    Q = fields.Quadrature
+    Q = grids.Quadrature
     totals = {1: 1.0, 2: 0.0, 3: 4.0}
     increments = [
         SimpleNamespace(stage=q, w_norms={p: Q(t / 2, 0.0, 64, True) for _, p in ITEM4_PAIRS}, shell={"pass": True})
@@ -266,12 +265,13 @@ def test_certify_items_only_reads_the_stage_record(two_stages, monkeypatch):
     calls = []
     names = ("multiply", "sobolev_norm", "besov_norm", "divergence_defect", "lp_norms", "lp_norm_detailed")
     for name in names:
+        owner = grids if name in grids.__all__ else fields
 
-        def counted(*args, _name=name, _original=getattr(fields, name), **kwargs):
+        def counted(*args, _name=name, _original=getattr(owner, name), **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        for module in (fields, harness):
+        for module in (fields, grids, harness):
             monkeypatch.setattr(module, name, counted, raising=False)
     for st in states:
         certify_items(st)
@@ -703,6 +703,22 @@ def test_cli_lets_memory_error_propagate(tmp_path, monkeypatch):
         main(["--qmax", "1", "--lambda1", "256", "--grid-budget", "256", "--out", str(tmp_path)])
     assert (tmp_path / "stage-0").is_dir()
     assert not (tmp_path / "stage-1").exists()
+
+
+@pytest.mark.parametrize(
+    "flags,config",
+    [(["--multiplier", "bogus"], {}), ([], {"scaling_eps": 2}), ([], {"scaling_lams": [64, 64]})],
+    ids=["multiplier", "scaling_eps", "scaling_lams"],
+)
+def test_cli_bad_setup_creates_no_out(tmp_path, capsys, flags, config):
+    # set-up fails before the output directory is made
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "X"
+    assert main(flags + ["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_unusable_out_exits_2(tmp_path, capsys):

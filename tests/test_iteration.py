@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from activeci import fields
+from activeci import grids
 from activeci.directions import build_basis
 from activeci.fields import (
     SpectralField,
@@ -221,7 +221,7 @@ def test_vector_sup_shares_one_buffer_set():
     N = 64
     tracemalloc.start()
     try:
-        fields._grid_sums(R, N, (math.inf,))
+        grids._grid_sums(R, N, (math.inf,))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -233,7 +233,7 @@ def _dense_amplitudes(R, basis, info):
     Gamma^2 coefficients by a LAPACK solve at every point, then the square
     root, prefactor, analysis and truncation of each direction."""
     N, d = info["grid_N"], basis.dim
-    grid = np.stack([fields.sample(R.component(c), N) for c in range(d)])
+    grid = np.stack([grids.sample(R.component(c), N) for c in range(d)])
     flat = grid.reshape(d, -1)
     rmax = float(np.sqrt(np.max(np.sum(flat**2, axis=0))))
     coeffs = np.linalg.solve(
@@ -242,7 +242,7 @@ def _dense_amplitudes(R, basis, info):
     amps = np.sqrt(coeffs).reshape(grid.shape) * (info["S"] * basis.eps_omega / rmax) ** -0.5
     out = {}
     for col, k in enumerate(basis.omega):
-        a = fields.analyze(amps[col])
+        a = grids.analyze(amps[col])
         out[k] = a.weighted(a.radii() <= info["trunc_radius"])
     return rmax, out
 
@@ -290,10 +290,10 @@ def test_grid_sup_is_bitwise_dense(dim, N, split):
     # also where the components, which share the sampling buffers, occupy
     # different lines
     R = _random_stress(dim, 40 if dim == 2 else 20, 30 if N > 64 else 12, seed=N + dim, split=split)
-    grids = [fields.sample(R.component(c), N) for c in range(dim)]
-    squares = np.sum(np.stack(grids) ** 2, axis=0)
+    comps = [grids.sample(R.component(c), N) for c in range(dim)]
+    squares = np.sum(np.stack(comps) ** 2, axis=0)
     dense = [math.sqrt(float(np.max(sq))) for sq in (squares, squares[(slice(None, None, 2),) * dim])]
-    assert list(fields._grid_sums(R, N, (math.inf,))[math.inf]) == dense
+    assert list(grids._grid_sums(R, N, (math.inf,))[math.inf]) == dense
 
 
 def _stage_case(dim, stage, request):
@@ -316,7 +316,7 @@ def _coefficient_grids(R, basis, info):
     means = (basis.even_inv * basis.k_star).sum(axis=1)
     origin = np.zeros((1, d), dtype=np.int64)
     return [
-        fields.sample(SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1)) + SpectralField(d, 0, origin, [mean]), N)
+        grids.sample(SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1)) + SpectralField(d, 0, origin, [mean]), N)
         for row, mean in zip(rows, means)
     ]
 
@@ -335,7 +335,7 @@ def test_amplitudes_are_bitwise_the_grid_round_trip(dim, stage, request):
     radius2 = sum(ax**2 for ax in np.meshgrid(*[np.fft.fftfreq(N, 1.0 / N)] * dim, indexing="ij"))
     for k, grid in zip(basis.omega, _coefficient_grids(R.weighted(R.radii() <= cutoff), basis, info)):
         values = np.sqrt(grid) * info["prefactor"]
-        a_full = fields.analyze(values)
+        a_full = grids.analyze(values)
         a, got = a_full.weighted(a_full.radii() <= trunc), out[k][0]
         assert got.freqs.tobytes() == a.freqs.tobytes()
         assert got.amps.tobytes() == a.amps.tobytes()

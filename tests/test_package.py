@@ -8,7 +8,7 @@ import sys
 
 import activeci
 
-MODULES = ("fields", "kernels", "multipliers", "directions", "slabs", "iteration", "harness")
+MODULES = ("fields", "grids", "kernels", "multipliers", "directions", "slabs", "iteration", "harness")
 
 # every name the package exported when it listed them by hand
 EXPORTED = (
@@ -107,3 +107,73 @@ def test_package_calls_no_blas_or_lapack():
         if name.endswith(".py"):
             with open(os.path.join(package, name)) as fh:
                 assert blas_calls(fh.read()) == [], name
+
+
+# the grid layer builds on the sparse fields, never the reverse, and one
+# loop, the grid layer's sweep, drives the per-block sampling step
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def imported_modules(source: str) -> set:
+    """The last dotted part of each module the source imports, and the
+    names of ``from . import ...``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.rpartition(".")[2] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            found |= {node.module.rpartition(".")[2]} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def sweep_loops(source: str, callee: str = "_sample_block") -> list:
+    """``(function, line)`` of each outermost loop or comprehension that
+    calls ``callee``."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+            elif isinstance(child, LOOPS) and any(
+                isinstance(n, ast.Call) and (_dotted(n.func) or "").rpartition(".")[2] == callee
+                for n in ast.walk(child)
+            ):
+                found.append((func, child.lineno))
+            else:
+                visit(child, func)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_layering_guard_finds_each_case():
+    source = (
+        "from .grids import lp_norms\n"
+        "from . import harness\n"
+        "import activeci.iteration\n"
+        "def a(plans):\n"
+        "    for i in range(4):\n"
+        "        for plan in plans:\n"
+        "            _sample_block(plan, i, spec, out)\n"
+        "def b():\n"
+        "    while True:\n"
+        "        grids._sample_block(plan, 0, spec, out)\n"
+        "    return [_sample_block(p, 0, s, o) for p in plans]\n"
+        "def c():\n"
+        "    _sample_block(plan, 0, spec, out)\n"
+    )
+    assert imported_modules(source) == {"grids", "harness", "iteration"}
+    assert sweep_loops(source) == [("a", 5), ("b", 9), ("b", 11)]
+
+
+def test_fields_is_below_the_grid_layer():
+    package = os.path.dirname(activeci.__file__)
+    sources = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as fh:
+                sources[name[:-3]] = fh.read()
+    assert imported_modules(sources["fields"]) & {"grids", "iteration", "harness"} == set()
+    loops = {name: [func for func, _ in sweep_loops(source)] for name, source in sources.items()}
+    assert {name: funcs for name, funcs in loops.items() if funcs} == {"grids": ["_sample_rows"]}
