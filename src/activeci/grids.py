@@ -15,8 +15,7 @@ box's half spectrum, N (2K+1)^(d-2) (K+1) coefficients, the largest array
 of the amplitudes' grid round trip, and counts the mass outside the box by
 Parseval, per grid row too.  ``sample`` and ``analyze`` are the two streams'
 whole-grid forms, which no step of a run calls.  Their real-FFT half lies
-along the last axis, not the lexicographic one.  Grids serve d >= 2: no run
-has d = 1, where the only divergence-free symbol, 0, is odd.
+along the last axis, not the lexicographic one.
 """
 
 from __future__ import annotations
@@ -80,11 +79,10 @@ def _sample_plan(field: SpectralField, N: int):
     that a plan holds one (N, #occupied) array, not two: at stage 2 of the
     default run each is 27.5 MB.  Every line goes through the same 1-D
     transform as in ``irfftn``, so the samples are
-    bitwise ``irfftn(half) * N^d`` for power-of-two N.  Wrapping
-    frequencies mod N leaves grid-point values exact, because
-    e^{2 pi i xi j / N} only depends on xi mod N; only coefficient recovery
-    requires an unaliased grid.  The half spectrum is cut from
-    :meth:`SpectralField._full`, since the self-conjugate planes take both.
+    bitwise ``irfftn(half) * N^d`` for power-of-two N.  Grids serve d >= 2:
+    no run has d = 1, where the only divergence-free symbol, 0, is odd.  The
+    half spectrum is cut from :meth:`SpectralField._full`, since the
+    self-conjugate planes take both.
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
@@ -175,7 +173,12 @@ def _sample_rows(field: SpectralField, N: int):
 def sample(field: SpectralField, N: int) -> np.ndarray:
     """Exact samples of a scalar field at the N^d grid points, shape (N,)*d,
     for callers that need the whole grid; no step of a run does: the norms
-    and ``amplitudes`` stream row blocks instead (:func:`_sample_rows`)."""
+    and ``amplitudes`` stream row blocks instead (:func:`_sample_block`).
+
+    Wrapping frequencies mod N leaves grid-point values exact because
+    e^{2 pi i xi j / N} only depends on xi mod N; only coefficient recovery
+    requires an unaliased grid.
+    """
     if field.rank != 0:
         raise ValueError("scalar fields only")
     out = np.empty((N,) * field.dim)
