@@ -366,13 +366,13 @@ def run(config: RunConfig) -> int:
     except TypeError as exc:  # e.g. a string scaling_eps
         raise ConfigError(f"config value of the wrong type: {exc}") from exc
     psis = build_test_functions(config.d, config.seed)
+    # the peak after set-up and after each stage's record, so a run shows
+    # what each stage adds on top of the import and set-up floor
+    timing = {"start": start, "setup_peak_rss_mb": _peak_rss_mb(), "stage_peak_rss_mb": []}
     try:  # only once set-up has passed, so that bad input leaves no directory
         os.makedirs(config.out, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {config.out!r}: {exc}") from exc
-    # the peak after set-up and after each stage's record, so a run shows
-    # what each stage adds on top of the import and set-up floor
-    timing = {"start": start, "setup_peak_rss_mb": _peak_rss_mb(), "stage_peak_rss_mb": []}
 
     state = base_state(params)
     stages = []
