@@ -7,6 +7,7 @@ command line wins over the file.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -48,13 +49,17 @@ def config_from_args(argv=None) -> RunConfig:
             raise ConfigError(f"{args.config}: the top level is not a JSON object")
     # every flag's dest is its RunConfig key
     data.update({k: v for k, v in vars(args).items() if k != "config" and v is not None})
+    keys = [field.name for field in dataclasses.fields(RunConfig)]
+    unknown = [k for k in data if k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown config key {unknown[0]!r}; the keys are {', '.join(keys)}")
     return RunConfig(**data)
 
 
 def main(argv=None) -> int:
     try:
         config = config_from_args(argv)
-    except (ValueError, OSError, TypeError) as exc:  # ConfigError and JSONDecodeError among them
+    except (ValueError, OSError) as exc:  # ConfigError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:

@@ -2,20 +2,25 @@
 fields on the N^d grid, their L^p and Besov quadrature, the analysis of
 samples back into a sparse field, and the rules that size those grids.
 
-Grids are streamed in row blocks.  ``_sample_plan`` runs a field's inverse
-DFT along axis 0 only on the lines that hold a coefficient, and
-``_sample_block`` finishes it a few rows at a time, into buffers its caller
-passes.  ``_sample_rows`` is the one sweep loop: it yields a scalar field's
-samples, or a vector field's magnitude, its components sharing one set of
-buffers.  ``lp_norms`` reduces each block as it comes, to one sum per grid
-row, and one ``math.fsum`` combines the rows, so no value depends on the
-block size.  The adjoint ``_analyze_rows`` takes row blocks of samples
-through the forward DFT, pruned to a box |xi_i| <= K: it holds only the
-box's half spectrum, N (2K+1)^(d-2) (K+1) coefficients, the largest array
-of the amplitudes' grid round trip, and counts the mass outside the box by
-Parseval, per grid row too.  ``sample`` and ``analyze`` are the two streams'
-whole-grid forms, which no step of a run calls.  Their real-FFT half lies
-along the last axis, not the lexicographic one.
+Grids are streamed in row blocks of one cell.  A field whose support lies on
+the lattice xi_i in s_i Z repeats every n_i = N/m_i grid points along axis
+i, for the steps m_i that ``_cell_steps`` reads from its support, and the
+cell is its first n_i points per axis (all of them for steps 1).
+``_sample_plan`` runs a field's inverse DFT on the cell along axis 0 only on
+the lines that hold a coefficient, and ``_sample_block`` finishes it a few
+rows at a time, into buffers its caller passes.  ``_sample_rows`` is the one
+sweep loop: it yields a scalar field's samples, or a vector field's
+magnitude, its components sharing one set of buffers.  ``lp_norms`` reduces
+each block as it comes, to one sum per cell row, and one ``math.fsum``
+combines the rows, so no value depends on the block size; the sums over the
+grid are the cell's times prod(m_i).  The adjoint ``_analyze_rows`` takes
+row blocks of samples of the whole grid through the forward DFT, pruned to
+a box |xi_i| <= K: it holds only the box's half spectrum, N (2K+1)^(d-2)
+(K+1) coefficients, the largest array of the amplitudes' grid round trip,
+and counts the mass outside the box by Parseval, per grid row too.
+``sample`` and ``analyze`` are the two streams' whole-grid forms, which no
+step of a run calls.  Their real-FFT half lies along the last axis, not the
+lexicographic one.
 """
 
 from __future__ import annotations
@@ -66,50 +71,68 @@ def _amplitude_N(R: SpectralField, grid_budget: int):
 # -- sampling and analysis ------------------------------------------------
 
 
-def _sample_plan(field: SpectralField, N: int):
+def _cell_steps(f: SpectralField, N: int) -> tuple:
+    """The steps m of ``f``'s samples on the N^d grid: m_i is the largest
+    power of two that divides both N/2 and the gcd of |xi_i| over the
+    support (every power divides a gcd of 0), and 1 for odd N.  The samples
+    repeat every n_i = N/m_i points along axis i, and each n_i is even."""
+    if N % 2:
+        return (1,) * f.dim
+    gcd = np.gcd(np.gcd.reduce(np.abs(f.freqs), axis=0), N // 2)
+    return tuple(int(g & -g) for g in gcd)
+
+
+def _sample_plan(field: SpectralField, N: int, m):
     """The per-field part of the streamed inverse DFT of a scalar field on
-    the N^d grid: ``(occupied, lines)``, the later-axis indices that hold a
-    coefficient and the axis-0 inverse DFT along each of them, an (N,
-    #occupied) array.  :func:`_sample_block` finishes it a row block at a
-    time.
+    its cell of the N^d grid, the first n_i = N/m_i points of each axis i,
+    for steps ``m`` that divide every xi_i (:func:`_cell_steps`; all ones
+    for the whole grid): ``(occupied, lines)``, the later-axis indices that
+    hold a coefficient and the axis-0 inverse DFT along each of them, an
+    (n_0, #occupied) array.  :func:`_sample_block` finishes it a row block
+    at a time.  On the cell e^{2 pi i xi_i j_i / N} is e^{2 pi i eta_i j_i /
+    n_i} with eta_i = xi_i / m_i, so the cell's transform has lengths n_i
+    and takes each xi_i as eta_i mod n_i.
 
     The transform runs in numpy's ``irfftn`` order: axis 0 first, then the
     later axes, the last one by ``irfft`` over the half spectrum.  Axis 0 is
     transformed only along the lines that hold a coefficient, in place, so
-    that a plan holds one (N, #occupied) array, not two: at stage 2 of the
-    default run each is 27.5 MB.  Every line goes through the same 1-D
-    transform as in ``irfftn``, so the samples are
-    bitwise ``irfftn(half) * N^d`` for power-of-two N.  Grids serve d >= 2:
-    no run has d = 1, where the only divergence-free symbol, 0, is odd.  The
-    half spectrum is cut from :meth:`SpectralField._full`, since the
-    self-conjugate planes take both.
+    that a plan holds one (n_0, #occupied) array, not two: at stage 2 of the
+    default run each is 27.5 MB on the whole grid.  Every line goes through
+    the same 1-D transform as in ``irfftn``, so the samples are bitwise
+    ``irfftn(half) * prod(n_i)`` of the cell's spectrum for power-of-two n_i.
+    Grids serve d >= 2: no run has d = 1, where the only divergence-free
+    symbol, 0, is odd.  The half spectrum is cut from
+    :meth:`SpectralField._full`, since the self-conjugate planes take both.
     """
     if field.rank != 0:
         raise ValueError("scalar fields only")
     d = field.dim
     if d < 2:
         raise ValueError(f"grids serve d >= 2, not d = {d}")
-    last = N // 2 + 1
+    n = [N // s for s in m]
+    last = n[-1] // 2 + 1
     freqs, amps = field._full()
-    freqs = freqs % N
+    freqs = freqs // m % n  # xi_i / m_i is exact
     keep = freqs[:, -1] < last  # the dropped half holds the conjugates of the kept one
     freqs, amps = freqs[keep], amps[keep]
-    tail = (N,) * (d - 2) + (last,)  # the later axes, as the transform reads them
+    tail = tuple(n[1:-1]) + (last,)  # the later axes, as the transform reads them
     occupied, col = _unique_keys(np.ravel_multi_index(tuple(freqs[:, 1:].T), tail))
-    lines = np.zeros((N, len(occupied)), dtype=complex)
+    lines = np.zeros((n[0], len(occupied)), dtype=complex)
     np.add.at(lines, (freqs[:, 0], col), amps)
     return occupied, np.fft.ifft(lines, axis=0, norm="forward", out=lines)
 
 
-def _sample_buffers(d: int, N: int, blocks: int):
+def _sample_buffers(N: int, m, blocks: int):
     """``(spec, outs)``: the zeroed complex scratch of :func:`_sample_block`
-    and ``blocks`` real output blocks, for row blocks of about
-    ``_BLOCK_POINTS`` points, of at least two and at least N / 1024 rows, so
-    that a pass takes at most about 1024 blocks, and of an even row count,
-    so that every block starts at an even row."""
-    rows = min(N, max(2, N // 1024, _BLOCK_POINTS // N ** (d - 1)) // 2 * 2)
-    spec = np.zeros((rows, N ** (d - 2) * (N // 2 + 1)), dtype=complex)
-    return spec, [np.empty((rows,) + (N,) * (d - 1)) for _ in range(blocks)]
+    and ``blocks`` real output blocks, for row blocks of the cell of steps
+    ``m`` (n_i = N/m_i points along axis i) of about ``_BLOCK_POINTS``
+    points, of at least two and at least n_0 / 1024 rows, so that a pass
+    takes at most about 1024 blocks, and of an even row count, so that
+    every block starts at an even row."""
+    n = [N // s for s in m]
+    rows = min(n[0], max(2, n[0] // 1024, _BLOCK_POINTS // math.prod(n[1:])) // 2 * 2)
+    spec = np.zeros((rows, math.prod(n[1:-1]) * (n[-1] // 2 + 1)), dtype=complex)
+    return spec, [np.empty([rows] + n[1:]) for _ in range(blocks)]
 
 
 def _shared_columns(plans):
@@ -125,8 +148,9 @@ def _shared_columns(plans):
 
 
 def _sample_block(plan, i: int, spec, out):
-    """Write the samples of grid rows i, i+1, ... into ``out``, one block of
-    :func:`_sample_buffers`, cut to the rows left, and return it.  The rows
+    """Write the samples of cell rows i, i+1, ... into ``out``, one block of
+    :func:`_sample_buffers`, cut to the rows left, and return it; the
+    transform lengths are ``out``'s axes, the cell's n_i.  The rows
     of the ``plan``'s lines are scattered into ``spec``, whose later axes
     are then transformed in place, the last one into ``out``.  ``spec`` must
     be zero outside the plan's occupied columns: plans that take turns on
@@ -143,11 +167,11 @@ def _sample_block(plan, i: int, spec, out):
     return out
 
 
-def _sample_rows(field: SpectralField, N: int):
-    """Yield ``(i, block)``: grid rows i, i+1, ... (axis 0) of a scalar
-    field's samples, or of a vector field's magnitude |v|, a row block at a
-    time (:func:`_sample_plan`).  Every block is a view of one buffer,
-    overwritten by the next block.
+def _sample_rows(field: SpectralField, N: int, m):
+    """Yield ``(i, block)``: rows i, i+1, ... (axis 0) of the cell of steps
+    ``m`` (:func:`_sample_plan`) of a scalar field's samples, or of a vector
+    field's magnitude |v|, a row block at a time.  Every block is a view of
+    one buffer, overwritten by the next block.
 
     A vector field's components, planned over one set of columns, share one
     ``spec`` and two output blocks: the first component's block is squared
@@ -155,16 +179,17 @@ def _sample_rows(field: SpectralField, N: int):
     added in component order, and the root is taken, so the d N^d grid of
     the components is never formed."""
     comps = [field] if field.rank == 0 else [field.component(c) for c in range(field.dim)]
-    plans = [_sample_plan(c, N) for c in comps]
+    plans = [_sample_plan(c, N, m) for c in comps]
     if len(plans) > 1:
         plans = _shared_columns(plans)
-    spec, (out, *scratch) = _sample_buffers(field.dim, N, min(2, len(plans)))
-    for i in range(0, N, len(out)):
-        vals = _sample_block(plans[0], i, spec, out[: N - i])
+    spec, (out, *scratch) = _sample_buffers(N, m, min(2, len(plans)))
+    n = N // m[0]
+    for i in range(0, n, len(out)):
+        vals = _sample_block(plans[0], i, spec, out[: n - i])
         if field.rank:
             np.square(vals, out=vals)
             for plan in plans[1:]:
-                block = _sample_block(plan, i, spec, scratch[0][: N - i])
+                block = _sample_block(plan, i, spec, scratch[0][: n - i])
                 vals += np.square(block, out=block)
             np.sqrt(vals, out=vals)
         yield i, vals
@@ -182,7 +207,7 @@ def sample(field: SpectralField, N: int) -> np.ndarray:
     if field.rank != 0:
         raise ValueError("scalar fields only")
     out = np.empty((N,) * field.dim)
-    for i, block in _sample_rows(field, N):
+    for i, block in _sample_rows(field, N, (1,) * field.dim):
         out[i : i + len(block)] = block
     return out
 
@@ -322,23 +347,29 @@ class Quadrature(NamedTuple):
 def _grid_sums(f: SpectralField, N: int, ps) -> dict:
     """``{p: (fine, coarse)}``: sum |f|^p (max |f| for p = inf) over the N^d
     grid and over its even subgrid, reduced from the row blocks of
-    :func:`_sample_rows`, a vector field's magnitude as it comes.
+    :func:`_sample_rows` on the cell of f's steps m (:func:`_cell_steps`),
+    a vector field's magnitude as it comes.  The grid holds prod(m_i) copies
+    of the cell, and, each n_i being even, the even subgrid as many copies
+    of the cell's even points, so each sum is the cell's times prod(m_i), a
+    power of two and so exact; the sup is the cell's.
 
     A scalar field's block is made |f| in place, which p = 1 and inf reduce
     as it is and p = 2 as |f| |f| in one reused buffer.  The block is then
     made log |f| in place, and every other p is formed as exp(p log |f|) in
     that buffer.  Blocks start at even rows, so a block's even rows are even
-    rows of the grid.  Every sum is reduced to one value per grid row
+    rows of the cell.  Every sum is reduced to one value per cell row
     (axis-0 index), a function of that row's samples alone, and the rows are
     combined by one ``math.fsum``, which does not depend on their order: no
     value depends on how the rows are cut into blocks.
     """
+    m = _cell_steps(f, N)
+    n = N // m[0]
     even = (slice(None, None, 2),) * f.dim
-    within = tuple(range(1, f.dim))  # the axes of one grid row
-    # per-row values of the grid and of its even subgrid, one array each:
+    within = tuple(range(1, f.dim))  # the axes of one cell row
+    # per-row values of the cell and of its even points, one array each:
     # lists of per-block arrays (of 2-row blocks at N = 8192) raised the
     # default run's peak RSS by 2.5 MB
-    per_row = {p: (np.empty(N), np.empty((N + 1) // 2)) for p in ps}
+    per_row = {p: (np.empty(n), np.empty((n + 1) // 2)) for p in ps}
     direct = [p for p in ps if p in (1, 2, math.inf)]
     logged = [p for p in ps if p not in direct]
 
@@ -350,7 +381,7 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
         reduce(sub, axis=within, out=coarse[i // 2 : i // 2 + len(sub)])
 
     power = None
-    for i, vals in _sample_rows(f, N):
+    for i, vals in _sample_rows(f, N, m):
         if f.rank == 0:
             np.abs(vals, out=vals)
         if power is None and (logged or 2 in direct):  # p = 1 and inf need no buffer
@@ -363,7 +394,8 @@ def _grid_sums(f: SpectralField, N: int, ps) -> dict:
                 np.log(vals, out=vals)
         for p in logged:
             add(p, i, np.exp(np.multiply(vals, p, out=pw), out=pw))
-    return {p: tuple(s.max() if p == math.inf else math.fsum(s) for s in sums) for p, sums in per_row.items()}
+    copies = math.prod(m)
+    return {p: tuple(s.max() if p == math.inf else math.fsum(s) * copies for s in sums) for p, sums in per_row.items()}
 
 
 def lp_norms(f: SpectralField, ps, grid_budget: int = DEFAULT_GRID_BUDGET) -> dict:

@@ -103,7 +103,7 @@ class RunConfig:
         vectors = isinstance(basis, (list, tuple)) and all(isinstance(v, (list, tuple)) for v in basis)
         if basis is not None and not (vectors and all(type(c) is int for v in basis for c in v)):
             raise ConfigError(f"supplied_basis = {basis!r} must be a list of integer vectors")
-        for name in ("gamma", "s"):
+        for name in ("gamma", "s", "gamma_margin", "scaling_eps"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool) or not math.isfinite(value):
                 raise ConfigError(f"{name} = {value!r} must be a finite number")
@@ -363,8 +363,6 @@ def run(config: RunConfig) -> int:
         scaling_rows = certify_scaling(basis.omega[0], list(config.scaling_lams), config.scaling_eps, [1.0, 2.0, math.inf])
     except (ValueError, OverflowError) as exc:  # the basis, schedule or slab table the config asks for
         raise ConfigError(str(exc)) from exc
-    except TypeError as exc:  # e.g. a string scaling_eps
-        raise ConfigError(f"config value of the wrong type: {exc}") from exc
     psis = build_test_functions(config.d, config.seed)
     # the peak after set-up and after each stage's record, so a run shows
     # what each stage adds on top of the import and set-up floor

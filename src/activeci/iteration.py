@@ -447,7 +447,7 @@ def amplitudes(
     out = {}
     for k, row, mean in zip(basis.omega, rows, means):
         coeff = SpectralField(d, 0, R.freqs, (R.amps * row).sum(axis=1))
-        samples = _sample_rows(coeff + SpectralField(d, 0, origin, [mean]), N)
+        samples = _sample_rows(coeff + SpectralField(d, 0, origin, [mean]), N, (1,) * d)
         a_box, outside = _analyze_rows(d, N, trunc, _amplitude_rows(samples, pref, basis.gamma_margin))
         inside = a_box.radii() <= trunc
         mass = a_box.masses()

@@ -769,7 +769,7 @@ def test_sample_plan_holds_one_copy_of_its_lines():
     f = random_hermitian(np.random.default_rng(4), 2, 400, 500)  # a few hundred occupied columns
     tracemalloc.start()
     try:
-        _, lines = grids._sample_plan(f, 1024)
+        _, lines = grids._sample_plan(f, 1024, (1, 1))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -828,25 +828,81 @@ def test_lp_norms_stream_equals_dense(dim, N):
 
 @pytest.mark.parametrize("dim,N", [(2, 64), (2, 45), (3, 16), (3, 15)])
 def test_grid_sums_do_not_depend_on_the_blocks(monkeypatch, dim, N):
-    # every sum is one value per grid row, and one fsum combines the rows:
+    # every sum is one value per cell row, and one fsum combines the rows:
     # 2-row blocks, 6-row blocks with a shorter last one and one block of
-    # the whole grid give the same bits, for every p, for a scalar and a
-    # vector field, and for the mass the box analysis drops
+    # the whole grid give the same bits, for every p, for a scalar, a
+    # stepped and a vector field, and for the mass the box analysis drops
     rng = np.random.default_rng(N + dim)
     f = random_hermitian(rng, dim, 12, N // 3)
     v = gradient(random_hermitian(rng, dim, 12, N // 3))
+    g = stepped(f, (1,) * (dim - 2) + (2, 4))
+    assert grids._cell_steps(g, N) == ((1,) * dim if N % 2 else (1,) * (dim - 2) + (2, 4))
     values = sample(f, N)
     got = []
     for points in (1, 6 * N ** (dim - 1), 1 << 40):
         monkeypatch.setattr(grids, "_BLOCK_POINTS", points)
-        rows = len(grids._sample_buffers(dim, N, 1)[1][0])
+        rows = len(grids._sample_buffers(N, (1,) * dim, 1)[1][0])
         assert rows == {1: 2, 6 * N ** (dim - 1): 6}.get(points, N)
-        sums = [grids._grid_sums(g, N, STREAM_PS) for g in (f, v)]
+        sums = [grids._grid_sums(field, N, STREAM_PS) for field in (f, g, v)]
         blocks = ((i, values[i : i + rows]) for i in range(0, N, rows))
         got.append((sums, grids._analyze_rows(dim, N, N // 4, blocks)[1]))
     assert all(s > 0 for sums, outside in got for by_p in sums for pair in by_p.values() for s in pair)
     assert got[0][1] > 0
     assert got[1] == got[0] and got[2] == got[0]
+
+
+def stepped(f, steps):
+    """The field of f's coefficients at (xi_i steps_i)."""
+    freqs, amps = f._full()
+    return SpectralField.from_entries(f.dim, 0, freqs * steps, amps)
+
+
+def whole_grid_sums(f, N):
+    """``{p: (fine, coarse)}`` of :func:`grids._grid_sums` from the whole
+    sampled grid, summed by ``math.fsum``."""
+    vals = np.abs(sample(f, N))
+    out = {}
+    for p in STREAM_PS:
+        pair = []
+        for grid in (vals, vals[(slice(None, None, 2),) * f.dim]):
+            pair.append(grid.max() if p == math.inf else math.fsum((grid**p).ravel()))
+        out[p] = tuple(pair)
+    return out
+
+
+@pytest.mark.parametrize(
+    "steps,N,cell",
+    [
+        ((1, 8), 2048, (1, 8)),
+        ((1, 4, 4), 32, (1, 4, 4)),
+        ((1, 0), 8, (1, 4)),  # xi_2 = 0 on the whole support: capped at N/2
+        ((1, 8), 300, (1, 2)),  # N/2 = 150 holds one factor 2
+        ((2, 8), 301, (1, 1)),  # odd N
+    ],
+)
+def test_grid_sums_on_the_cell_equal_the_whole_grid(steps, N, cell):
+    # the grid holds prod(m_i) copies of the cell of f's steps, and its
+    # even subgrid as many of the cell's even points
+    f = stepped(random_hermitian(np.random.default_rng(N), len(steps), 15, 40), steps)
+    assert grids._cell_steps(f, N) == cell
+    got = grids._grid_sums(f, N, STREAM_PS)
+    for p, pair in whole_grid_sums(f, N).items():
+        for have, want in zip(got[p], pair):
+            assert abs(have - want) <= 1e-14 * want
+
+
+def test_one_odd_frequency_takes_the_whole_grid(monkeypatch):
+    # one odd xi_2 among multiples of 8 leaves steps 1: the whole grid's
+    # sums, bit for bit
+    N = 256
+    f = stepped(random_hermitian(np.random.default_rng(5), 2, 15, 40), (1, 8)) + cos_field((3, 5), 0.1)
+    assert grids._cell_steps(f, N) == (1, 1)
+    got = grids._grid_sums(f, N, STREAM_PS)
+    monkeypatch.setattr(grids, "_cell_steps", lambda g, n: (1,) * g.dim)
+    assert grids._grid_sums(f, N, STREAM_PS) == got
+    for p, pair in whole_grid_sums(f, N).items():
+        for have, want in zip(got[p], pair):
+            assert abs(have - want) <= 1e-14 * want
 
 
 def test_lp_norms_zero_field():
@@ -886,9 +942,9 @@ def test_norms_sample_each_grid_once(monkeypatch):
     passes = Counter()
     original = grids._sample_plan
 
-    def counting(field, N):  # one plan of a scalar field is one pass over the grid
+    def counting(field, N, m):  # one plan of a scalar field is one pass over the grid
         passes[N] += 1
-        return original(field, N)
+        return original(field, N, m)
 
     monkeypatch.setattr(grids, "_sample_plan", counting)
     ps = (1.0, 4.0 / 3.0, 1.5, 2.0, math.inf)

@@ -721,6 +721,23 @@ def test_cli_bad_setup_creates_no_out(tmp_path, capsys, flags, config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config,named",
+    [({"dim": 3}, "unknown config key 'dim'"), ({"gamma_margin": "x"}, "gamma_margin = 'x'"), ({"scaling_eps": True}, "scaling_eps = True")],
+    ids=["unknown_key", "gamma_margin_string", "scaling_eps_bool"],
+)
+def test_cli_bad_key_names_itself(tmp_path, capsys, config, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "X"
+    assert main(["--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {named}") and err.count("\n") == 1
+    if "unknown" in named:  # and lists the keys there are
+        assert "the keys are multiplier, d, gamma, s," in err and "scaling_lams" in err
+    assert not out.exists()
+
+
 def test_cli_unusable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")
