@@ -871,35 +871,24 @@ def whole_grid_sums(f, N):
 
 
 @pytest.mark.parametrize(
-    "steps,N,cell",
+    "steps,odd,N,cell",
     [
-        ((1, 8), 2048, (1, 8)),
-        ((1, 4, 4), 32, (1, 4, 4)),
-        ((1, 0), 8, (1, 4)),  # xi_2 = 0 on the whole support: capped at N/2
-        ((1, 8), 300, (1, 2)),  # N/2 = 150 holds one factor 2
-        ((2, 8), 301, (1, 1)),  # odd N
+        ((1, 8), False, 2048, (1, 8)),
+        ((1, 4, 4), False, 32, (1, 4, 4)),
+        ((1, 8), True, 256, (1, 1)),  # one odd xi_2: steps 1, the whole grid
+        ((1, 0), False, 8, (1, 4)),  # xi_2 = 0 on the whole support: capped at N/2
+        ((1, 8), False, 300, (1, 2)),  # N/2 = 150 holds one factor 2
+        ((2, 8), False, 301, (1, 1)),  # odd N
     ],
 )
-def test_grid_sums_on_the_cell_equal_the_whole_grid(steps, N, cell):
+def test_grid_sums_on_the_cell_equal_the_whole_grid(steps, odd, N, cell):
     # the grid holds prod(m_i) copies of the cell of f's steps, and its
     # even subgrid as many of the cell's even points
     f = stepped(random_hermitian(np.random.default_rng(N), len(steps), 15, 40), steps)
+    if odd:
+        f = f + cos_field((3, 5), 0.1)
     assert grids._cell_steps(f, N) == cell
     got = grids._grid_sums(f, N, STREAM_PS)
-    for p, pair in whole_grid_sums(f, N).items():
-        for have, want in zip(got[p], pair):
-            assert abs(have - want) <= 1e-14 * want
-
-
-def test_one_odd_frequency_takes_the_whole_grid(monkeypatch):
-    # one odd xi_2 among multiples of 8 leaves steps 1: the whole grid's
-    # sums, bit for bit
-    N = 256
-    f = stepped(random_hermitian(np.random.default_rng(5), 2, 15, 40), (1, 8)) + cos_field((3, 5), 0.1)
-    assert grids._cell_steps(f, N) == (1, 1)
-    got = grids._grid_sums(f, N, STREAM_PS)
-    monkeypatch.setattr(grids, "_cell_steps", lambda g, n: (1,) * g.dim)
-    assert grids._grid_sums(f, N, STREAM_PS) == got
     for p, pair in whole_grid_sums(f, N).items():
         for have, want in zip(got[p], pair):
             assert abs(have - want) <= 1e-14 * want
